@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -78,7 +77,6 @@ _SCHEMAS = {
         "t_final_s": (int, float),
         "num_samples": int,
         "dims": list,
-        "output_format": str,
     },
     "spectrum": {
         "r": (int, float),
@@ -88,12 +86,10 @@ _SCHEMAS = {
         "xi2_hz": (int, float),
         "gamma_s_hz": (int, float),
         "num_points": int,
-        "output_format": str,
     },
     "feasibility": {
         "temperature_k": (int, float),
         "gamma_a_hz": (int, float),
-        "output_format": str,
     },
     "validate": {
         "dimension_cap": int,
@@ -141,6 +137,14 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}")
 
 
+def _physical(build, *args, **kwargs):
+    """Call a parameter constructor, reporting its ``ValueError`` as a ``ConfigError``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _couplings_from_config(cfg) -> EffectiveCouplings | None:
     """Resolve couplings from (r, theta_hz) or (xi1_hz, xi2_hz); None if zero."""
     has_rt = "r" in cfg or "theta_hz" in cfg
@@ -150,16 +154,13 @@ def _couplings_from_config(cfg) -> EffectiveCouplings | None:
     if has_rt:
         if "r" not in cfg or "theta_hz" not in cfg:
             raise ConfigError("both r and theta_hz are required")
-        return EffectiveCouplings.from_theta_r(TWO_PI * cfg["theta_hz"], cfg["r"])
+        return _physical(EffectiveCouplings.from_theta_r, TWO_PI * cfg["theta_hz"], cfg["r"])
     if has_xi:
         xi1 = TWO_PI * cfg.get("xi1_hz", 0.0)
         xi2 = TWO_PI * cfg.get("xi2_hz", 0.0)
         if xi1 == 0.0 and xi2 == 0.0:
             return None
-        try:
-            return EffectiveCouplings(xi1, xi2)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+        return _physical(EffectiveCouplings, xi1, xi2)
     raise ConfigError("couplings missing: give (r, theta_hz) or (xi1_hz, xi2_hz)")
 
 
@@ -223,24 +224,21 @@ def _fock_layout(cfg, couplings):
             nc = closed_form.suggest_cavity_cutoff(couplings.r) + 1
             ns = closed_form.suggest_spin_cutoff(couplings.r) + 1
             dims = [nc, nc, ns]
-    total = dims[0] * dims[1] * dims[2]
-    if total > _FOCK_DIM_CAP:
+    return _physical(ModeLayout, dims)
+
+
+def _route_fock(layout, couplings, times):
+    if layout.dim > _FOCK_DIM_CAP:
         raise ConfigError(
-            f"fock route infeasible: requested truncation {tuple(dims)} has composite "
-            f"dimension {total} > {_FOCK_DIM_CAP}; use the gaussian route, which is "
+            f"fock route infeasible: requested truncation {layout.dims} has composite "
+            f"dimension {layout.dim} > {_FOCK_DIM_CAP}; use the gaussian route, which is "
             "exact at arbitrary photon number"
         )
-    return ModeLayout(dims)
-
-
-def _route_fock(cfg, couplings, times):
-    layout = _fock_layout(cfg, couplings)
     if couplings is None:
         zeros = [(float(t), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0) for t in times]
         return zeros
     H = fdyn.build_effective_hamiltonian(couplings, layout)
-    substep = 0.01 / couplings.theta
-    traj = fdyn.evolve_state(H, vacuum_state(layout), times, substep=substep)
+    traj = fdyn.evolve_state(H, vacuum_state(layout), times)
     rows = []
     for t, occ, z, leak in zip(traj.times, traj.occupations, traj.zeta12, traj.leakage):
         rows.append((float(t), couplings.theta * t, occ[0], occ[1], occ[2], z, leak))
@@ -261,8 +259,9 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
     if route in ("gaussian", "all"):
         results["gaussian"] = _route_gaussian(couplings, times)
     if route in ("fock", "all"):
+        layout = _fock_layout(cfg, couplings)
         try:
-            results["fock"] = _route_fock(cfg, couplings, times)
+            results["fock"] = _route_fock(layout, couplings, times)
         except ConfigError:
             if route == "fock":
                 raise
@@ -321,7 +320,7 @@ def _spectrum_params(cfg):
         if "r" not in cfg:
             raise ConfigError("r is required with theta_over_kappa")
         theta = cfg["theta_over_kappa"] * kappa
-        couplings = EffectiveCouplings.from_theta_r(theta, cfg["r"])
+        couplings = _physical(EffectiveCouplings.from_theta_r, theta, cfg["r"])
     elif has_xi:
         # raw pair: no magnitude-ordering constraint, so stability studies
         # (for example xi2 = 0 parametric gain) are expressible
@@ -330,7 +329,9 @@ def _spectrum_params(cfg):
         couplings = None if (xi1 == 0.0 and xi2 == 0.0) else (xi1, xi2)
     else:
         raise ConfigError("couplings missing: give (r, theta_over_kappa) or (xi1_hz, xi2_hz)")
-    decays = DecayRates(kappa1=kappa, kappa2=kappa, gamma_s=TWO_PI * cfg.get("gamma_s_hz", 0.0))
+    decays = _physical(
+        DecayRates, kappa1=kappa, kappa2=kappa, gamma_s=TWO_PI * cfg.get("gamma_s_hz", 0.0)
+    )
     return couplings, decays, kappa
 
 
@@ -467,7 +468,7 @@ def _validate_checks(cfg):
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", TruncationWarning)
-        traj = fdyn.evolve_state(H, vacuum_state(small), times, substep=0.01 / c2.theta)
+        traj = fdyn.evolve_state(H, vacuum_state(small), times)
     nop = fdyn.conserved_number_operator(small).matrix
     worst_n = 0.0
     for st in traj.states:
@@ -484,8 +485,7 @@ def _validate_checks(cfg):
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", TruncationWarning)
         tr3 = fdyn.evolve_state(
-            fdyn.build_effective_hamiltonian(c3, lay3), vacuum_state(lay3), t3,
-            substep=0.01 / c3.theta,
+            fdyn.build_effective_hamiltonian(c3, lay3), vacuum_state(lay3), t3
         )
     dev = 0.0
     for t, occ in zip(tr3.times, tr3.occupations):
@@ -651,18 +651,11 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
     if "n_thermal" in outputs and temp_vals is None:
         raise ConfigError("n_thermal needs temperature_k_values")
 
-    points = list(product(*axes))
-
-    def evaluate(pt):
+    rows = []
+    for pt in product(*axes):
         r, ratio, temp = pt
         r_eff = r if r is not None else fixed.get("r")
-        return _sweep_point(outputs, fixed, r_eff, ratio, temp)
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        computed = list(pool.map(evaluate, points))
-
-    rows = []
-    for pt, row in zip(points, computed):
+        row = _sweep_point(outputs, fixed, r_eff, ratio, temp)
         vals = [v for v in pt if v is not None]
         rows.append(tuple(vals) + tuple(row[o] for o in outputs))
         for v in rows[-1]:

@@ -2,9 +2,14 @@
 
 The Hamiltonian is ``H = i xi1 a1^dag c^dag - i xi1* a1 c
 + i xi2 a2^dag c - i xi2* a2 c^dag`` on a (cavity1, cavity2, spin) layout;
-the degenerate variant identifies the two cavities.  Evolution uses a dense
-scaling-and-squaring exponential for composite dimensions up to 4096 and a
-Lanczos (Krylov) stepper above, with a per-step tolerance of 1e-10.
+the degenerate variant identifies the two cavities.  Starting from vacuum,
+pair creation and exchange only ever reach a small invariant block of the
+truncated space (the ``n2 - n1 + n3 = 0`` lattice, or one ``n_a + n_c``
+parity sector for the degenerate variant).  Evolution finds the basis states
+that ``H`` connects to the initial state's support, diagonalizes ``H`` on
+that block once, and builds every sample from the eigenbasis.  Nothing
+leaves the block, so the restriction is exact for any Hermitian ``H``,
+whether or not it conserves a charge.
 
 State comparisons across routes are gauged by the phase of the
 largest-magnitude amplitude, since the closed-form amplitude table fixes
@@ -18,7 +23,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import closed_form
@@ -48,7 +52,6 @@ __all__ = [
     "quadrature_variances",
 ]
 
-_DENSE_DIM_LIMIT = 4096
 _NORM_DRIFT_PER_STEP = 1e-8
 _LEAKAGE_THRESHOLD = 1e-6
 
@@ -116,68 +119,40 @@ def _hermiticity_check(H: sp.spmatrix):
         raise ValueError("Hamiltonian is not Hermitian")
 
 
-def _expm_lanczos(H, psi, dt, tol, m_max=90):
-    """psi -> exp(-i H dt) psi for Hermitian sparse H, by Lanczos iteration.
-
-    The a-posteriori error estimate is the standard last-component bound; if
-    the Krylov space saturates without converging the step is halved.
-    """
-    nrm = np.linalg.norm(psi)
-    if nrm == 0.0:
-        return psi
-    V = [psi / nrm]
-    alphas, betas = [], []
-    w = H @ V[0]
-    alphas.append(np.vdot(V[0], w).real)
-    w = w - alphas[0] * V[0]
-    m = 1
+def _reachable(H: sp.spmatrix, psi: np.ndarray) -> np.ndarray:
+    """Indices of the basis states ``H`` connects, in any number of steps, to ``psi``'s support."""
+    links = abs(H)
+    reach = psi != 0
     while True:
-        b = np.linalg.norm(w)
-        if b < 1e-14:
-            break  # invariant subspace: result exact
-        if m >= m_max:
-            half = _expm_lanczos(H, psi, dt / 2.0, tol / 2.0, m_max)
-            return _expm_lanczos(H, half, dt / 2.0, tol / 2.0, m_max)
-        betas.append(b)
-        V.append(w / b)
-        w = H @ V[m]
-        alphas.append(np.vdot(V[m], w).real)
-        w = w - alphas[m] * V[m] - betas[m - 1] * V[m - 1]
-        m += 1
-        if m >= 4 and m % 2 == 0:
-            T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            small = sla.expm(-1j * dt * T)[:, 0]
-            if b * abs(small[-1]) < tol:
-                break
-    T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-    small = sla.expm(-1j * dt * T)[:, 0]
-    return nrm * (np.column_stack(V) @ small)
+        grown = reach | ((links @ reach.astype(float)) != 0)
+        if np.array_equal(grown, reach):
+            return np.flatnonzero(reach)
+        reach = grown
 
 
-class _DensePropagator:
-    """Cache of dense exp(-i H dt) blocks keyed by the step length."""
-
-    def __init__(self, H):
-        self.H = H.toarray()
-        self.cache = {}
-
-    def step(self, psi, dt):
-        key = round(dt, 18)
-        if key not in self.cache:
-            self.cache[key] = sla.expm(-1j * dt * self.H)
-        return self.cache[key] @ psi
+def _zeta12(p: np.ndarray, occ) -> float:
+    """``Var(n1 - n2) / (n1 + n2)`` from basis populations ``p`` and their occupations."""
+    den = float(p @ occ[0]) + float(p @ occ[1])
+    if den < 1e-14:
+        return 1.0
+    diff = (occ[0] - occ[1]).astype(float)
+    mean = float(p @ diff)
+    var = float(p @ diff**2) - mean**2
+    return var / den
 
 
 def evolve_state(
     H: FockOperator,
     psi0: FockState,
     times,
-    method: str = "auto",
-    substep: float | None = None,
-    step_tol: float = 1e-10,
     leakage_threshold: float = _LEAKAGE_THRESHOLD,
 ) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
+
+    ``H`` is restricted to the basis states reachable from the support of
+    ``psi0`` (no matrix element of ``H`` leaves that block), diagonalized there
+    once by ``eigh``, and each sample is ``P diag(exp(-i w t)) P^dag psi0``
+    embedded back into the full layout.  Sample 0 is ``psi0`` itself.
 
     Parameters
     ----------
@@ -187,21 +162,13 @@ def evolve_state(
         Initial state on the same layout.
     times : sequence of float
         Sorted ascending, starting at 0.
-    method : {"auto", "dense", "krylov"}
-        "auto" selects dense scaling-and-squaring up to composite dimension
-        4096 and the Lanczos stepper above.
-    substep : float, optional
-        Maximum Krylov step; callers working at oscillation rate ``theta``
-        pass ``0.01 / theta``.  Defaults to the sample spacing.
-    step_tol : float
-        Per-step Krylov tolerance.
     leakage_threshold : float
         Top-level population above which a truncation warning is attached.
 
     Raises
     ------
     IntegrationError
-        If the norm drifts by more than 1e-8 in one step.
+        If the norm drifts by more than 1e-8 between consecutive samples.
     """
     if H.layout != psi0.layout:
         raise ValueError("Hamiltonian and state layouts differ")
@@ -213,51 +180,41 @@ def evolve_state(
     _hermiticity_check(H.matrix)
 
     layout = H.layout
-    if method == "auto":
-        method = "dense" if layout.dim <= _DENSE_DIM_LIMIT else "krylov"
-    if method not in ("dense", "krylov"):
-        raise ValueError(f"unknown evolution method {method!r}")
-
-    occ = layout.occupation_arrays()
-    boundary = top_level_mask(layout)
-    dense = _DensePropagator(H.matrix) if method == "dense" else None
+    block = _reachable(H.matrix, psi0.amplitudes)
+    w, P = np.linalg.eigh(H.matrix[block][:, block].toarray())
+    coeffs = P.conj().T @ psi0.amplitudes[block]
+    occ = [o[block] for o in layout.occupation_arrays()]
+    boundary = top_level_mask(layout)[block]
 
     traj = Trajectory([], [], [], [], [], [])
-    psi = psi0.amplitudes.copy()
-    prev_t = 0.0
+    prev_norm = float(np.linalg.norm(psi0.amplitudes))
     warned = False
     for t in times:
-        gap = t - prev_t
-        if gap > 0:
-            if dense is not None:
-                new = dense.step(psi, gap)
-            else:
-                h = gap if substep is None else min(substep, gap)
-                nsub = max(1, int(np.ceil(gap / h - 1e-12)))
-                dt = gap / nsub
-                new = psi
-                for _ in range(nsub):
-                    new = _expm_lanczos(H.matrix, new, dt, step_tol)
-            drift = abs(np.linalg.norm(new) - np.linalg.norm(psi))
-            if drift > _NORM_DRIFT_PER_STEP:
-                raise IntegrationError(
-                    f"norm drifted by {drift:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
-                )
-            psi = new
-        prev_t = t
+        if t == 0.0:
+            psi = psi0.amplitudes.copy()
+        else:
+            psi = np.zeros(layout.dim, dtype=complex)
+            psi[block] = P @ (np.exp(-1j * w * t) * coeffs)
+        amps = psi[block]
+        norm = float(np.linalg.norm(amps))
+        drift = abs(norm - prev_norm)
+        if drift > _NORM_DRIFT_PER_STEP:
+            raise IntegrationError(
+                f"norm drifted by {drift:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
+            )
+        prev_norm = norm
 
-        p = np.abs(psi) ** 2
+        p = np.abs(amps) ** 2
         n1 = float(p @ occ[0]) if layout.n_modes >= 1 else 0.0
         n2 = float(p @ occ[1]) if layout.n_modes >= 2 else 0.0
         n3 = float(p @ occ[2]) if layout.n_modes >= 3 else 0.0
-        state = FockState(psi.copy(), layout)
         leak = float(p[boundary].sum())
         traj.times.append(t)
-        traj.states.append(state)
+        traj.states.append(FockState(psi, layout))
         traj.occupations.append((n1, n2, n3))
-        traj.zeta12.append(relative_number_squeezing(state) if layout.n_modes == 3 else float("nan"))
+        traj.zeta12.append(_zeta12(p, occ) if layout.n_modes == 3 else float("nan"))
         traj.leakage.append(leak)
-        traj.norms.append(float(np.linalg.norm(psi)))
+        traj.norms.append(norm)
         if leak > leakage_threshold and not warned:
             msg = (
                 f"top-level population {leak:.3e} exceeded {leakage_threshold:g} "
@@ -279,17 +236,7 @@ def relative_number_squeezing(state: FockState) -> float:
     layout = state.layout
     if layout.n_modes != 3:
         raise ValueError("relative number squeezing expects a three-mode layout")
-    occ = layout.occupation_arrays()
-    p = np.abs(state.amplitudes) ** 2
-    diff = (occ[0] - occ[1]).astype(float)
-    n1 = float(p @ occ[0])
-    n2 = float(p @ occ[1])
-    den = n1 + n2
-    if den < 1e-14:
-        return 1.0
-    mean = float(p @ diff)
-    var = float(p @ diff**2) - mean**2
-    return var / den
+    return _zeta12(np.abs(state.amplitudes) ** 2, layout.occupation_arrays())
 
 
 def target_state(layout: ModeLayout, r: float) -> FockState:
@@ -365,8 +312,6 @@ def degenerate_mode_evolve(
     layout2: ModeLayout,
     t: float,
     phase_samples: int,
-    method: str = "auto",
-    substep: float | None = None,
 ) -> float:
     """Minimum cavity quadrature variance of the degenerate evolution from vacuum.
 
@@ -376,8 +321,7 @@ def degenerate_mode_evolve(
     if phase_samples < 1:
         raise ValueError("phase_samples must be positive")
     H = build_degenerate_hamiltonian(c, layout2)
-    traj = evolve_state(H, vacuum_state(layout2), [0.0, t] if t > 0 else [0.0],
-                        method=method, substep=substep)
+    traj = evolve_state(H, vacuum_state(layout2), [0.0, t] if t > 0 else [0.0])
     state = traj.states[-1]
     phis = np.arange(phase_samples) * np.pi / phase_samples
     return float(np.min(quadrature_variances(state, 0, phis)))

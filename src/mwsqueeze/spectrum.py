@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError
 from .moments import drift_matrix
-from .params import DecayRates, coupling_pair
+from .params import DecayRates, EffectiveCouplings, coupling_pair
 
 __all__ = [
     "SpectrumResult",
@@ -157,15 +157,10 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
 
     minima = find_local_minima(omega, s_plus)
     theta = None
-    try:
-        from .params import EffectiveCouplings
-
-        if isinstance(c, EffectiveCouplings):
-            theta = c.theta
-        elif coupled and abs(xi2) > abs(xi1):
-            theta = float(np.sqrt(abs(xi2) ** 2 - abs(xi1) ** 2))
-    except Exception:  # pragma: no cover - theta is metadata only
-        theta = None
+    if isinstance(c, EffectiveCouplings):
+        theta = c.theta
+    elif coupled and abs(xi2) > abs(xi1):
+        theta = float(np.sqrt(abs(xi2) ** 2 - abs(xi1) ** 2))
     kappa = max(d.kappa1, d.kappa2)
     result = SpectrumResult(omega, s_plus, s_minus, minima, "narrow", theta, kappa)
     result.regime_label = classify_regime(result, theta if theta is not None else 0.0, kappa)

@@ -57,7 +57,7 @@ def _fock_run(spin_dim):
     times = np.linspace(0.0, 2 * tpi, 161)  # sample 80 is exactly t_pi
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        traj = fdyn.evolve_state(H, vacuum_state(lay), times, substep=0.01 / c.theta)
+        traj = fdyn.evolve_state(H, vacuum_state(lay), times)
 
     occ_dev = 0.0
     fid_min = 1.0

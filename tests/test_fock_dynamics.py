@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
@@ -66,7 +67,7 @@ class TestEvolution:
         H = fdyn.build_effective_hamiltonian(c, lay)
         tpi = cf.t_pi(c)
         times = np.linspace(0.0, 2 * tpi, 9)
-        traj = evolve_quiet(H, vacuum_state(lay), times, substep=0.01 / c.theta)
+        traj = evolve_quiet(H, vacuum_state(lay), times)
         for t, occ in zip(traj.times, traj.occupations):
             ref = cf.occupations_closed_form(c, t)
             assert max(abs(a - b) for a, b in zip(occ, ref)) < 1e-6
@@ -76,7 +77,7 @@ class TestEvolution:
         lay = ModeLayout((44, 44, 17))
         H = fdyn.build_effective_hamiltonian(c, lay)
         tpi = cf.t_pi(c)
-        traj = evolve_quiet(H, vacuum_state(lay), [0.0, tpi], substep=0.01 / c.theta)
+        traj = evolve_quiet(H, vacuum_state(lay), [0.0, tpi])
         n1, n2, n3 = traj.occupations[-1]
         assert n3 <= 1e-8
         assert n1 == pytest.approx(16.0 / 9.0, abs=1e-4)
@@ -95,15 +96,24 @@ class TestEvolution:
             assert abs(np.vdot(psi, N @ psi).real) <= 1e-8
             assert abs(np.vdot(psi, N @ (N @ psi)).real) <= 1e-8
 
-    def test_dense_and_krylov_agree(self):
+    @pytest.mark.parametrize("occupied", [
+        [(0, 0, 0)],
+        [(0, 0, 0), (0, 1, 0)],  # n2 - n1 + n3 = 0 and 1: two invariant blocks
+    ], ids=["vacuum", "two-blocks"])
+    def test_matches_full_space_expm(self, occupied):
         c = couplings(1.8)
         lay = ModeLayout((10, 10, 8))
         H = fdyn.build_effective_hamiltonian(c, lay)
+        psi0 = np.zeros(lay.dim, dtype=complex)
+        for occ in occupied:
+            psi0[lay.index(occ)] = 1.0
+        psi0 /= np.linalg.norm(psi0)
         times = np.linspace(0.0, cf.t_pi(c), 5)
-        td = evolve_quiet(H, vacuum_state(lay), times, method="dense")
-        tk = evolve_quiet(H, vacuum_state(lay), times, method="krylov", substep=0.01 / c.theta)
-        for a, b in zip(td.states, tk.states):
-            assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-9
+        traj = evolve_quiet(H, FockState(psi0, lay), times)
+        dense = H.matrix.toarray()
+        for t, st in zip(traj.times, traj.states):
+            ref = scipy.linalg.expm(-1j * t * dense) @ psi0
+            assert np.max(np.abs(st.amplitudes - ref)) < 1e-9
 
     def test_leakage_warning_on_tight_truncation(self):
         c = couplings(2.0)
@@ -129,7 +139,7 @@ class TestEvolution:
         tpi = cf.t_pi(c)
         offsets = np.array([0.2, 0.45, 0.7]) * tpi
         times = sorted({0.0, *offsets, *(2 * tpi - offsets)})
-        traj = evolve_quiet(H, vacuum_state(lay), times, substep=0.01 / c.theta)
+        traj = evolve_quiet(H, vacuum_state(lay), times)
         lookup = dict(zip(traj.times, traj.zeta12))
         for s in offsets:
             assert lookup[s] == pytest.approx(lookup[2 * tpi - s], abs=1e-6)
@@ -142,8 +152,7 @@ class TestEvolution:
         H = fdyn.build_effective_hamiltonian(c, lay)
         tpi = cf.t_pi(c)
         times = [0.0, 0.4 * tpi, 1.3 * tpi]
-        traj = evolve_quiet(H, vacuum_state(lay), times, substep=0.01 / c.theta,
-                            step_tol=1e-12)
+        traj = evolve_quiet(H, vacuum_state(lay), times)
         for t, st in zip(traj.times, traj.states):
             ref = fdyn.gauge_phase(fdyn.analytic_state(c, t, lay, tail_tol=1e-9))
             got = fdyn.gauge_phase(st)
