@@ -251,6 +251,8 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
         raise ConfigError(f"route must be one of {_ROUTES}")
     couplings = _couplings_from_config(cfg)
     times = _evolve_times(cfg, couplings)
+    # a malformed dims is refused on every route, not only where the fock route uses it
+    layout = _fock_layout(cfg, couplings) if "dims" in cfg or route in ("fock", "all") else None
     header = ["t_seconds", "theta_t", "n1", "n2", "n3", "zeta12"]
 
     results = {}
@@ -259,7 +261,6 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
     if route in ("gaussian", "all"):
         results["gaussian"] = _route_gaussian(couplings, times)
     if route in ("fock", "all"):
-        layout = _fock_layout(cfg, couplings)
         try:
             results["fock"] = _route_fock(layout, couplings, times)
         except ConfigError:

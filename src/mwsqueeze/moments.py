@@ -6,7 +6,7 @@ terms read off directly: ``n_i = V[2i+1, 2i+1]`` and ``<a_i a_i^dag> =
 V[2i, 2i]``, so the canonical commutator reconstructs as
 ``V[2i, 2i] - V[2i+1, 2i+1] = 1`` along closed trajectories.
 
-This route is exact at arbitrary photon number, which is what makes the
+Occupations stay exact at arbitrary photon number, which is what makes the
 ``r -> 1+`` regime (thousands of photons per mode) accessible.
 """
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.integrate import solve_ivp
 
 from .errors import NumericalError, StabilityError
 from .fock import FockState
@@ -27,6 +26,7 @@ __all__ = [
     "vacuum_moments",
     "drift_matrix",
     "diffusion_matrix",
+    "rightmost_eigenvalue",
     "evolve_moments",
     "steady_state_moments",
     "occupations_from_moments",
@@ -37,6 +37,8 @@ __all__ = [
 
 # pairing of each component with its dagger in the vector ordering
 _SWAP = (1, 0, 3, 2, 5, 4)
+# samples propagated and validated per stacked call, bounding the temporaries
+_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,21 @@ class MomentMatrix:
 
     def validate(self, tol: float = 1e-10):
         """Check Hermiticity and positive semidefiniteness within ``tol``."""
-        herm = np.max(np.abs(self.V - self.V.conj().T))
-        if herm > tol:
-            raise NumericalError(f"moment matrix Hermiticity violated by {herm:.3e}")
-        eigs = np.linalg.eigvalsh((self.V + self.V.conj().T) / 2.0)
-        if eigs.min() < -tol * max(1.0, eigs.max()):
-            raise NumericalError(f"moment matrix not PSD: min eigenvalue {eigs.min():.3e}")
+        _validate_stack(self.V[None], tol)
+
+
+def _validate_stack(V, tol):
+    """Hermiticity and PSD of a ``(n, 6, 6)`` stack within ``tol``; raises for the first bad sample."""
+    VH = V.conj().swapaxes(1, 2)
+    herm = np.abs(V - VH).max(axis=(1, 2))
+    eigs = np.linalg.eigvalsh((V + VH) / 2.0)  # ascending
+    bad_herm = herm > tol
+    bad = bad_herm | (eigs[:, 0] < -tol * np.maximum(1.0, eigs[:, -1]))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_herm[i]:
+            raise NumericalError(f"moment matrix Hermiticity violated by {herm[i]:.3e}")
+        raise NumericalError(f"moment matrix not PSD: min eigenvalue {eigs[i, 0]:.3e}")
 
 
 def vacuum_moments() -> MomentMatrix:
@@ -103,13 +114,19 @@ def diffusion_matrix(d: DecayRates) -> np.ndarray:
     return np.diag([d.kappa1, 0.0, d.kappa2, 0.0, d.gamma_s, 0.0]).astype(complex)
 
 
-def _propagators(M, times, cond_limit=1e8):
-    """exp(M t) for each t, via eigendecomposition when well conditioned."""
+def rightmost_eigenvalue(M) -> complex:
+    """Eigenvalue of ``M`` with the largest real part (the stability abscissa)."""
+    ev = np.linalg.eigvals(M)
+    return ev[np.argmax(ev.real)]
+
+
+def _propagator(M, cond_limit=1e8):
+    """Map from a time array to the stack of exp(M t), via eigendecomposition when well conditioned."""
     w, P = np.linalg.eig(M)
     if np.linalg.cond(P) < cond_limit:
         Pinv = np.linalg.inv(P)
-        return [(P * np.exp(w * t)) @ Pinv for t in times]
-    return [sla.expm(M * t) for t in times]
+        return lambda t: (P * np.exp(w * t[:, None])[:, None, :]) @ Pinv
+    return lambda t: np.stack([sla.expm(M * dt) for dt in t])
 
 
 def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> list:
@@ -123,35 +140,36 @@ def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> li
 
     Propagators come from the eigendecomposition of ``M`` when its
     eigenvector matrix is well conditioned (< 1e8), matching the oscillatory
-    closed case exactly.
+    closed case exactly.  Samples are propagated and validated as stacks of
+    ``_BLOCK``; the returned matrices are views into one ``(n, 6, 6)`` array.
     """
     M = np.asarray(M, dtype=complex)
-    times = [float(t) for t in times]
     t0 = V0.t
-    rel = [t - t0 for t in times]
-    if any(dt < 0 for dt in rel):
+    rel = np.asarray(times, dtype=float) - t0
+    if np.any(rel < 0):
         raise ValueError("sample times must not precede the initial time")
 
-    if diffusion is not None and np.any(np.asarray(diffusion) != 0):
-        D = np.asarray(diffusion, dtype=complex)
-        if np.max(np.linalg.eigvals(M).real) < 0:
-            Vss = sla.solve_sylvester(M, M.conj().T, -D)
-            out = []
-            for dt, E in zip(rel, _propagators(M, rel)):
-                V = Vss + E @ (V0.V - Vss) @ E.conj().T
-                out.append(MomentMatrix(V, t0 + dt))
-        else:
-            out = _evolve_moments_ivp(M, V0, rel, D, t0)
+    damped = diffusion is not None and np.any(np.asarray(diffusion) != 0)
+    D = np.asarray(diffusion, dtype=complex) if damped else None
+    out = np.empty((len(rel), 6, 6), dtype=complex)
+    if damped and rightmost_eigenvalue(M).real >= 0:
+        out[:] = _evolve_moments_ivp(M, V0, rel.tolist(), D)
     else:
-        out = []
-        for dt, E in zip(rel, _propagators(M, rel)):
-            out.append(MomentMatrix(E @ V0.V @ E.conj().T, t0 + dt))
-    for Vm in out:
-        Vm.validate(tol=1e-8 * max(1.0, float(np.max(np.abs(Vm.V)))))
-    return out
+        Vss = sla.solve_sylvester(M, M.conj().T, -D) if damped else 0.0
+        X = V0.V - Vss
+        propagate = _propagator(M)
+        for lo in range(0, len(rel), _BLOCK):
+            E = propagate(rel[lo:lo + _BLOCK])
+            out[lo:lo + _BLOCK] = Vss + E @ X @ E.conj().swapaxes(1, 2)
+    for lo in range(0, len(rel), _BLOCK):
+        block = out[lo:lo + _BLOCK]
+        _validate_stack(block, 1e-8 * np.maximum(1.0, np.abs(block).max(axis=(1, 2))))
+    return [MomentMatrix(V, t0 + dt) for V, dt in zip(out, rel.tolist())]
 
 
-def _evolve_moments_ivp(M, V0, rel, D, t0):
+def _evolve_moments_ivp(M, V0, rel, D):
+    from scipy.integrate import solve_ivp
+
     def rhs(_, y):
         V = y.reshape(6, 6)
         dV = M @ V + V @ M.conj().T + D
@@ -169,13 +187,13 @@ def _evolve_moments_ivp(M, V0, rel, D, t0):
     if not sol.success:
         raise NumericalError(f"moment integration failed: {sol.message}")
     lookup = {t: sol.y[:, i].reshape(6, 6) for i, t in enumerate(sol.t)}
-    return [MomentMatrix(lookup[dt], t0 + dt) for dt in rel]
+    return [lookup[dt] for dt in rel]
 
 
 def steady_state_moments(M: np.ndarray, diffusion: np.ndarray) -> MomentMatrix:
     """Solve ``M V + V M^dag + D = 0`` for the steady-state moment matrix."""
     M = np.asarray(M, dtype=complex)
-    abscissa = float(np.max(np.linalg.eigvals(M).real))
+    abscissa = float(rightmost_eigenvalue(M).real)
     if abscissa >= 0:
         raise StabilityError(
             f"drift matrix is not strictly stable (spectral abscissa {abscissa:.3e})",

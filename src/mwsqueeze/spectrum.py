@@ -1,8 +1,9 @@
 """Two-mode output squeezing spectrum from the quantum Langevin equations.
 
 For each frequency the linear system ``(-i w I - M) v(w) = N v_in(w)`` is
-solved with the drift matrix of :mod:`mwsqueeze.moments`; outputs follow the
-input-output relation ``a_out = sqrt(kappa) a - a_in``.  The monitored
+solved with the drift matrix of :mod:`mwsqueeze.moments`, the whole grid and
+its mirror ``-w`` as one stacked solve; outputs follow the input-output
+relation ``a_out = sqrt(kappa) a - a_in``.  The monitored
 quadratures are the difference of the amplitude quadratures and the sum of
 the phase quadratures of the two cavity outputs; their symmetrized
 correlator, with vacuum input statistics, is normalized so that the
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, StabilityError
-from .moments import drift_matrix
-from .params import DecayRates, EffectiveCouplings, coupling_pair
+from .moments import drift_matrix, rightmost_eigenvalue
+from .params import DecayRates, coupling_pair
 
 __all__ = [
     "SpectrumResult",
@@ -32,14 +33,12 @@ __all__ = [
 _C_VAC = np.zeros((6, 6))
 _C_VAC[0, 1] = _C_VAC[2, 3] = _C_VAC[4, 5] = 1.0
 
-# quadrature weights: difference of amplitude quadratures / sum of phase quadratures
-_W_PLUS = np.array([1, 1, -1, -1, 0, 0], dtype=complex) / np.sqrt(2.0)
-_W_MINUS = -1j * np.array([1, -1, 1, -1, 0, 0], dtype=complex) / np.sqrt(2.0)
+# quadrature weights, one row each: difference of amplitude quadratures (S+),
+# sum of phase quadratures (S-)
+_WEIGHTS = np.array([[1, 1, -1, -1, 0, 0], -1j * np.array([1, -1, 1, -1, 0, 0])]) / np.sqrt(2.0)
 
 # column swap pairing each component with its dagger
-_P_SWAP = np.zeros((6, 6))
-for _j, _k in ((0, 1), (1, 0), (2, 3), (3, 2), (4, 5), (5, 4)):
-    _P_SWAP[_j, _k] = 1.0
+_P_SWAP = np.eye(6)[[1, 0, 3, 2, 5, 4]]
 
 
 @dataclass
@@ -56,16 +55,12 @@ class SpectrumResult:
 
 
 def _input_coupling(d: DecayRates) -> np.ndarray:
-    return np.diag(
-        [np.sqrt(d.kappa1)] * 2 + [np.sqrt(d.kappa2)] * 2 + [np.sqrt(d.gamma_s)] * 2
-    ).astype(complex)
+    return np.diag(np.sqrt(np.repeat([d.kappa1, d.kappa2, d.gamma_s], 2))).astype(complex)
 
 
 def stability_check(c, d: DecayRates):
     """Spectral abscissa of the drift matrix; stable iff all real parts < 0."""
-    M = drift_matrix(c, d)
-    ev = np.linalg.eigvals(M)
-    abscissa = float(ev.real.max())
+    abscissa = float(rightmost_eigenvalue(drift_matrix(c, d)).real)
     return abscissa < 0.0, abscissa
 
 
@@ -75,22 +70,24 @@ def default_omega_grid(theta: float, kappa: float, points: int = 2001) -> np.nda
     return np.linspace(-span, span, points)
 
 
-def _scattering(M, N, omega, active):
-    A = (-1j * omega * np.eye(6, dtype=complex) - M)[np.ix_(active, active)]
-    T = np.linalg.solve(A, N[np.ix_(active, active)])
-    S = np.zeros((6, 6), dtype=complex)
-    S[np.ix_(active, active)] = N[np.ix_(active, active)] @ T
-    S -= np.eye(6)
-    return S
+def _transfer(M, N, omega, active):
+    """``T(w) = (-i w I - M)^{-1} N`` on the ``active`` modes: one stacked solve over ``omega``."""
+    ix = np.ix_(active, active)
+    A = -1j * omega[:, None, None] * np.eye(len(active), dtype=complex) - M[ix]
+    # broadcast explicitly: numpy < 2 reads a right side one dimension short as vectors
+    return np.linalg.solve(A, np.broadcast_to(N[ix], A.shape))
 
 
-def _raw_density(M, N, omega, weights, active):
-    Sw = _scattering(M, N, omega, active)
-    Smw = _scattering(M, N, -omega, active)
-    y_w = weights @ Sw
-    y_mw = weights @ Smw
-    val = y_w @ _C_VAC @ y_mw + y_mw @ _C_VAC @ y_w
-    return complex(val)
+def _densities(M, N, omega, active):
+    """Raw symmetrized densities of both quadratures, ``(2, len(omega))``, from S(w) and S(-w)."""
+    ix = np.ix_(active, active)
+    S = N[ix] @ _transfer(M, N, np.concatenate([omega, -omega]), active) - np.eye(len(active))
+    # a 1 x k row per quadrature and frequency keeps the vector products of a
+    # single-frequency evaluation, bit for bit
+    y = _WEIGHTS[:, active][:, None, None, :] @ S
+    y_w, y_mw = y[:, :len(omega)], y[:, len(omega):]
+    val = y_w @ _C_VAC[ix] @ y_mw.swapaxes(-1, -2) + y_mw @ _C_VAC[ix] @ y_w.swapaxes(-1, -2)
+    return val[:, :, 0, 0]
 
 
 def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
@@ -127,10 +124,9 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
         active += [4, 5]
 
     if coupled:
-        ev = np.linalg.eigvals(M)
-        abscissa = float(ev.real.max())
+        worst = rightmost_eigenvalue(M)
+        abscissa = float(worst.real)
         if abscissa >= 0:
-            worst = ev[np.argmax(ev.real)]
             raise StabilityError(
                 f"drift matrix unstable: eigenvalue {worst:.6g} has real part "
                 f"{abscissa:.3e} >= 0",
@@ -139,28 +135,20 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
 
     # scalar shot-noise calibration: same pipeline, couplings off, at w = 0
     M0 = drift_matrix(None, d)
-    shot = _raw_density(M0, N, 0.0, _W_PLUS, [0, 1, 2, 3]).real
+    shot = _densities(M0, N, np.zeros(1), [0, 1, 2, 3])[0, 0].real
     if shot <= 0:
         raise NumericalError("shot-noise calibration returned a non-positive density")
 
-    s_plus = np.empty(len(omega))
-    s_minus = np.empty(len(omega))
-    for i, w in enumerate(omega):
-        vp = _raw_density(M, N, w, _W_PLUS, active)
-        vm = _raw_density(M, N, w, _W_MINUS, active)
-        if max(abs(vp.imag), abs(vm.imag)) > 1e-9 * shot:
-            raise NumericalError(f"spectrum density not real at omega={w:g}")
-        s_plus[i] = vp.real / shot
-        s_minus[i] = vm.real / shot
+    dens = _densities(M, N, omega, active)
+    not_real = np.abs(dens.imag).max(axis=0) > 1e-9 * shot
+    if not_real.any():
+        raise NumericalError(f"spectrum density not real at omega={omega[np.argmax(not_real)]:g}")
+    s_plus, s_minus = dens.real / shot
     if s_plus.min() < -1e-10 or s_minus.min() < -1e-10:
         raise NumericalError("squeezing spectrum dipped below zero beyond tolerance")
 
     minima = find_local_minima(omega, s_plus)
-    theta = None
-    if isinstance(c, EffectiveCouplings):
-        theta = c.theta
-    elif coupled and abs(xi2) > abs(xi1):
-        theta = float(np.sqrt(abs(xi2) ** 2 - abs(xi1) ** 2))
+    theta = float(np.sqrt(abs(xi2) ** 2 - abs(xi1) ** 2)) if abs(xi2) > abs(xi1) else None
     kappa = max(d.kappa1, d.kappa2)
     result = SpectrumResult(omega, s_plus, s_minus, minima, "narrow", theta, kappa)
     result.regime_label = classify_regime(result, theta if theta is not None else 0.0, kappa)
@@ -226,24 +214,15 @@ def spectral_moment_integral(c, d: DecayRates, omega_max: float, points: int = 2
     stable drift this converges to the steady-state ``<v v^dag>`` as the
     window grows.
     """
-    xi1, xi2 = coupling_pair(c)
-    M = drift_matrix((xi1, xi2), d)
-    ev = np.linalg.eigvals(M)
-    if ev.real.max() >= 0:
+    M = drift_matrix(coupling_pair(c), d)
+    abscissa = float(rightmost_eigenvalue(M).real)
+    if abscissa >= 0:
         raise StabilityError(
             "spectral integral needs a strictly stable drift",
-            max_real_eigenvalue=float(ev.real.max()),
+            max_real_eigenvalue=abscissa,
         )
-    N = _input_coupling(d)
     grid = np.linspace(-omega_max, omega_max, points)
-    acc = np.zeros((6, 6), dtype=complex)
-    I6 = np.eye(6, dtype=complex)
-    prev = None
-    for i, w in enumerate(grid):
-        T = np.linalg.solve(-1j * w * I6 - M, N)
-        Tm = np.linalg.solve(1j * w * I6 - M, N)
-        val = T @ _C_VAC @ Tm.T @ _P_SWAP
-        if prev is not None:
-            acc += 0.5 * (val + prev) * (grid[i] - grid[i - 1])
-        prev = val
+    T = _transfer(M, _input_coupling(d), np.concatenate([grid, -grid]), list(range(6)))
+    val = T[:points] @ _C_VAC @ T[points:].swapaxes(1, 2) @ _P_SWAP
+    acc = (0.5 * (val[1:] + val[:-1]) * np.diff(grid)[:, None, None]).sum(axis=0)
     return acc / (2.0 * np.pi)

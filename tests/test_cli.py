@@ -207,12 +207,15 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("evolve", {"r": 0.5, "theta_hz": 1e4}),
     ("evolve", {"route": "fock", "r": 3.0, "theta_hz": 1e4, "dims": [0, 3, 3]}),
     ("evolve", {"route": "all", "r": 3.0, "theta_hz": 1e4, "dims": [0, 3, 3]}),
+    ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "dims": [0, 3, 3]}),
+    ("evolve", {"route": "analytic", "r": 1.1, "theta_hz": 1e4, "dims": [0, 3, 3]}),
     ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "output_format": "parquet"}),
     ("spectrum", {**_SPECTRUM_BASE, "r": 0.9}),
     ("spectrum", {**_SPECTRUM_BASE, "gamma_s_hz": -5}),
     ("spectrum", {**_SPECTRUM_BASE, "output_format": "parquet"}),
     ("feasibility", {"output_format": "parquet"}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
+        "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-r-below-1", "spectrum-negative-gamma-s",
         "spectrum-output-format", "feasibility-output-format"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
@@ -92,6 +93,26 @@ class TestEvolveMoments:
         assert np.max(np.abs(resid)) < 1e-12
         late = mom.evolve_moments(M, mom.vacuum_moments(), [60.0 / c.theta], diffusion=D)[0]
         assert np.max(np.abs(late.V - Vss.V)) < 1e-8
+
+    @pytest.mark.parametrize("damped", [False, True], ids=["closed", "damped"])
+    def test_matches_matrix_exponential(self, damped):
+        # V(t) = F V0 F^dag + int_0^t e^{Ms} D e^{M^dag s} ds with F = expm(M t);
+        # the integral is G F^dag, G the upper-right block of
+        # expm([[M, D], [0, -M^dag]] t) (Van Loan)
+        c = couplings(1.5)
+        d = DecayRates(kappa1=0.8, kappa2=1.2, gamma_s=0.3) if damped else DecayRates()
+        M = mom.drift_matrix(c, d)
+        D = mom.diffusion_matrix(d)
+        block = np.block([[M, D], [np.zeros((6, 6)), -M.conj().T]])
+        times = [0.3 * cf.t_pi(c), cf.t_pi(c), 2.5 * cf.t_pi(c)]
+        V0 = mom.vacuum_moments()
+        out = mom.evolve_moments(M, V0, times, diffusion=D if damped else None)
+        for t, V in zip(times, out):
+            E = sla.expm(block * t)
+            F, G = E[:6, :6], E[:6, 6:]
+            expect = F @ V0.V @ F.conj().T + G @ F.conj().T
+            assert V.t == t
+            assert np.max(np.abs(V.V - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_steady_state_requires_stability(self):
         c = couplings(1.3)

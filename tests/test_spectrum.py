@@ -100,6 +100,50 @@ class TestSanity:
             spec.squeezing_spectrum(c, d, np.linspace(-1.0, 2.0, 101))
 
 
+class TestSpotFrequencyOracle:
+    """Single frequencies of the stacked spectrum against a direct 6x6 solve."""
+
+    W_PLUS = np.array([1, 1, -1, -1, 0, 0]) / np.sqrt(2.0)
+    W_MINUS = -1j * np.array([1, -1, 1, -1, 0, 0]) / np.sqrt(2.0)
+
+    @staticmethod
+    def density(M, N, w, weights):
+        # vacuum inputs: <w_j(t) w_k(t')> = delta(t - t') for (j, k) = (0,1), (2,3), (4,5)
+        C = np.zeros((6, 6))
+        C[0, 1] = C[2, 3] = C[4, 5] = 1.0
+        k = len(M)
+
+        def y(freq):
+            T = np.linalg.solve(-1j * freq * np.eye(k) - M, N)
+            return weights[:k] @ (N @ T - np.eye(k))
+
+        yp, ym = y(w), y(-w)
+        Ck = C[:k, :k]
+        return complex(yp @ Ck @ ym + ym @ Ck @ yp)
+
+    @pytest.mark.parametrize("gamma_s", [0.0, 1.0], ids=["undamped-spin", "damped-spin"])
+    def test_matches_direct_solve(self, gamma_s):
+        kappa = 1.0
+        c = EffectiveCouplings.from_theta_r(2.0 * kappa, 1.1)
+        d = DecayRates(kappa1=kappa, kappa2=kappa, gamma_s=gamma_s)
+        grid = spec.default_omega_grid(c.theta, kappa, 401)
+        res = spec.squeezing_spectrum(c, d, grid)
+        N = np.diag(np.sqrt([kappa, kappa, kappa, kappa, gamma_s, gamma_s]))
+        M = mom.drift_matrix(c, d)
+        # shot noise: the uncoupled cavities alone (the bare spin block is
+        # singular at w = 0 without damping and never reaches the outputs)
+        M0 = mom.drift_matrix(None, d)[:4, :4]
+        shot = self.density(M0, N[:4, :4], 0.0, self.W_PLUS).real
+        for i in (0, 57, 200, 311, 400):
+            w = grid[i]
+            expect_plus = self.density(M, N, w, self.W_PLUS)
+            expect_minus = self.density(M, N, w, self.W_MINUS)
+            assert abs(expect_plus.imag) <= 1e-12 * shot
+            assert res.s_plus[i] == pytest.approx(expect_plus.real / shot, abs=1e-12)
+            assert res.s_minus[i] == pytest.approx(expect_minus.real / shot, abs=1e-12)
+        assert grid[200] == 0.0
+
+
 class TestStability:
     def test_closed_case_not_stable(self):
         c = EffectiveCouplings.from_theta_r(1.0, 1.1)
