@@ -9,6 +9,9 @@ goes to a sidecar ``run_manifest.json``.
 
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical or stability error.
+
+Only numpy is imported up front: the modules that need scipy (the fock
+route, the validation suite) are imported by the commands that use them.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, closed_form, feasibility, moments, raman, spectrum
-from . import fock_dynamics as fdyn
+from . import __version__, closed_form, feasibility, moments, spectrum
 from .errors import ConfigError, IntegrationError, NumericalError, StabilityError
 from .fock import ModeLayout, vacuum_state
 from .params import DecayRates, EffectiveCouplings
@@ -34,19 +36,17 @@ _ROUTES = ("fock", "gaussian", "analytic", "all")
 _FOCK_DIM_CAP = 200_000
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise NumericalError("refusing to emit a non-finite value")
-        return format(x, ".17g")
-    return str(x)
-
-
 def write_csv(path: Path, header, rows):
+    """Write the 2-D float array ``rows`` under ``header``, 17 significant digits per value.
+
+    Nothing is written if any value is not finite.
+    """
+    if not np.isfinite(rows).all():
+        raise NumericalError("refusing to emit a non-finite value")
+    line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", newline="", encoding="ascii") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("".join([line % tuple(row) for row in rows.tolist()]))
 
 
 def write_json(path: Path, payload):
@@ -185,31 +185,37 @@ def _evolve_times(cfg, couplings):
     return np.linspace(0.0, t_end, n)
 
 
+def _evolve_rows(times, theta, occupations, zeta12, *extra):
+    """Columns ``t, theta t, n1, n2, n3, zeta12`` (then ``extra``) of an evolve CSV."""
+    return np.column_stack([times, theta * times, occupations, zeta12, *extra])
+
+
+def _uncoupled_rows(times, *extra):
+    n = len(times)
+    return _evolve_rows(times, 0.0, np.zeros((n, 3)), np.ones(n), *extra)
+
+
 def _route_analytic(couplings, times):
-    rows = []
-    for t in times:
-        if couplings is None:
-            n1 = n2 = n3 = 0.0
-            z = 1.0
-            tt = 0.0
-        else:
-            n1, n2, n3 = closed_form.occupations_closed_form(couplings, t)
-            z = closed_form.zeta12_closed_form(couplings, t)
-            tt = couplings.theta * t
-        rows.append((float(t), tt, n1, n2, n3, z))
-    return rows
+    if couplings is None:
+        return _uncoupled_rows(times)
+    return _evolve_rows(
+        times,
+        couplings.theta,
+        closed_form.occupations_closed_form_grid(couplings, times),
+        closed_form.zeta12_closed_form_grid(couplings, times),
+    )
 
 
 def _route_gaussian(couplings, times):
     M = moments.drift_matrix(couplings)
-    Vs = moments.evolve_moments(M, moments.vacuum_moments(), times)
-    rows = []
-    for t, V in zip(times, Vs):
-        n1, n2, n3 = moments.occupations_from_moments(V)
-        z = moments.zeta12_from_moments(V)
-        tt = couplings.theta * t if couplings is not None else 0.0
-        rows.append((float(t), tt, n1, n2, n3, z))
-    return rows
+    V = moments.evolve_moments(M, moments.vacuum_moments(), times).V
+    theta = couplings.theta if couplings is not None else 0.0
+    return _evolve_rows(
+        times,
+        theta,
+        moments.occupations_from_moment_stack(V),
+        moments.zeta12_from_moment_stack(V),
+    )
 
 
 def _fock_layout(cfg, couplings):
@@ -231,18 +237,38 @@ def _route_fock(layout, couplings, times):
     if layout.dim > _FOCK_DIM_CAP:
         raise ConfigError(
             f"fock route infeasible: requested truncation {layout.dims} has composite "
-            f"dimension {layout.dim} > {_FOCK_DIM_CAP}; use the gaussian route, which is "
-            "exact at arbitrary photon number"
+            f"dimension {layout.dim} > {_FOCK_DIM_CAP}; use the gaussian route, whose "
+            "occupations are exact at any photon number (its zeta12 error grows as "
+            "r -> 1+, within the envelope stated in the README)"
         )
     if couplings is None:
-        zeros = [(float(t), 0.0, 0.0, 0.0, 0.0, 1.0, 0.0) for t in times]
-        return zeros
+        return _uncoupled_rows(times, np.zeros(len(times)))
+    from . import fock_dynamics as fdyn
+
     H = fdyn.build_effective_hamiltonian(couplings, layout)
     traj = fdyn.evolve_state(H, vacuum_state(layout), times)
-    rows = []
-    for t, occ, z, leak in zip(traj.times, traj.occupations, traj.zeta12, traj.leakage):
-        rows.append((float(t), couplings.theta * t, occ[0], occ[1], occ[2], z, leak))
-    return rows
+    return _evolve_rows(
+        np.array(traj.times),
+        couplings.theta,
+        np.array(traj.occupations),
+        np.array(traj.zeta12),
+        np.array(traj.leakage),
+    )
+
+
+def _route_discrepancy(a, b):
+    """Largest occupation and zeta12 differences between two routes' rows."""
+    occ = np.abs(a[:, 2:5] - b[:, 2:5]).max()
+    # zeta12 is a 0/0 ratio at vacuum-return instants, where any
+    # finite-truncation route reports a convention/residue value;
+    # such samples are excluded from the discrepancy and counted
+    near_vacuum = np.maximum(a[:, 2] + a[:, 3], b[:, 2] + b[:, 3]) < 1e-8
+    zeta = np.abs(a[~near_vacuum, 5] - b[~near_vacuum, 5]).max(initial=0.0)
+    return {
+        "max_occupation_discrepancy": float(occ),
+        "max_zeta12_discrepancy": float(zeta),
+        "zeta12_samples_excluded_near_vacuum": int(near_vacuum.sum()),
+    }
 
 
 def run_evolve(cfg: dict, outdir: Path) -> int:
@@ -276,29 +302,10 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
 
     if route == "all":
         summary = {"routes": sorted(k for k in results if not k.startswith("_"))}
-        pairs = [(a, b) for a in summary["routes"] for b in summary["routes"] if a < b]
-        disc = {}
-        for a, b in pairs:
-            ra, rb = results[a], results[b]
-            occ = max(
-                abs(x[i] - y[i]) for x, y in zip(ra, rb) for i in (2, 3, 4)
-            )
-            # zeta12 is a 0/0 ratio at vacuum-return instants, where any
-            # finite-truncation route reports a convention/residue value;
-            # such samples are excluded from the discrepancy and counted
-            zeta = 0.0
-            excluded = 0
-            for x, y in zip(ra, rb):
-                if max(x[2] + x[3], y[2] + y[3]) < 1e-8:
-                    excluded += 1
-                    continue
-                zeta = max(zeta, abs(x[5] - y[5]))
-            disc[f"{a}_vs_{b}"] = {
-                "max_occupation_discrepancy": occ,
-                "max_zeta12_discrepancy": zeta,
-                "zeta12_samples_excluded_near_vacuum": excluded,
-            }
-        summary["discrepancies"] = disc
+        summary["discrepancies"] = {
+            f"{a}_vs_{b}": _route_discrepancy(results[a], results[b])
+            for a in summary["routes"] for b in summary["routes"] if a < b
+        }
         if results.get("_fock_skipped"):
             summary["fock_skipped"] = "truncation infeasible at this r; see gaussian route"
         write_json(outdir / "evolve_summary.json", summary)
@@ -351,10 +358,7 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
     grid = spectrum.default_omega_grid(theta, kappa, points)
     result = spectrum.squeezing_spectrum(couplings, decays, grid)
     scale = theta
-    rows = [
-        (w / scale, sp_, sm_)
-        for w, sp_, sm_ in zip(result.omega, result.s_plus, result.s_minus)
-    ]
+    rows = np.column_stack([result.omega / scale, result.s_plus, result.s_minus])
     write_csv(outdir / "spectrum.csv", ["omega_over_theta", "s_plus", "s_minus"], rows)
     write_json(outdir / "spectrum_summary.json", {
         "regime": result.regime_label,
@@ -411,6 +415,8 @@ def run_feasibility(cfg: dict, outdir: Path) -> int:
 # validate
 
 def _validate_checks(cfg):
+    from . import fock_dynamics as fdyn
+    from . import raman
     from .fock import mode_annihilator
 
     cap = cfg.get("dimension_cap", 20_000)
@@ -659,10 +665,7 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
         row = _sweep_point(outputs, fixed, r_eff, ratio, temp)
         vals = [v for v in pt if v is not None]
         rows.append(tuple(vals) + tuple(row[o] for o in outputs))
-        for v in rows[-1]:
-            if not np.isfinite(v):
-                raise NumericalError("sweep produced a non-finite value")
-    write_csv(outdir / "sweep.csv", header + list(outputs), rows)
+    write_csv(outdir / "sweep.csv", header + list(outputs), np.array(rows))
     return 0
 
 

@@ -13,14 +13,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CutoffError
 from .params import EffectiveCouplings
 
 __all__ = [
     "occupations_closed_form",
+    "occupations_closed_form_grid",
     "zeta12_closed_form",
+    "zeta12_closed_form_grid",
     "PropagatorAmplitudes",
     "propagator_amplitudes",
     "evolved_amplitudes",
@@ -33,25 +34,33 @@ __all__ = [
 ]
 
 
-def occupations_closed_form(c: EffectiveCouplings, t: float):
-    """Occupations ``(n1, n2, n3)`` of the closed dynamics from vacuum.
+def occupations_closed_form_grid(c: EffectiveCouplings, times) -> np.ndarray:
+    """Occupations ``(n1, n2, n3)`` of the closed dynamics from vacuum, as ``(len(times), 3)``.
 
     With ``theta = sqrt(|xi2|^2 - |xi1|^2)``::
 
         n2 = (|xi1|^2 |xi2|^2 / theta^4) (cos(theta t) - 1)^2
         n3 = (|xi1|^2 / theta^2) sin^2(theta t)
         n1 = n2 + n3
+
+    The trigonometric factors are taken per element with :mod:`math`, so a
+    sample's bits do not depend on the grid it is evaluated on.
     """
     x1 = abs(complex(c.xi1))
     x2 = abs(complex(c.xi2))
     th = c.theta
-    phase = th * t
-    n2 = (x1 * x2 / th**2) ** 2 * (math.cos(phase) - 1.0) ** 2
-    n3 = (x1 / th) ** 2 * math.sin(phase) ** 2
-    return n2 + n3, n2, n3
+    phase = (th * np.asarray(times, dtype=float)).tolist()
+    n2 = (x1 * x2 / th**2) ** 2 * np.array([(math.cos(p) - 1.0) ** 2 for p in phase])
+    n3 = (x1 / th) ** 2 * np.array([math.sin(p) ** 2 for p in phase])
+    return np.column_stack([n2 + n3, n2, n3])
 
 
-def zeta12_closed_form(c: EffectiveCouplings, t: float) -> float:
+def occupations_closed_form(c: EffectiveCouplings, t: float):
+    """Occupations ``(n1, n2, n3)`` at one time; see :func:`occupations_closed_form_grid`."""
+    return tuple(occupations_closed_form_grid(c, [t])[0].tolist())
+
+
+def zeta12_closed_form_grid(c: EffectiveCouplings, times) -> np.ndarray:
     """Relative-number-squeezing parameter of the evolved state, in closed form.
 
     On the reachable subspace the conserved combination
@@ -61,13 +70,20 @@ def zeta12_closed_form(c: EffectiveCouplings, t: float) -> float:
 
         zeta12 = n3 (1 + n3) / (n1 + n2)
 
-    Returns the independent-states reference value 1 when ``n1 + n2`` is
+    Returns the independent-states reference value 1 where ``n1 + n2`` is
     below 1e-14 (the t -> 0 limit).
     """
-    n1, n2, n3 = occupations_closed_form(c, t)
-    if n1 + n2 < 1e-14:
-        return 1.0
-    return n3 * (1.0 + n3) / (n1 + n2)
+    n1, n2, n3 = occupations_closed_form_grid(c, times).T
+    den = n1 + n2
+    out = np.ones(len(den))
+    keep = ~(den < 1e-14)
+    out[keep] = n3[keep] * (1.0 + n3[keep]) / den[keep]
+    return out
+
+
+def zeta12_closed_form(c: EffectiveCouplings, t: float) -> float:
+    """``zeta12`` at one time; see :func:`zeta12_closed_form_grid`."""
+    return float(zeta12_closed_form_grid(c, [t])[0])
 
 
 @dataclass(frozen=True)
@@ -128,6 +144,8 @@ def evolved_amplitudes(
     pa = propagator_amplitudes(c, t)
     m = np.arange(m_max + 1)[:, None]
     n = np.arange(n_max + 1)[None, :]
+    from scipy.special import gammaln
+
     log_binom = 0.5 * (gammaln(m + n + 1.0) - gammaln(m + 1.0) - gammaln(n + 1.0))
     a1_mag = abs(pa.alpha1)
     with np.errstate(divide="ignore"):

@@ -14,9 +14,12 @@ the top level.  Monitoring boundary population is the caller's job via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ModeLayout",
@@ -148,11 +151,15 @@ class FockState:
 
 def _ladder(dim):
     # annihilation on a single mode: <n-1| a |n> = sqrt(n)
+    import scipy.sparse as sp
+
     return sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr", dtype=complex)
 
 
 def _embed(layout, factors):
     """kron-embed {mode: single-mode sparse matrix} with identities elsewhere."""
+    import scipy.sparse as sp
+
     out = None
     for mode, d in enumerate(layout.dims):
         mat = factors.get(mode, sp.identity(d, format="csr", dtype=complex))
@@ -176,6 +183,8 @@ def mode_number(layout: ModeLayout, mode: int) -> FockOperator:
     """Number operator of one mode (diagonal), identity on the others."""
     if not 0 <= mode < layout.n_modes:
         raise ValueError(f"mode index {mode} outside 0..{layout.n_modes - 1}")
+    import scipy.sparse as sp
+
     n_diag = sp.diags(np.arange(layout.dims[mode], dtype=float), 0, format="csr", dtype=complex)
     return FockOperator(_embed(layout, {mode: n_diag}), layout)
 
@@ -193,6 +202,8 @@ def embed_product(layout: ModeLayout, ops) -> FockOperator:
     The result is independent of the order in which distinct modes are
     listed; an empty list gives the identity.
     """
+    import scipy.sparse as sp
+
     factors = {}
     for mode, mat in ops:
         if not 0 <= mode < layout.n_modes:

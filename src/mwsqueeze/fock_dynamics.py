@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import closed_form
 from .errors import IntegrationError, TruncationWarning
@@ -36,6 +36,9 @@ from .fock import (
     vacuum_state,
 )
 from .params import EffectiveCouplings, coupling_pair
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "build_effective_hamiltonian",
@@ -94,6 +97,8 @@ def build_degenerate_hamiltonian(c, layout2: ModeLayout) -> FockOperator:
 
 def conserved_number_operator(layout: ModeLayout) -> FockOperator:
     """The constant of motion ``a2^dag a2 - a1^dag a1 + c^dag c`` (diagonal)."""
+    import scipy.sparse as sp
+
     occ = layout.occupation_arrays()
     diag = occ[1] - occ[0] + occ[2]
     return FockOperator(sp.diags(diag.astype(complex), 0, format="csr"), layout)

@@ -7,15 +7,21 @@ V[2i, 2i]``, so the canonical commutator reconstructs as
 ``V[2i, 2i] - V[2i+1, 2i+1] = 1`` along closed trajectories.
 
 Occupations stay exact at arbitrary photon number, which is what makes the
-``r -> 1+`` regime (thousands of photons per mode) accessible.
+``r -> 1+`` regime (thousands of photons per mode) accessible.  ``zeta12``
+is a difference of O(n^2) Wick terms divided by O(n), so its absolute error
+grows with the photon number (the README states the envelope).
+
+Observables are computed on whole ``(n, 6, 6)`` stacks; the per-matrix
+functions are the one-sample case of the stacked ones.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError, StabilityError
 from .fock import FockState
@@ -23,6 +29,7 @@ from .params import DecayRates, coupling_pair
 
 __all__ = [
     "MomentMatrix",
+    "MomentTrajectory",
     "vacuum_moments",
     "drift_matrix",
     "diffusion_matrix",
@@ -30,7 +37,9 @@ __all__ = [
     "evolve_moments",
     "steady_state_moments",
     "occupations_from_moments",
+    "occupations_from_moment_stack",
     "zeta12_from_moments",
+    "zeta12_from_moment_stack",
     "commutator_offsets",
     "moments_from_fock_state",
 ]
@@ -57,6 +66,26 @@ class MomentMatrix:
     def validate(self, tol: float = 1e-10):
         """Check Hermiticity and positive semidefiniteness within ``tol``."""
         _validate_stack(self.V[None], tol)
+
+
+@dataclass(frozen=True)
+class MomentTrajectory(Sequence):
+    """Moment matrices at a grid of times: the ``(n, 6, 6)`` stack ``V`` and the times ``t``.
+
+    An index gives the :class:`MomentMatrix` of one sample, a view into
+    ``V``; a slice gives a shorter trajectory.
+    """
+
+    V: np.ndarray
+    t: np.ndarray
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return MomentTrajectory(self.V[i], self.t[i])
+        return MomentMatrix(self.V[i], float(self.t[i]))
 
 
 def _validate_stack(V, tol):
@@ -126,10 +155,12 @@ def _propagator(M, cond_limit=1e8):
     if np.linalg.cond(P) < cond_limit:
         Pinv = np.linalg.inv(P)
         return lambda t: (P * np.exp(w * t[:, None])[:, None, :]) @ Pinv
-    return lambda t: np.stack([sla.expm(M * dt) for dt in t])
+    import scipy.linalg
+
+    return lambda t: np.stack([scipy.linalg.expm(M * dt) for dt in t])
 
 
-def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> list:
+def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> MomentTrajectory:
     """Propagate ``dV/dt = M V + V M^dag + D`` from ``V0`` at each sample time.
 
     The closed case (``diffusion`` None or zero) propagates exactly as
@@ -141,7 +172,7 @@ def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> li
     Propagators come from the eigendecomposition of ``M`` when its
     eigenvector matrix is well conditioned (< 1e8), matching the oscillatory
     closed case exactly.  Samples are propagated and validated as stacks of
-    ``_BLOCK``; the returned matrices are views into one ``(n, 6, 6)`` array.
+    ``_BLOCK`` into one ``(n, 6, 6)`` array, returned as a :class:`MomentTrajectory`.
     """
     M = np.asarray(M, dtype=complex)
     t0 = V0.t
@@ -155,7 +186,11 @@ def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> li
     if damped and rightmost_eigenvalue(M).real >= 0:
         out[:] = _evolve_moments_ivp(M, V0, rel.tolist(), D)
     else:
-        Vss = sla.solve_sylvester(M, M.conj().T, -D) if damped else 0.0
+        Vss = 0.0
+        if damped:
+            import scipy.linalg
+
+            Vss = scipy.linalg.solve_sylvester(M, M.conj().T, -D)
         X = V0.V - Vss
         propagate = _propagator(M)
         for lo in range(0, len(rel), _BLOCK):
@@ -164,7 +199,7 @@ def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> li
     for lo in range(0, len(rel), _BLOCK):
         block = out[lo:lo + _BLOCK]
         _validate_stack(block, 1e-8 * np.maximum(1.0, np.abs(block).max(axis=(1, 2))))
-    return [MomentMatrix(V, t0 + dt) for V, dt in zip(out, rel.tolist())]
+    return MomentTrajectory(out, t0 + rel)
 
 
 def _evolve_moments_ivp(M, V0, rel, D):
@@ -199,21 +234,38 @@ def steady_state_moments(M: np.ndarray, diffusion: np.ndarray) -> MomentMatrix:
             f"drift matrix is not strictly stable (spectral abscissa {abscissa:.3e})",
             max_real_eigenvalue=abscissa,
         )
-    V = sla.solve_sylvester(M, M.conj().T, -np.asarray(diffusion, dtype=complex))
+    import scipy.linalg
+
+    V = scipy.linalg.solve_sylvester(M, M.conj().T, -np.asarray(diffusion, dtype=complex))
     return MomentMatrix(V, float("inf"))
+
+
+def occupations_from_moment_stack(V: np.ndarray) -> np.ndarray:
+    """Normally ordered occupations ``(n1, n2, n3)`` of each matrix of a ``(n, 6, 6)`` stack, as ``(n, 3)``."""
+    n = V[:, [1, 3, 5], [1, 3, 5]].real
+    bad = n < -1e-10
+    if bad.any():
+        raise NumericalError(f"negative occupation {n[bad][0]:.3e} from moment matrix")
+    return n
 
 
 def occupations_from_moments(V: MomentMatrix):
     """Normally ordered occupations ``(n1, n2, n3)`` read off the moment matrix."""
-    n = tuple(float(V.V[k, k].real) for k in (1, 3, 5))
-    for val in n:
-        if val < -1e-10:
-            raise NumericalError(f"negative occupation {val:.3e} from moment matrix")
-    return n
+    return tuple(occupations_from_moment_stack(V.V[None])[0].tolist())
 
 
-def zeta12_from_moments(V: MomentMatrix) -> float:
-    """Relative number squeezing from second moments of a zero-mean Gaussian state.
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """``|z|^2`` per element, rounded as libm ``hypot`` then ``pow``.
+
+    NumPy's array ``abs`` and its ``x**2`` (a multiply) differ from these in
+    the last bit for about one value in a thousand, which would make
+    ``zeta12`` depend on whether it was computed alone or in a stack.
+    """
+    return np.array([math.pow(abs(x), 2.0) for x in z.tolist()])
+
+
+def zeta12_from_moment_stack(V: np.ndarray) -> np.ndarray:
+    """Relative number squeezing of each matrix of a ``(n, 6, 6)`` stack of zero-mean Gaussian states.
 
     The fourth moments in ``Var(n1 - n2)`` factorize by Wick's theorem into::
 
@@ -223,27 +275,25 @@ def zeta12_from_moments(V: MomentMatrix) -> float:
 
     so that ``zeta12 = (Var(n1) + Var(n2) - 2 Cov(n1, n2)) / (n1 + n2)``.
     This expansion is unit-tested against a brute-force Fock computation.
-    Returns 1 by convention when the denominator is below 1e-14.
+    Returns 1 by convention where the denominator is below 1e-14.
     """
-    M = V.V
-    n1 = M[1, 1].real
-    n2 = M[3, 3].real
-    m1 = M[0, 1]  # <a1 a1>
-    m2 = M[2, 3]  # <a2 a2>
-    c12 = M[0, 3]  # <a1 a2>
-    d12 = M[1, 3]  # <a1^dag a2>
+    n1 = V[:, 1, 1].real
+    n2 = V[:, 3, 3].real
+    m1 = _abs2(V[:, 0, 1])  # <a1 a1>
+    m2 = _abs2(V[:, 2, 3])  # <a2 a2>
+    c12 = _abs2(V[:, 0, 3])  # <a1 a2>
+    d12 = _abs2(V[:, 1, 3])  # <a1^dag a2>
+    num = n1 * (n1 + 1.0) + n2 * (n2 + 1.0) + m1 + m2 - 2.0 * c12 - 2.0 * d12
     den = n1 + n2
-    if den < 1e-14:
-        return 1.0
-    num = (
-        n1 * (n1 + 1.0)
-        + n2 * (n2 + 1.0)
-        + abs(m1) ** 2
-        + abs(m2) ** 2
-        - 2.0 * abs(c12) ** 2
-        - 2.0 * abs(d12) ** 2
-    )
-    return float(num / den)
+    out = np.ones(len(den))
+    keep = ~(den < 1e-14)
+    out[keep] = num[keep] / den[keep]
+    return out
+
+
+def zeta12_from_moments(V: MomentMatrix) -> float:
+    """``zeta12`` of one moment matrix; see :func:`zeta12_from_moment_stack`."""
+    return float(zeta12_from_moment_stack(V.V[None])[0])
 
 
 def commutator_offsets(V: MomentMatrix):

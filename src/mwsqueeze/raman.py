@@ -21,11 +21,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import IntegrationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "RamanConfig",
@@ -65,6 +68,13 @@ class RamanConfig:
         num = min(abs(self.delta1), abs(self.delta2), abs(self.delta1 - self.delta2))
         den = max(abs(self.omega1_rabi), abs(self.omega2_rabi), abs(self.g1), abs(self.g2))
         return num / den if den > 0 else math.inf
+
+
+def _csr(dim: int, data=(), rows=(), cols=()) -> sp.csr_matrix:
+    """Complex ``dim x dim`` CSR matrix with ``data`` at ``(rows, cols)``; empty by default."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=complex)
 
 
 class AtomicBasis:
@@ -109,7 +119,7 @@ class AtomicBasis:
                 rows.append(j)
                 cols.append(i)
         data = np.ones(len(rows))
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim), dtype=complex)
+        return _csr(self.dim, data, rows, cols)
 
     def annihilator(self, mode: int) -> sp.csr_matrix:
         """Photon annihilation on cavity mode 1 or 2."""
@@ -127,7 +137,7 @@ class AtomicBasis:
                 rows.append(j)
                 cols.append(i)
                 data.append(math.sqrt(n))
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim), dtype=complex)
+        return _csr(self.dim, data, rows, cols)
 
     def level_population_diagonal(self, level: int) -> np.ndarray:
         return np.array([sum(1 for l in s[0] if l == level) for s in self.states], dtype=float)
@@ -138,7 +148,7 @@ class AtomicBasis:
 
     def collective_flip(self) -> sp.csr_matrix:
         """The bosonized lowering operator ``c = (1/sqrt N) sum_j |g_j><h_j|``."""
-        out = sp.csr_matrix((self.dim, self.dim), dtype=complex)
+        out = _csr(self.dim)
         for atom in range(self.n_atoms):
             out = out + self.flip(atom, _H, _G)
         return (out / math.sqrt(self.n_atoms)).tocsr()
@@ -178,7 +188,7 @@ def _coupling_blocks(r: RamanConfig, basis: AtomicBasis):
 def build_full_hamiltonian(r: RamanConfig, basis: AtomicBasis, t: float) -> sp.csr_matrix:
     """Interaction-picture Hamiltonian at time ``t`` (Hermitian-completed)."""
     blocks, phases = _coupling_blocks(r, basis)
-    H = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    H = _csr(basis.dim)
     for B, ph in zip(blocks, phases):
         e = np.exp(1j * ph * t)
         H = H + e * B + np.conj(e) * B.conj().T
@@ -199,6 +209,8 @@ def static_frame_hamiltonian(r: RamanConfig, basis: AtomicBasis):
     pe2 = basis.level_population_diagonal(_E2)
     n2 = basis.photon_diagonal(2)
     a_diag = r.delta1 * pe1 + r.delta2 * pe2 + r.delta_two_photon * n2
+    import scipy.sparse as sp
+
     H = sp.diags(a_diag.astype(complex), 0)
     for B in blocks:
         H = H + B + B.conj().T
@@ -235,7 +247,7 @@ class _TwoLevelBasis:
                     rows.append(j)
                     cols.append(i)
                     data.append(amp)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.dim, self.dim), dtype=complex)
+        return _csr(self.dim, data, rows, cols)
 
 
 def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis):

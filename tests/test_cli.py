@@ -3,11 +3,20 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mwsqueeze.cli import main
+import mwsqueeze
+from mwsqueeze import closed_form as cf
+from mwsqueeze import moments as mom
+from mwsqueeze.cli import main, write_csv
+from mwsqueeze.errors import NumericalError
+from mwsqueeze.params import EffectiveCouplings
 
 
 def run(tmp_path, command, config, name="cfg.json", outdir="out"):
@@ -225,3 +234,103 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, co
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy_submodule():
+    src = Path(mwsqueeze.__file__).resolve().parent.parent
+    probe = (
+        "import sys, mwsqueeze.cli; "
+        "print([m for m in ('scipy.sparse', 'scipy.linalg', 'scipy.special') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
+class TestCsvWriter:
+    def test_bytes_match_per_value_format(self, tmp_path):
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2,
+                  np.float64(1.0) / 3.0, np.float64(-2.5e-310), 1.0, 123456789.0]
+        path = tmp_path / "out.csv"
+        write_csv(path, ["a", "b", "c", "d"], np.array(values).reshape(2, 4))
+        lines = [",".join(format(x, ".17g") for x in values[i:i + 4]) for i in (0, 4)]
+        assert path.read_bytes() == ("a,b,c,d\n" + "\n".join(lines) + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_refuses_the_whole_array(self, tmp_path, bad):
+        rows = np.ones((3, 2))
+        rows[2, 1] = bad
+        path = tmp_path / "out.csv"
+        with pytest.raises(NumericalError):
+            write_csv(path, ["a", "b"], rows)
+        assert not path.exists()
+
+    # 1 / (2 theta_hz) overflows to inf for a subnormal theta_hz; NaN passes the JSON parser
+    @pytest.mark.parametrize("theta_hz", [1e-320, math.nan], ids=["inf", "nan"])
+    def test_non_finite_output_is_a_numerical_error(self, tmp_path, capsys, theta_hz):
+        code, out = run(tmp_path, "sweep", {
+            "outputs": ["t_pi_s"], "r_values": [1.1], "theta_hz": theta_hz,
+        })
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical error: ")
+        assert "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
+
+
+def _scalar_wick(V):
+    """zeta12 of one moment matrix in Python scalars: libm hypot for abs, pow for the squares."""
+    n1, n2 = V[1, 1].real, V[3, 3].real
+    if n1 + n2 < 1e-14:
+        return 1.0
+    sq = [abs(complex(V[j, k])) ** 2 for j, k in ((0, 1), (2, 3), (0, 3), (1, 3))]
+    num = n1 * (n1 + 1.0) + n2 * (n2 + 1.0) + sq[0] + sq[1] - 2.0 * sq[2] - 2.0 * sq[3]
+    return float(num / (n1 + n2))
+
+
+class TestArrayRowsKeepPerSampleBits:
+    """Columns computed on whole arrays carry the bits of the per-sample arithmetic."""
+
+    def test_gaussian_zeta12(self, tmp_path):
+        code, out = run(tmp_path, "evolve", {
+            "route": "gaussian", "r": 1.001, "theta_hz": 1e4, "num_samples": 2001,
+        })
+        assert code == 0
+        _, cols = read_csv(out / "evolve_gaussian.csv")
+        c = EffectiveCouplings.from_theta_r(2.0 * math.pi * 1e4, 1.001)
+        times = np.linspace(0.0, 2.0 * cf.t_pi(c), 2001)
+        Vs = mom.evolve_moments(mom.drift_matrix(c), mom.vacuum_moments(), times)
+        assert cols["zeta12"].tolist() == [mom.zeta12_from_moments(V) for V in Vs]
+        assert cols["zeta12"].tolist() == [_scalar_wick(V.V) for V in Vs]
+
+    @pytest.mark.parametrize("r,samples", [(1.001, 2001), (4.0, 161)])
+    def test_route_all_summary(self, tmp_path, r, samples):
+        code, out = run(tmp_path, "evolve", {
+            "route": "all", "r": r, "theta_hz": 1e4, "num_samples": samples,
+        })
+        assert code == 0
+        summary = json.loads((out / "evolve_summary.json").read_text())
+        c = EffectiveCouplings.from_theta_r(2.0 * math.pi * 1e4, r)
+        rows = {}
+        for name in summary["routes"]:
+            _, cols = read_csv(out / f"evolve_{name}.csv")
+            rows[name] = list(zip(*(cols[k].tolist() for k in ("n1", "n2", "n3", "zeta12"))))
+        ts = read_csv(out / "evolve_analytic.csv")[1]["t_seconds"].tolist()
+        assert rows["analytic"] == [(*cf.occupations_closed_form(c, t), cf.zeta12_closed_form(c, t))
+                                    for t in ts]
+        for a, b in ((a, b) for a in rows for b in rows if a < b):
+            occ = zeta = 0.0
+            excluded = 0
+            for x, y in zip(rows[a], rows[b]):
+                occ = max(occ, *(abs(x[i] - y[i]) for i in range(3)))
+                if max(x[0] + x[1], y[0] + y[1]) < 1e-8:
+                    excluded += 1
+                else:
+                    zeta = max(zeta, abs(x[3] - y[3]))
+            assert excluded > 0
+            assert summary["discrepancies"][f"{a}_vs_{b}"] == {
+                "max_occupation_discrepancy": occ,
+                "max_zeta12_discrepancy": zeta,
+                "zeta12_samples_excluded_near_vacuum": excluded,
+            }
