@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, closed_form, feasibility, moments, spectrum
 from .errors import ConfigError, IntegrationError, NumericalError, StabilityError
 from .fock import ModeLayout, vacuum_state
-from .params import DecayRates, EffectiveCouplings
+from .params import DecayRates, EffectiveCouplings, oscillation_rate
 
 TWO_PI = 2.0 * math.pi
 
@@ -198,12 +198,8 @@ def _uncoupled_rows(times, *extra):
 def _route_analytic(couplings, times):
     if couplings is None:
         return _uncoupled_rows(times)
-    return _evolve_rows(
-        times,
-        couplings.theta,
-        closed_form.occupations_closed_form_grid(couplings, times),
-        closed_form.zeta12_closed_form_grid(couplings, times),
-    )
+    occ = closed_form.occupations_closed_form_grid(couplings, times)
+    return _evolve_rows(times, couplings.theta, occ, closed_form.zeta12_closed_form_grid(occ))
 
 
 def _route_gaussian(couplings, times):
@@ -348,11 +344,8 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
     points = cfg.get("num_points", 2001)
     if points < 11 or points % 2 == 0:
         raise ConfigError("num_points must be an odd integer >= 11")
-    if isinstance(couplings, EffectiveCouplings):
-        theta = couplings.theta
-    elif couplings is not None and abs(couplings[1]) > abs(couplings[0]):
-        theta = math.sqrt(abs(couplings[1]) ** 2 - abs(couplings[0]) ** 2)
-    else:
+    theta = oscillation_rate(couplings)
+    if theta is None:
         # uncoupled or non-oscillatory: the cavity linewidth sets the scale
         theta = kappa
     grid = spectrum.default_omega_grid(theta, kappa, points)
@@ -455,16 +448,12 @@ def _validate_checks(cfg):
     c2 = EffectiveCouplings.from_theta_r(1.0, 2.0)
     small = ModeLayout((16, 16, 10))
     require_dim(small.dim)
-    H = fdyn.build_effective_hamiltonian(c2, small)
     if corrupt:
         # test-harness hook: turn the exchange term into pair creation,
         # which stays Hermitian but breaks the conserved combination
-        a2 = mode_annihilator(small, 1).matrix
-        cc = mode_annihilator(small, 2).matrix
-        swap = a2.conj().T @ cc
-        bad = a2.conj().T @ cc.conj().T
-        delta = 1j * complex(c2.xi2) * (bad - swap)
-        H = fdyn.FockOperator((H.matrix + delta + delta.conj().T).tocsr(), small)
+        H = fdyn._hamiltonian(c2, small, (0, 1, 2), (("pair", 0, 2), ("pair", 1, 2)))
+    else:
+        H = fdyn.build_effective_hamiltonian(c2, small)
     elem = H.matrix[small.index((1, 0, 1)), small.index((0, 0, 0))]
     record("pair_creation_element", abs(elem - 1j * complex(c2.xi1)), 1e-12)
 

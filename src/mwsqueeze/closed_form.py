@@ -60,8 +60,8 @@ def occupations_closed_form(c: EffectiveCouplings, t: float):
     return tuple(occupations_closed_form_grid(c, [t])[0].tolist())
 
 
-def zeta12_closed_form_grid(c: EffectiveCouplings, times) -> np.ndarray:
-    """Relative-number-squeezing parameter of the evolved state, in closed form.
+def zeta12_closed_form_grid(occupations: np.ndarray) -> np.ndarray:
+    """Closed-form ``zeta12`` from the ``(n, 3)`` array of :func:`occupations_closed_form_grid`.
 
     On the reachable subspace the conserved combination
     ``n2 - n1 + n3 = 0`` makes ``n1 - n2`` equal to the spin number operator,
@@ -73,7 +73,7 @@ def zeta12_closed_form_grid(c: EffectiveCouplings, times) -> np.ndarray:
     Returns the independent-states reference value 1 where ``n1 + n2`` is
     below 1e-14 (the t -> 0 limit).
     """
-    n1, n2, n3 = occupations_closed_form_grid(c, times).T
+    n1, n2, n3 = np.asarray(occupations).T
     den = n1 + n2
     out = np.ones(len(den))
     keep = ~(den < 1e-14)
@@ -83,7 +83,7 @@ def zeta12_closed_form_grid(c: EffectiveCouplings, times) -> np.ndarray:
 
 def zeta12_closed_form(c: EffectiveCouplings, t: float) -> float:
     """``zeta12`` at one time; see :func:`zeta12_closed_form_grid`."""
-    return float(zeta12_closed_form_grid(c, [t])[0])
+    return float(zeta12_closed_form_grid(occupations_closed_form_grid(c, [t]))[0])
 
 
 @dataclass(frozen=True)

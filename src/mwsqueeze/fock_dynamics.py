@@ -1,8 +1,8 @@
 """Exact truncated-Fock-space evolution under the effective Hamiltonian.
 
-The Hamiltonian is ``H = i xi1 a1^dag c^dag - i xi1* a1 c
-+ i xi2 a2^dag c - i xi2* a2 c^dag`` on a (cavity1, cavity2, spin) layout;
-the degenerate variant identifies the two cavities.  Starting from vacuum,
+The Hamiltonian ``H = i xi1 a1^dag c^dag - i xi1* a1 c + i xi2 a2^dag c -
+i xi2* a2 c^dag`` is built from ``params.COUPLING_TERMS`` on a (cavity1,
+cavity2, spin) layout; the degenerate variant identifies the two cavities.  Starting from vacuum,
 pair creation and exchange only ever reach a small invariant block of the
 truncated space (the ``n2 - n1 + n3 = 0`` lattice, or one ``n_a + n_c``
 parity sector for the degenerate variant).  Evolution finds the basis states
@@ -35,14 +35,13 @@ from .fock import (
     top_level_mask,
     vacuum_state,
 )
-from .params import EffectiveCouplings, coupling_pair
+from .params import COUPLING_TERMS, CONSERVED_CHARGE, EffectiveCouplings, coupling_pair
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = [
     "build_effective_hamiltonian",
-    "build_degenerate_hamiltonian",
     "conserved_number_operator",
     "Trajectory",
     "evolve_state",
@@ -59,6 +58,19 @@ _NORM_DRIFT_PER_STEP = 1e-8
 _LEAKAGE_THRESHOLD = 1e-6
 
 
+def _hamiltonian(c, layout: ModeLayout, modes, terms=COUPLING_TERMS) -> FockOperator:
+    """Sum of ``i xi T - i xi* T^dag`` over ``terms`` (see ``COUPLING_TERMS``), rates from ``c``.
+
+    ``modes[m]`` is the layout mode that plays model mode ``m`` (cavity 1, cavity 2, spin).
+    """
+    a = {m: mode_annihilator(layout, m).matrix for m in set(modes)}
+    H = 0
+    for (kind, j, k), xi in zip(terms, coupling_pair(c)):
+        T = a[modes[j]].conj().T @ (a[modes[k]].conj().T if kind == "pair" else a[modes[k]])
+        H = H + 1j * xi * T - 1j * np.conj(xi) * T.conj().T
+    return FockOperator(H.tocsr(), layout)
+
+
 def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
     """Hermitian three-oscillator Hamiltonian on the truncated space.
 
@@ -70,37 +82,14 @@ def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
     """
     if layout.n_modes != 3:
         raise ValueError("effective Hamiltonian needs a three-mode layout")
-    a1 = mode_annihilator(layout, 0).matrix
-    a2 = mode_annihilator(layout, 1).matrix
-    cc = mode_annihilator(layout, 2).matrix
-    xi1, xi2 = coupling_pair(c)
-    pair = a1.conj().T @ cc.conj().T
-    swap = a2.conj().T @ cc
-    H = 1j * xi1 * pair - 1j * np.conj(xi1) * pair.conj().T
-    H = H + 1j * xi2 * swap - 1j * np.conj(xi2) * swap.conj().T
-    return FockOperator(H.tocsr(), layout)
-
-
-def build_degenerate_hamiltonian(c, layout2: ModeLayout) -> FockOperator:
-    """Single-cavity variant ``H = i xi1 a^dag c^dag - i xi1* a c + i xi2 a^dag c - i xi2* a c^dag``."""
-    if layout2.n_modes != 2:
-        raise ValueError("degenerate Hamiltonian needs a two-mode (cavity, spin) layout")
-    a = mode_annihilator(layout2, 0).matrix
-    cc = mode_annihilator(layout2, 1).matrix
-    xi1, xi2 = coupling_pair(c)
-    pair = a.conj().T @ cc.conj().T
-    swap = a.conj().T @ cc
-    H = 1j * xi1 * pair - 1j * np.conj(xi1) * pair.conj().T
-    H = H + 1j * xi2 * swap - 1j * np.conj(xi2) * swap.conj().T
-    return FockOperator(H.tocsr(), layout2)
+    return _hamiltonian(c, layout, (0, 1, 2))
 
 
 def conserved_number_operator(layout: ModeLayout) -> FockOperator:
-    """The constant of motion ``a2^dag a2 - a1^dag a1 + c^dag c`` (diagonal)."""
+    """The constant of motion ``n2 - n1 + n3`` (diagonal), weighted by ``CONSERVED_CHARGE``."""
     import scipy.sparse as sp
 
-    occ = layout.occupation_arrays()
-    diag = occ[1] - occ[0] + occ[2]
+    diag = np.dot(CONSERVED_CHARGE, layout.occupation_arrays())
     return FockOperator(sp.diags(diag.astype(complex), 0, format="csr"), layout)
 
 
@@ -325,7 +314,10 @@ def degenerate_mode_evolve(
     """
     if phase_samples < 1:
         raise ValueError("phase_samples must be positive")
-    H = build_degenerate_hamiltonian(c, layout2)
+    if layout2.n_modes != 2:
+        raise ValueError("degenerate evolution needs a two-mode (cavity, spin) layout")
+    # both cavities of the model are the one layout cavity
+    H = _hamiltonian(c, layout2, (0, 0, 1))
     traj = evolve_state(H, vacuum_state(layout2), [0.0, t] if t > 0 else [0.0])
     state = traj.states[-1]
     phis = np.arange(phase_samples) * np.pi / phase_samples

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError
 from .fock import FockState
-from .params import DecayRates, coupling_pair
+from .params import COUPLING_TERMS, DecayRates, coupling_pair
 
 __all__ = [
     "MomentMatrix",
@@ -109,38 +109,41 @@ def vacuum_moments() -> MomentMatrix:
     return MomentMatrix(V, 0.0)
 
 
+def _rates(d: DecayRates) -> np.ndarray:
+    """Per-mode decay rates ``(kappa1, kappa2, gamma_s)``."""
+    return np.array([d.kappa1, d.kappa2, d.gamma_s])
+
+
 def drift_matrix(c, d: DecayRates | None = None) -> np.ndarray:
     """Drift matrix M with ``d<v>/dt = M <v>``.
 
-    The closed-dynamics entries follow from the Heisenberg equations
-    (``da1/dt = xi1 c^dag``, ``da2/dt = xi2 c``, ``dc/dt = xi1 a1^dag -
-    xi2* a2``); damping adds ``-kappa_i/2`` (``-gamma_s/2``) on the diagonal.
+    The closed-dynamics entries are the Heisenberg equations of ``COUPLING_TERMS``:
+    a pair term gives ``da_j/dt = xi a_k^dag, da_k/dt = xi a_j^dag``, an exchange
+    term ``da_j/dt = xi a_k, da_k/dt = -xi* a_j``, and the dagger rows conjugate
+    them.  Damping adds ``-kappa_i/2`` (``-gamma_s/2``) on the diagonal.
 
     ``c`` may be an :class:`EffectiveCouplings`, a raw ``(xi1, xi2)`` pair
     (no magnitude-ordering constraint, for stability studies), or ``None``
     for the uncoupled case.
     """
-    xi1, xi2 = coupling_pair(c)
-    if d is None:
-        d = DecayRates()
     M = np.zeros((6, 6), dtype=complex)
-    M[0, 5] = xi1
-    M[1, 4] = np.conj(xi1)
-    M[2, 4] = xi2
-    M[3, 5] = np.conj(xi2)
-    M[4, 1] = xi1
-    M[4, 2] = -np.conj(xi2)
-    M[5, 0] = np.conj(xi1)
-    M[5, 3] = -xi2
-    M[0, 0] = M[1, 1] = -d.kappa1 / 2.0
-    M[2, 2] = M[3, 3] = -d.kappa2 / 2.0
-    M[4, 4] = M[5, 5] = -d.gamma_s / 2.0
+    for (kind, j, k), xi in zip(COUPLING_TERMS, coupling_pair(c)):
+        if kind == "pair":
+            entries = ((2 * j, 2 * k + 1, xi), (2 * k, 2 * j + 1, xi))
+        else:
+            entries = ((2 * j, 2 * k, xi), (2 * k, 2 * j, -np.conj(xi)))
+        for row, col, rate in entries:
+            M[row, col] = rate
+            M[_SWAP[row], _SWAP[col]] = np.conj(rate)
+    M[np.diag_indices(6)] = -np.repeat(_rates(d or DecayRates()), 2) / 2
     return M
 
 
 def diffusion_matrix(d: DecayRates) -> np.ndarray:
     """Vacuum-input diffusion matrix D of ``dV/dt = M V + V M^dag + D``."""
-    return np.diag([d.kappa1, 0.0, d.kappa2, 0.0, d.gamma_s, 0.0]).astype(complex)
+    D = np.zeros((6, 6), dtype=complex)
+    D[::2, ::2] = np.diag(_rates(d))
+    return D
 
 
 def rightmost_eigenvalue(M) -> complex:

@@ -9,7 +9,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["EffectiveCouplings", "DecayRates", "coupling_pair"]
+__all__ = ["COUPLING_TERMS", "CONSERVED_CHARGE", "EffectiveCouplings", "DecayRates",
+           "coupling_pair", "oscillation_rate"]
+
+# The model's couplings over the modes (cavity 1, cavity 2, spin), with rates
+# (xi1, xi2) in this order: ("pair", j, k) is ``i xi a_j^dag a_k^dag + h.c.``
+# and ("exchange", j, k) is ``i xi a_j^dag a_k + h.c.``.
+COUPLING_TERMS = (("pair", 0, 2), ("exchange", 1, 2))
+# per-mode weights of the charge both terms conserve, ``n2 - n1 + n3``
+CONSERVED_CHARGE = (-1, 1, 1)
 
 
 def coupling_pair(c):
@@ -25,6 +33,12 @@ def coupling_pair(c):
         return complex(c.xi1), complex(c.xi2)
     xi1, xi2 = c
     return complex(xi1), complex(xi2)
+
+
+def oscillation_rate(c) -> float | None:
+    """``theta = sqrt(|xi2|^2 - |xi1|^2)`` of a couplings argument, or None when ``|xi2| <= |xi1|``."""
+    x1, x2 = (abs(xi) for xi in coupling_pair(c))
+    return math.sqrt(x2**2 - x1**2) if x2 > x1 else None
 
 
 @dataclass(frozen=True)
@@ -55,7 +69,7 @@ class EffectiveCouplings:
     @property
     def theta(self) -> float:
         """Oscillation rate ``sqrt(|xi2|^2 - |xi1|^2)`` in rad/s."""
-        return math.sqrt(abs(complex(self.xi2)) ** 2 - abs(complex(self.xi1)) ** 2)
+        return oscillation_rate(self)
 
     @classmethod
     def from_theta_r(cls, theta: float, r: float) -> "EffectiveCouplings":

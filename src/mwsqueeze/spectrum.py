@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, StabilityError
-from .moments import drift_matrix, rightmost_eigenvalue
-from .params import DecayRates, coupling_pair
+from .moments import _SWAP, _rates, drift_matrix, rightmost_eigenvalue
+from .params import DecayRates, coupling_pair, oscillation_rate
 
 __all__ = [
     "SpectrumResult",
@@ -38,7 +38,7 @@ _C_VAC[0, 1] = _C_VAC[2, 3] = _C_VAC[4, 5] = 1.0
 _WEIGHTS = np.array([[1, 1, -1, -1, 0, 0], -1j * np.array([1, -1, 1, -1, 0, 0])]) / np.sqrt(2.0)
 
 # column swap pairing each component with its dagger
-_P_SWAP = np.eye(6)[[1, 0, 3, 2, 5, 4]]
+_P_SWAP = np.eye(6)[list(_SWAP)]
 
 
 @dataclass
@@ -55,7 +55,7 @@ class SpectrumResult:
 
 
 def _input_coupling(d: DecayRates) -> np.ndarray:
-    return np.diag(np.sqrt(np.repeat([d.kappa1, d.kappa2, d.gamma_s], 2))).astype(complex)
+    return np.diag(np.sqrt(np.repeat(_rates(d), 2))).astype(complex)
 
 
 def stability_check(c, d: DecayRates):
@@ -148,7 +148,7 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
         raise NumericalError("squeezing spectrum dipped below zero beyond tolerance")
 
     minima = find_local_minima(omega, s_plus)
-    theta = float(np.sqrt(abs(xi2) ** 2 - abs(xi1) ** 2)) if abs(xi2) > abs(xi1) else None
+    theta = oscillation_rate((xi1, xi2))
     kappa = max(d.kappa1, d.kappa2)
     result = SpectrumResult(omega, s_plus, s_minus, minima, "narrow", theta, kappa)
     result.regime_label = classify_regime(result, theta if theta is not None else 0.0, kappa)

@@ -227,3 +227,7 @@ class TestDegenerateMode:
     def test_phase_samples_validation(self):
         with pytest.raises(ValueError):
             fdyn.degenerate_mode_evolve(couplings(2.0), ModeLayout((6, 6)), 0.1, 0)
+
+    def test_three_mode_layout_rejected(self):
+        with pytest.raises(ValueError, match="two-mode"):
+            fdyn.degenerate_mode_evolve(couplings(2.0), ModeLayout((4, 4, 4)), 0.1, 8)

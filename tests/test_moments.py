@@ -11,7 +11,7 @@ from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import moments as mom
 from mwsqueeze.errors import StabilityError, TruncationWarning
-from mwsqueeze.fock import ModeLayout, vacuum_state
+from mwsqueeze.fock import ModeLayout, mode_annihilator, vacuum_state
 from mwsqueeze.params import DecayRates, EffectiveCouplings
 
 
@@ -52,6 +52,26 @@ class TestDrift:
             for ratio in (0.1, 1.0, 10.0):
                 M = mom.drift_matrix(c, DecayRates.cavities(c.theta * ratio))
                 assert np.linalg.eigvals(M).real.max() < 1e-12
+
+    @pytest.mark.parametrize("xi", [(0.3 + 0.4j, 0.9 - 0.2j), (1.1 - 0.7j, -0.4 + 0.5j)])
+    def test_matches_fock_heisenberg_equations(self, xi):
+        # -i [v_j, H] psi = sum_l M[j, l] v_l psi for v = (a1, a1', a2, a2', c, c'),
+        # on a state with no weight within one level of any truncation top
+        lay = ModeLayout((6, 6, 6))
+        H = fdyn.build_effective_hamiltonian(xi, lay).matrix
+        M = mom.drift_matrix(xi)
+        v = []
+        for m in range(3):
+            a = mode_annihilator(lay, m).matrix
+            v.extend([a, a.conj().T])
+        rng = np.random.default_rng(5)
+        low = np.all([o <= 3 for o in lay.occupation_arrays()], axis=0)
+        psi = np.where(low, rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim), 0.0)
+        psi /= np.linalg.norm(psi)
+        for j in range(6):
+            lhs = -1j * (v[j] @ (H @ psi) - H @ (v[j] @ psi))
+            rhs = sum(M[j, l] * (v[l] @ psi) for l in range(6))
+            assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 class TestEvolveMoments:
