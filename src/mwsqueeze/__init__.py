@@ -6,8 +6,8 @@ cavity modes coupled to a collective atomic spin mode:
 * :mod:`mwsqueeze.fock_dynamics` -- exact state-vector evolution on a
   truncated Fock space;
 * :mod:`mwsqueeze.moments` -- exact second-moment (Gaussian) propagation:
-  occupations exact at any photon number, ``zeta12`` within the envelope
-  the README states as ``r -> 1+``;
+  occupations exact at any photon number, ``zeta12`` within a few ``n eps``
+  at ``n`` photons per mode, down to ``r -> 1+``;
 * :mod:`mwsqueeze.closed_form` -- the closed-form solution and derived
   scalars.
 

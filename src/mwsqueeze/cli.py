@@ -66,6 +66,7 @@ def write_manifest(outdir: Path, command: str, config: dict):
 # ---------------------------------------------------------------------------
 # config schemas
 
+# a schema value is the accepted type, or ``[t]`` for a list of ``t``
 _SCHEMAS = {
     "evolve": {
         "route": str,
@@ -76,7 +77,7 @@ _SCHEMAS = {
         "t_final_over_t_pi": (int, float),
         "t_final_s": (int, float),
         "num_samples": int,
-        "dims": list,
+        "dims": [int],
     },
     "spectrum": {
         "r": (int, float),
@@ -97,10 +98,10 @@ _SCHEMAS = {
         "include_adiabatic": bool,
     },
     "sweep": {
-        "outputs": list,
-        "r_values": list,
-        "theta_over_kappa_values": list,
-        "temperature_k_values": list,
+        "outputs": [str],
+        "r_values": [(int, float)],
+        "theta_over_kappa_values": [(int, float)],
+        "temperature_k_values": [(int, float)],
         "r": (int, float),
         "theta_hz": (int, float),
         "theta_over_kappa": (int, float),
@@ -109,6 +110,18 @@ _SCHEMAS = {
         "gamma_c_hz": (int, float),
     },
 }
+
+
+def _check_value(key: str, value, expect):
+    """One config value against its schema entry; every number must be a finite double."""
+    if isinstance(expect, list) and isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_value(f"{key}[{i}]", item, expect[0])
+    elif isinstance(expect, list) or not isinstance(value, expect) or isinstance(value, bool) and expect is not bool:
+        raise ConfigError(f"config key {key!r} has wrong type (expected {expect})")
+    # JSON parses NaN and infinities; an integer beyond the double range overflows as a float
+    elif isinstance(value, (int, float)) and not isinstance(value, bool) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"config key {key!r} must be a finite number, got {value!r:.24}")
 
 
 def validate_config(command: str, config: dict) -> dict:
@@ -121,9 +134,7 @@ def validate_config(command: str, config: dict) -> dict:
                 f"unknown config key {key!r} for command {command!r}; "
                 "physical quantities need explicit unit suffixes (_hz, _s, _k)"
             )
-        expect = schema[key]
-        if not isinstance(value, expect) or isinstance(value, bool) and expect is not bool:
-            raise ConfigError(f"config key {key!r} has wrong type (expected {expect})")
+        _check_value(key, value, schema[key])
     return config
 
 
@@ -217,7 +228,7 @@ def _route_gaussian(couplings, times):
 def _fock_layout(cfg, couplings):
     if "dims" in cfg:
         dims = cfg["dims"]
-        if len(dims) != 3 or not all(isinstance(d, int) for d in dims):
+        if len(dims) != 3:
             raise ConfigError("dims must be three integers")
     else:
         if couplings is None:
@@ -234,8 +245,8 @@ def _route_fock(layout, couplings, times):
         raise ConfigError(
             f"fock route infeasible: requested truncation {layout.dims} has composite "
             f"dimension {layout.dim} > {_FOCK_DIM_CAP}; use the gaussian route, whose "
-            "occupations are exact at any photon number (its zeta12 error grows as "
-            "r -> 1+, within the envelope stated in the README)"
+            "propagator is exact at any photon number (its zeta12 is off by a few "
+            "n * 2.2e-16 at n photons per mode, the rounding of the Wick subtraction)"
         )
     if couplings is None:
         return _uncoupled_rows(times, np.zeros(len(times)))
@@ -387,7 +398,7 @@ def run_feasibility(cfg: dict, outdir: Path) -> int:
     }
     if "temperature_k" in cfg:
         temp = cfg["temperature_k"]
-        n_th = feasibility.thermal_occupation(preset.hyperfine_freq, temp)
+        n_th = _physical(feasibility.thermal_occupation, preset.hyperfine_freq, temp)
         kappa = TWO_PI * preset.kappa_over_2pi
         block = {
             "temperature_k": temp,
@@ -396,7 +407,7 @@ def run_feasibility(cfg: dict, outdir: Path) -> int:
         }
         if "gamma_a_hz" in cfg:
             g_coll = TWO_PI * preset.collective_coupling_over_2pi
-            gamma_c = feasibility.absorption_rate(g_coll, 1.0, TWO_PI * cfg["gamma_a_hz"])
+            gamma_c = _physical(feasibility.absorption_rate, g_coll, 1.0, TWO_PI * cfg["gamma_a_hz"])
             block["absorption_rate_over_2pi_hz"] = gamma_c / TWO_PI
             block["thermal_suppression"] = feasibility.thermal_suppression(kappa, gamma_c)
         payload["thermal"] = block
@@ -577,7 +588,7 @@ _SWEEP_OUTPUTS = ("epsilon", "t_pi_s", "min_s", "n_thermal", "suppression")
 def _sweep_point(outputs, fixed, r, ratio, temp):
     row = {}
     if "epsilon" in outputs:
-        eps = closed_form.squeezing_parameter(r)
+        eps = _physical(closed_form.squeezing_parameter, r)
         oracle = math.log((1.0 + r) / (r - 1.0))
         if abs(eps - oracle) > 1e-9 * max(1.0, abs(oracle)):
             raise NumericalError(f"squeezing parameter failed its oracle cross-check at r={r}")
@@ -587,19 +598,21 @@ def _sweep_point(outputs, fixed, r, ratio, temp):
             theta_hz = ratio * fixed["kappa_hz"]
         else:
             theta_hz = fixed["theta_hz"]
+        if not theta_hz > 0:
+            raise ConfigError(f"t_pi_s needs a positive theta, got {theta_hz:g} Hz")
         row["t_pi_s"] = 1.0 / (2.0 * theta_hz)
     if "min_s" in outputs:
         kappa = TWO_PI * fixed["kappa_hz"]
         theta = (ratio if ratio is not None else fixed["theta_over_kappa"]) * kappa
-        couplings = EffectiveCouplings.from_theta_r(theta, r)
+        couplings = _physical(EffectiveCouplings.from_theta_r, theta, r)
         grid = spectrum.default_omega_grid(theta, kappa, 2001)
-        res = spectrum.squeezing_spectrum(couplings, DecayRates.cavities(kappa), grid)
+        res = spectrum.squeezing_spectrum(couplings, _physical(DecayRates.cavities, kappa), grid)
         row["min_s"] = float(np.min(res.s_plus))
     if "n_thermal" in outputs:
-        row["n_thermal"] = feasibility.thermal_occupation(fixed["frequency_hz"], temp)
+        row["n_thermal"] = _physical(feasibility.thermal_occupation, fixed["frequency_hz"], temp)
     if "suppression" in outputs:
-        row["suppression"] = feasibility.thermal_suppression(
-            fixed["kappa_hz"], fixed["gamma_c_hz"]
+        row["suppression"] = _physical(
+            feasibility.thermal_suppression, fixed["kappa_hz"], fixed["gamma_c_hz"]
         )
     return row
 

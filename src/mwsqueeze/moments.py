@@ -7,9 +7,10 @@ V[2i, 2i]``, so the canonical commutator reconstructs as
 ``V[2i, 2i] - V[2i+1, 2i+1] = 1`` along closed trajectories.
 
 Occupations stay exact at arbitrary photon number, which is what makes the
-``r -> 1+`` regime (thousands of photons per mode) accessible.  ``zeta12``
-is a difference of O(n^2) Wick terms divided by O(n), so its absolute error
-grows with the photon number (the README states the envelope).
+``r -> 1+`` regime (thousands of photons per mode) accessible.  The closed
+propagator is an exact quadratic in the drift matrix, so ``zeta12``, a
+difference of O(n^2) Wick terms divided by O(n), is off at ``T_pi`` by no
+more than a few ``n eps``: the rounding of the Wick subtraction itself.
 
 Observables are computed on whole ``(n, 6, 6)`` stacks; the per-matrix
 functions are the one-sample case of the stacked ones.
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError
 from .fock import FockState
-from .params import COUPLING_TERMS, DecayRates, coupling_pair
+from .params import COUPLING_TERMS, CONSERVED_CHARGE, DecayRates, coupling_pair
 
 __all__ = [
     "MomentMatrix",
@@ -46,6 +47,9 @@ __all__ = [
 
 # pairing of each component with its dagger in the vector ordering
 _SWAP = (1, 0, 3, 2, 5, 4)
+# charge sectors of the vector: a_j changes the conserved charge by -q_j, a_j^dag by +q_j
+_CHARGE = np.ravel([(-q, q) for q in CONSERVED_CHARGE])
+_SECTORS = [np.flatnonzero(_CHARGE == q) for q in sorted(set(_CHARGE.tolist()))]
 # samples propagated and validated per stacked call, bounding the temporaries
 _BLOCK = 1024
 
@@ -89,17 +93,24 @@ class MomentTrajectory(Sequence):
 
 
 def _validate_stack(V, tol):
-    """Hermiticity and PSD of a ``(n, 6, 6)`` stack within ``tol``; raises for the first bad sample."""
+    """Hermiticity and PSD of a ``(n, 6, 6)`` stack within ``tol``; raises for the first bad sample.
+
+    PSD is checked per charge sector when no entry joins two (as from vacuum).
+    """
     VH = V.conj().swapaxes(1, 2)
     herm = np.abs(V - VH).max(axis=(1, 2))
-    eigs = np.linalg.eigvalsh((V + VH) / 2.0)  # ascending
+    H = (V + VH) / 2.0
+    blocks = [np.arange(6)] if V[:, _CHARGE[:, None] != _CHARGE].any() else _SECTORS
+    eigs = [np.linalg.eigvalsh(H[:, b[:, None], b]) for b in blocks]  # ascending
+    lo = np.min([e[:, 0] for e in eigs], axis=0)
+    hi = np.max([e[:, -1] for e in eigs], axis=0)
     bad_herm = herm > tol
-    bad = bad_herm | (eigs[:, 0] < -tol * np.maximum(1.0, eigs[:, -1]))
+    bad = bad_herm | (lo < -tol * np.maximum(1.0, hi))
     if bad.any():
         i = int(np.argmax(bad))
         if bad_herm[i]:
             raise NumericalError(f"moment matrix Hermiticity violated by {herm[i]:.3e}")
-        raise NumericalError(f"moment matrix not PSD: min eigenvalue {eigs[i, 0]:.3e}")
+        raise NumericalError(f"moment matrix not PSD: min eigenvalue {lo[i]:.3e}")
 
 
 def vacuum_moments() -> MomentMatrix:
@@ -152,30 +163,58 @@ def rightmost_eigenvalue(M) -> complex:
     return ev[np.argmax(ev.real)]
 
 
-def _propagator(M, cond_limit=1e8):
-    """Map from a time array to the stack of exp(M t), via eigendecomposition when well conditioned."""
-    w, P = np.linalg.eig(M)
-    if np.linalg.cond(P) < cond_limit:
-        Pinv = np.linalg.inv(P)
-        return lambda t: (P * np.exp(w * t[:, None])[:, None, :]) @ Pinv
+def _putzer(M):
+    """Map from a time array to the stack of ``exp(M t)`` when ``M^3 = -theta^2 M``, else None.
+
+    By Cayley-Hamilton (Putzer), ``exp(M t) = I + (sin(theta t)/theta) M +
+    (2 sin^2(theta t/2)/theta^2) M^2`` with ``theta^2 = -tr(M^2)/4``, also for
+    ``theta^2 <= 0``; no eigenvectors, so nothing degrades as the eigenvalues
+    0 and ``+-i theta`` merge for ``r -> 1+``.
+    """
+    M2 = M @ M
+    theta2 = -M2.trace().real / 4.0
+    if np.abs(M2 @ M + theta2 * M).max() > 1e-12 * np.abs(M).max() ** 3:
+        return None
+    w = np.sqrt(complex(theta2))  # imaginary for theta^2 < 0, where sin(i x)/i = sinh(x)
+
+    def propagate(t):
+        a = np.sin(w * t) / w if w else t
+        b = 2.0 * (np.sin(w * t / 2.0) / w) ** 2 if w else t * t / 2.0
+        return np.eye(6) + a[:, None, None] * M + b[:, None, None] * M2
+
+    return propagate
+
+
+def _van_loan(M, D, t):
+    """``exp(M t)`` and ``Q = int_0^t e^{Ms} D e^{M^dag s} ds`` for one time (Van Loan).
+
+    The block ``[[M, D], [0, -M^dag]]`` is exponentiated at ``t / 2^k``, where
+    its norm times the step is at most 1, and ``(F, Q)`` is doubled back:
+    unscaled, the anti-stable ``-M^dag`` block swamps ``F`` at long times.
+    """
     import scipy.linalg
 
-    return lambda t: np.stack([scipy.linalg.expm(M * dt) for dt in t])
+    block = np.block([[M, D], [np.zeros((6, 6)), -M.conj().T]])
+    span = np.abs(block).sum(axis=1).max() * t
+    k = math.ceil(math.log2(span)) if span > 1.0 else 0
+    E = scipy.linalg.expm(block * (t / 2.0**k))
+    F = E[:6, :6]
+    Q = E[:6, 6:] @ F.conj().T
+    for _ in range(k):
+        Q = Q + F @ Q @ F.conj().T
+        F = F @ F
+    return F, Q
 
 
 def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> MomentTrajectory:
     """Propagate ``dV/dt = M V + V M^dag + D`` from ``V0`` at each sample time.
 
-    The closed case (``diffusion`` None or zero) propagates exactly as
-    ``V(t) = e^{Mt} V0 e^{M^dag t}``.  With diffusion, the affine solution
-    ``V(t) = Vss + e^{Mt}(V0 - Vss)e^{M^dag t}`` is used when the drift is
-    strictly stable; otherwise an adaptive RK integration at relative
-    tolerance 1e-10 is the fallback.
-
-    Propagators come from the eigendecomposition of ``M`` when its
-    eigenvector matrix is well conditioned (< 1e8), matching the oscillatory
-    closed case exactly.  Samples are propagated and validated as stacks of
-    ``_BLOCK`` into one ``(n, 6, 6)`` array, returned as a :class:`MomentTrajectory`.
+    The closed case (no diffusion, and ``M^3 = -theta^2 M`` as for every
+    undamped drift) is ``V(t) = E V0 E^dag`` with the exact quadratic
+    ``E = exp(M t)`` of :func:`_putzer`; any other drift takes one Van Loan
+    block exponential per sample.  Samples are propagated and validated as
+    stacks of ``_BLOCK`` into one ``(n, 6, 6)`` array, returned as a
+    :class:`MomentTrajectory`.
     """
     M = np.asarray(M, dtype=complex)
     t0 = V0.t
@@ -183,49 +222,20 @@ def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> Mo
     if np.any(rel < 0):
         raise ValueError("sample times must not precede the initial time")
 
-    damped = diffusion is not None and np.any(np.asarray(diffusion) != 0)
-    D = np.asarray(diffusion, dtype=complex) if damped else None
+    D = np.zeros_like(M) if diffusion is None else np.asarray(diffusion, dtype=complex)
+    propagate = _putzer(M) if not D.any() else None
     out = np.empty((len(rel), 6, 6), dtype=complex)
-    if damped and rightmost_eigenvalue(M).real >= 0:
-        out[:] = _evolve_moments_ivp(M, V0, rel.tolist(), D)
-    else:
-        Vss = 0.0
-        if damped:
-            import scipy.linalg
-
-            Vss = scipy.linalg.solve_sylvester(M, M.conj().T, -D)
-        X = V0.V - Vss
-        propagate = _propagator(M)
-        for lo in range(0, len(rel), _BLOCK):
-            E = propagate(rel[lo:lo + _BLOCK])
-            out[lo:lo + _BLOCK] = Vss + E @ X @ E.conj().swapaxes(1, 2)
     for lo in range(0, len(rel), _BLOCK):
-        block = out[lo:lo + _BLOCK]
+        t = rel[lo:lo + _BLOCK]
+        if propagate is not None:
+            E = propagate(t)
+            block = E @ V0.V @ E.conj().swapaxes(1, 2)
+        else:
+            pairs = [_van_loan(M, D, dt) for dt in t]
+            block = np.array([F @ V0.V @ F.conj().T + Q for F, Q in pairs])
         _validate_stack(block, 1e-8 * np.maximum(1.0, np.abs(block).max(axis=(1, 2))))
+        out[lo:lo + _BLOCK] = block
     return MomentTrajectory(out, t0 + rel)
-
-
-def _evolve_moments_ivp(M, V0, rel, D):
-    from scipy.integrate import solve_ivp
-
-    def rhs(_, y):
-        V = y.reshape(6, 6)
-        dV = M @ V + V @ M.conj().T + D
-        return dV.ravel()
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, max(rel) if rel else 0.0),
-        V0.V.ravel().astype(complex),
-        t_eval=sorted(set(rel)),
-        rtol=1e-10,
-        atol=1e-12,
-        method="DOP853",
-    )
-    if not sol.success:
-        raise NumericalError(f"moment integration failed: {sol.message}")
-    lookup = {t: sol.y[:, i].reshape(6, 6) for i, t in enumerate(sol.t)}
-    return [lookup[dt] for dt in rel]
 
 
 def steady_state_moments(M: np.ndarray, diffusion: np.ndarray) -> MomentMatrix:

@@ -74,11 +74,13 @@ class EffectiveCouplings:
     @classmethod
     def from_theta_r(cls, theta: float, r: float) -> "EffectiveCouplings":
         """Real, positive couplings with the given oscillation rate and ratio."""
-        if theta <= 0:
-            raise ValueError("theta must be positive")
-        if r <= 1:
+        if not 0 < theta < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if not r > 1:
             raise ValueError("r must exceed 1")
         xi1 = theta / math.sqrt(r * r - 1.0)
+        if not xi1 > 0:
+            raise ValueError(f"r = {r:g} is too large: xi1 = theta / sqrt(r^2 - 1) underflows to 0")
         return cls(xi1, r * xi1)
 
 

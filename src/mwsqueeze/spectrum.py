@@ -1,9 +1,10 @@
 """Two-mode output squeezing spectrum from the quantum Langevin equations.
 
-For each frequency the linear system ``(-i w I - M) v(w) = N v_in(w)`` is
-solved with the drift matrix of :mod:`mwsqueeze.moments`, the whole grid and
-its mirror ``-w`` as one stacked solve; outputs follow the input-output
-relation ``a_out = sqrt(kappa) a - a_in``.  The monitored
+For each frequency ``(-i w I - M) v(w) = N v_in(w)`` with the drift matrix of
+:mod:`mwsqueeze.moments`, over the whole grid and its mirror ``-w``; outputs
+follow the input-output relation ``a_out = sqrt(kappa) a - a_in``.  ``M`` is
+block-diagonal in the charge sectors, where the resolvent is a matrix
+polynomial over the characteristic cubic, evaluated by Horner's rule.  The monitored
 quadratures are the difference of the amplitude quadratures and the sum of
 the phase quadratures of the two cavity outputs; their symmetrized
 correlator, with vacuum input statistics, is normalized so that the
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, StabilityError
-from .moments import _SWAP, _rates, drift_matrix, rightmost_eigenvalue
+from .moments import _SECTORS, _SWAP, _rates, drift_matrix, rightmost_eigenvalue
 from .params import DecayRates, coupling_pair, oscillation_rate
 
 __all__ = [
@@ -29,16 +30,9 @@ __all__ = [
     "spectral_moment_integral",
 ]
 
-# vacuum input correlations <w_j(t) w_k(t')> = C[j,k] delta(t-t')
-_C_VAC = np.zeros((6, 6))
-_C_VAC[0, 1] = _C_VAC[2, 3] = _C_VAC[4, 5] = 1.0
-
 # quadrature weights, one row each: difference of amplitude quadratures (S+),
 # sum of phase quadratures (S-)
 _WEIGHTS = np.array([[1, 1, -1, -1, 0, 0], -1j * np.array([1, -1, 1, -1, 0, 0])]) / np.sqrt(2.0)
-
-# column swap pairing each component with its dagger
-_P_SWAP = np.eye(6)[list(_SWAP)]
 
 
 @dataclass
@@ -55,7 +49,7 @@ class SpectrumResult:
 
 
 def _input_coupling(d: DecayRates) -> np.ndarray:
-    return np.diag(np.sqrt(np.repeat(_rates(d), 2))).astype(complex)
+    return np.sqrt(np.repeat(_rates(d), 2))
 
 
 def stability_check(c, d: DecayRates):
@@ -70,24 +64,46 @@ def default_omega_grid(theta: float, kappa: float, points: int = 2001) -> np.nda
     return np.linspace(-span, span, points)
 
 
-def _transfer(M, N, omega, active):
-    """``T(w) = (-i w I - M)^{-1} N`` on the ``active`` modes: one stacked solve over ``omega``."""
-    ix = np.ix_(active, active)
-    A = -1j * omega[:, None, None] * np.eye(len(active), dtype=complex) - M[ix]
-    # broadcast explicitly: numpy < 2 reads a right side one dimension short as vectors
-    return np.linalg.solve(A, np.broadcast_to(N[ix], A.shape))
+def _sectors(M, active):
+    """``(s, B, p)`` per charge sector ``s`` of the ``active`` components (Faddeev-LeVerrier).
+
+    ``(z - M[s, s])^{-1} = sum_m z^(k-1-m) B[m] / p(z)``, ``p`` the characteristic polynomial.
+    """
+    for sector in _SECTORS:
+        s = [j for j in sector if j in active]
+        A = M[np.ix_(s, s)]
+        B = [np.eye(len(s), dtype=complex)]
+        p = [1.0 + 0.0j]
+        for m in range(1, len(s) + 1):
+            AB = A @ B[m - 1]
+            p.append(-AB.trace() / m)
+            B.append(AB + p[m] * np.eye(len(s)))
+        yield s, np.array(B[:-1]), np.array(p)  # B[k] = 0 by Cayley-Hamilton
+
+
+def _horner(coeffs, z):
+    """Polynomial with array coefficients ``coeffs`` (highest degree first) at each ``z``, on a last axis."""
+    out = coeffs[0][..., None]
+    for c in coeffs[1:]:
+        out = out * z + c[..., None]
+    return out
 
 
 def _densities(M, N, omega, active):
-    """Raw symmetrized densities of both quadratures, ``(2, len(omega))``, from S(w) and S(-w)."""
-    ix = np.ix_(active, active)
-    S = N[ix] @ _transfer(M, N, np.concatenate([omega, -omega]), active) - np.eye(len(active))
-    # a 1 x k row per quadrature and frequency keeps the vector products of a
-    # single-frequency evaluation, bit for bit
-    y = _WEIGHTS[:, active][:, None, None, :] @ S
-    y_w, y_mw = y[:, :len(omega)], y[:, len(omega):]
-    val = y_w @ _C_VAC[ix] @ y_mw.swapaxes(-1, -2) + y_mw @ _C_VAC[ix] @ y_w.swapaxes(-1, -2)
-    return val[:, :, 0, 0]
+    """Raw symmetrized densities of both quadratures, ``(2, len(omega))``, from S(w) and S(-w).
+
+    The rows ``w (N (z - M)^{-1} N - I)``, ``z = -i w``, are Horner sums of
+    weight-contracted resolvent coefficients; ``N`` is the input coupling's diagonal.
+    """
+    z = -1j * np.concatenate([omega, -omega])
+    y = np.zeros((2, 6, len(z)), dtype=complex)
+    for s, B, p in _sectors(M, active):
+        w = _WEIGHTS[:, s]
+        coeffs = np.einsum("qi,mij->mqj", w * N[s], B) * N[s]
+        y[:, s] = _horner(coeffs, z) / _horner(p, z) - w[..., None]
+    y_w, y_mw = y[..., :len(omega)], y[..., len(omega):]
+    # vacuum inputs pair each component with its dagger: <w_2i(t) w_2i+1(t')> = delta(t - t')
+    return (y_w[:, 0::2] * y_mw[:, 1::2] + y_mw[:, 0::2] * y_w[:, 1::2]).sum(axis=1)
 
 
 def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
@@ -116,7 +132,7 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
     M = drift_matrix((xi1, xi2), d)
     N = _input_coupling(d)
 
-    # modes with neither damping nor coupling are excluded from the solve;
+    # modes with neither damping nor coupling are excluded from the resolvent;
     # with zero coupling and gamma_s = 0 the spin block is singular at w = 0
     # but also completely decoupled from the monitored outputs.
     active = [0, 1, 2, 3]
@@ -136,7 +152,7 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
     # scalar shot-noise calibration: same pipeline, couplings off, at w = 0
     M0 = drift_matrix(None, d)
     shot = _densities(M0, N, np.zeros(1), [0, 1, 2, 3])[0, 0].real
-    if shot <= 0:
+    if not shot > 0:
         raise NumericalError("shot-noise calibration returned a non-positive density")
 
     dens = _densities(M, N, omega, active)
@@ -222,7 +238,11 @@ def spectral_moment_integral(c, d: DecayRates, omega_max: float, points: int = 2
             max_real_eigenvalue=abscissa,
         )
     grid = np.linspace(-omega_max, omega_max, points)
-    T = _transfer(M, _input_coupling(d), np.concatenate([grid, -grid]), list(range(6)))
-    val = T[:points] @ _C_VAC @ T[points:].swapaxes(1, 2) @ _P_SWAP
+    z = -1j * np.concatenate([grid, -grid])
+    N = _input_coupling(d)
+    T = np.zeros((6, 6, len(z)), dtype=complex)
+    for s, B, p in _sectors(M, range(6)):
+        T[np.ix_(s, s)] = _horner(B * N[s], z) / _horner(p, z)
+    val = np.einsum("ajn,bjn->nab", T[:, 0::2, :points], T[:, 1::2, points:])[..., list(_SWAP)]
     acc = (0.5 * (val[1:] + val[:-1]) * np.diff(grid)[:, None, None]).sum(axis=0)
     return acc / (2.0 * np.pi)

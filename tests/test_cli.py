@@ -223,10 +223,30 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("spectrum", {**_SPECTRUM_BASE, "gamma_s_hz": -5}),
     ("spectrum", {**_SPECTRUM_BASE, "output_format": "parquet"}),
     ("feasibility", {"output_format": "parquet"}),
+    ("evolve", {"r": 1.1, "theta_hz": 1e4, "t_final_s": math.inf}),
+    ("evolve", {"r": 1.1, "theta_hz": 1e4, "t_final_s": math.nan}),
+    ("evolve", {"r": 1.1, "theta_hz": 1e4, "t_final_over_t_pi": math.nan}),
+    ("evolve", {"r": 1e300, "theta_hz": 1e4}),
+    ("sweep", {"outputs": ["epsilon"], "r_values": ["a"]}),
+    ("sweep", {"outputs": ["epsilon"], "r_values": [0.5]}),
+    ("sweep", {"outputs": ["epsilon"], "r_values": [math.nan]}),
+    ("sweep", {"outputs": ["min_s"], "r_values": [1.1], "theta_over_kappa": -1, "kappa_hz": 7e3}),
+    ("sweep", {"outputs": ["n_thermal"], "temperature_k_values": [-1], "frequency_hz": 6.8e9}),
+    ("sweep", {"outputs": ["suppression"], "r_values": [1.1], "kappa_hz": 0, "gamma_c_hz": 1e3}),
+    ("sweep", {"outputs": ["t_pi_s"], "r_values": [1.1], "theta_hz": 0}),
+    ("sweep", {"outputs": ["t_pi_s"], "r_values": [1.1], "theta_hz": math.nan}),
+    ("feasibility", {"temperature_k": -1}),
+    ("feasibility", {"temperature_k": 0}),
+    ("feasibility", {"temperature_k": 0.1, "gamma_a_hz": -5}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-r-below-1", "spectrum-negative-gamma-s",
-        "spectrum-output-format", "feasibility-output-format"])
+        "spectrum-output-format", "feasibility-output-format",
+        "evolve-t-final-inf", "evolve-t-final-nan", "evolve-t-over-t-pi-nan", "evolve-r-1e300",
+        "sweep-r-string", "sweep-r-below-1", "sweep-r-nan",
+        "sweep-min-s-negative-theta", "sweep-negative-temperature", "sweep-suppression-zero-kappa",
+        "sweep-t-pi-zero-theta", "sweep-t-pi-nan-theta", "feasibility-negative-temperature",
+        "feasibility-zero-temperature", "feasibility-negative-gamma-a"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     err = capsys.readouterr().err
@@ -234,6 +254,13 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, co
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_oversized_r_is_named_in_the_message(tmp_path, capsys):
+    # r^2 overflows, so xi1 = theta / sqrt(r^2 - 1) is 0: the message names r, not |xi1|
+    code, _ = run(tmp_path, "evolve", {"r": 1e300, "theta_hz": 1e4})
+    assert code == 2
+    assert "r = 1e+300 is too large" in capsys.readouterr().err
 
 
 def test_cli_import_loads_no_scipy_submodule():
@@ -244,6 +271,23 @@ def test_cli_import_loads_no_scipy_submodule():
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_gaussian_and_spectrum_runs_load_no_scipy(tmp_path):
+    # the closed gaussian propagator and the spectrum's resolvent polynomials are numpy only
+    src = Path(mwsqueeze.__file__).resolve().parent.parent
+    (tmp_path / "e.json").write_text(json.dumps({"route": "all", "r": 1.01, "theta_hz": 1e4}))
+    (tmp_path / "s.json").write_text(json.dumps(_SPECTRUM_BASE))
+    probe = (
+        "import sys; from mwsqueeze.cli import main; "
+        "assert main(['evolve', 'e.json', '--output-dir', 'o']) == 0; "
+        "assert main(['spectrum', 's.json', '--output-dir', 'o']) == 0; "
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True,
                           text=True, check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
 
@@ -266,8 +310,9 @@ class TestCsvWriter:
             write_csv(path, ["a", "b"], rows)
         assert not path.exists()
 
-    # 1 / (2 theta_hz) overflows to inf for a subnormal theta_hz; NaN passes the JSON parser
-    @pytest.mark.parametrize("theta_hz", [1e-320, math.nan], ids=["inf", "nan"])
+    # 1 / (2 theta_hz) overflows to inf for a subnormal theta_hz (a NaN theta_hz
+    # is a configuration error: test_malformed_config_is_a_configuration_error)
+    @pytest.mark.parametrize("theta_hz", [1e-320], ids=["inf"])
     def test_non_finite_output_is_a_numerical_error(self, tmp_path, capsys, theta_hz):
         code, out = run(tmp_path, "sweep", {
             "outputs": ["t_pi_s"], "r_values": [1.1], "theta_hz": theta_hz,

@@ -114,24 +114,37 @@ class TestEvolveMoments:
         late = mom.evolve_moments(M, mom.vacuum_moments(), [60.0 / c.theta], diffusion=D)[0]
         assert np.max(np.abs(late.V - Vss.V)) < 1e-8
 
-    @pytest.mark.parametrize("damped", [False, True], ids=["closed", "damped"])
-    def test_matches_matrix_exponential(self, damped):
+    @pytest.mark.parametrize("damped,diffusion", [(False, False), (True, True), (True, False)],
+                             ids=["closed", "damped", "damped-no-diffusion"])
+    def test_matches_matrix_exponential(self, damped, diffusion):
         # V(t) = F V0 F^dag + int_0^t e^{Ms} D e^{M^dag s} ds with F = expm(M t);
         # the integral is G F^dag, G the upper-right block of
-        # expm([[M, D], [0, -M^dag]] t) (Van Loan)
+        # expm([[M, D], [0, -M^dag]] t) (Van Loan).  A damped drift fails
+        # M^3 = -theta^2 M, so without diffusion it still takes the general path.
         c = couplings(1.5)
         d = DecayRates(kappa1=0.8, kappa2=1.2, gamma_s=0.3) if damped else DecayRates()
         M = mom.drift_matrix(c, d)
-        D = mom.diffusion_matrix(d)
+        D = mom.diffusion_matrix(d) if diffusion else np.zeros((6, 6))
         block = np.block([[M, D], [np.zeros((6, 6)), -M.conj().T]])
         times = [0.3 * cf.t_pi(c), cf.t_pi(c), 2.5 * cf.t_pi(c)]
         V0 = mom.vacuum_moments()
-        out = mom.evolve_moments(M, V0, times, diffusion=D if damped else None)
+        out = mom.evolve_moments(M, V0, times, diffusion=D if diffusion else None)
         for t, V in zip(times, out):
             E = sla.expm(block * t)
             F, G = E[:6, :6], E[:6, 6:]
             expect = F @ V0.V @ F.conj().T + G @ F.conj().T
             assert V.t == t
+            assert np.max(np.abs(V.V - expect)) <= 1e-10 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("xi", [(2.0, 1.0), (1.0, 1.0)], ids=["hyperbolic", "nilpotent"])
+    def test_closed_raw_pair_matches_matrix_exponential(self, xi):
+        # |xi2| <= |xi1| gives theta^2 <= 0: the closed propagator's sinh and t, t^2/2 cases
+        M = mom.drift_matrix(xi)
+        V0 = mom.vacuum_moments()
+        times = [0.0, 0.7, 2.3]
+        for t, V in zip(times, mom.evolve_moments(M, V0, times)):
+            F = sla.expm(M * t)
+            expect = F @ V0.V @ F.conj().T
             assert np.max(np.abs(V.V - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     def test_steady_state_requires_stability(self):
@@ -203,6 +216,19 @@ class TestRouteEquivalence:
                 ref = cf.occupations_closed_form(c, t)
                 scale = max(1.0, ref[0])
                 assert max(abs(a - b) for a, b in zip(occ, ref)) < 1e-9 * scale
+
+    @pytest.mark.parametrize("r", [1.01, 1.001, 1.0001])
+    def test_zeta12_at_t_pi_within_wick_rounding(self, r):
+        # zeta12 divides a difference of O(n^2) Wick terms by O(n), so rounding
+        # alone costs ~n eps at n photons per mode; C = 4 bounds the gaussian
+        # route's error at T_pi (0.7 n eps measured on this ladder)
+        C = 4.0
+        c = couplings(r, theta=2 * math.pi * 1e4)
+        tpi = cf.t_pi(c)
+        V = mom.evolve_moments(mom.drift_matrix(c), mom.vacuum_moments(), [tpi])[0]
+        n = cf.occupations_closed_form(c, tpi)[0]
+        err = abs(mom.zeta12_from_moments(V) - cf.zeta12_closed_form(c, tpi))
+        assert err <= C * n * np.finfo(float).eps
 
     @pytest.mark.parametrize("r,dims", [(2.0, (50, 50, 19)), (3.0, (24, 24, 11))])
     def test_fock_matches_gaussian(self, r, dims):

@@ -6,7 +6,7 @@ import pytest
 from mwsqueeze import moments as mom
 from mwsqueeze import spectrum as spec
 from mwsqueeze.errors import StabilityError
-from mwsqueeze.params import DecayRates, EffectiveCouplings
+from mwsqueeze.params import DecayRates, EffectiveCouplings, oscillation_rate
 
 
 def fig_params(theta_over_kappa, r=1.1, kappa=1.0):
@@ -121,12 +121,18 @@ class TestSpotFrequencyOracle:
         Ck = C[:k, :k]
         return complex(yp @ Ck @ ym + ym @ Ck @ yp)
 
-    @pytest.mark.parametrize("gamma_s", [0.0, 1.0], ids=["undamped-spin", "damped-spin"])
-    def test_matches_direct_solve(self, gamma_s):
+    @pytest.mark.parametrize("c,gamma_s", [
+        (EffectiveCouplings.from_theta_r(2.0, 1.1), 0.0),
+        (EffectiveCouplings.from_theta_r(2.0, 1.1), 1.0),
+        ((0.3 + 0.4j, -0.9 + 0.5j), 0.4),
+        # theta = kappa/4: two eigenvalues -kappa/4 +- sqrt(kappa^2/16 - theta^2)
+        # of each charge sector meet (an exceptional point, ~1e-8 apart here)
+        (EffectiveCouplings.from_theta_r(0.25, 1.1), 0.0),
+    ], ids=["undamped-spin", "damped-spin", "raw-pair", "coalescing-sector"])
+    def test_matches_direct_solve(self, c, gamma_s):
         kappa = 1.0
-        c = EffectiveCouplings.from_theta_r(2.0 * kappa, 1.1)
         d = DecayRates(kappa1=kappa, kappa2=kappa, gamma_s=gamma_s)
-        grid = spec.default_omega_grid(c.theta, kappa, 401)
+        grid = spec.default_omega_grid(oscillation_rate(c), kappa, 401)
         res = spec.squeezing_spectrum(c, d, grid)
         N = np.diag(np.sqrt([kappa, kappa, kappa, kappa, gamma_s, gamma_s]))
         M = mom.drift_matrix(c, d)
