@@ -254,13 +254,7 @@ def _route_fock(layout, couplings, times):
 
     H = fdyn.build_effective_hamiltonian(couplings, layout)
     traj = fdyn.evolve_state(H, vacuum_state(layout), times)
-    return _evolve_rows(
-        np.array(traj.times),
-        couplings.theta,
-        np.array(traj.occupations),
-        np.array(traj.zeta12),
-        np.array(traj.leakage),
-    )
+    return _evolve_rows(traj.times, couplings.theta, traj.occupations, traj.zeta12, traj.leakage)
 
 
 def _route_discrepancy(a, b):
@@ -494,10 +488,7 @@ def _validate_checks(cfg):
         tr3 = fdyn.evolve_state(
             fdyn.build_effective_hamiltonian(c3, lay3), vacuum_state(lay3), t3
         )
-    dev = 0.0
-    for t, occ in zip(tr3.times, tr3.occupations):
-        ref = closed_form.occupations_closed_form(c3, t)
-        dev = max(dev, max(abs(a - b) for a, b in zip(occ, ref)))
+    dev = np.abs(tr3.occupations - closed_form.occupations_closed_form_grid(c3, tr3.times)).max()
     record("fock_vs_closed_form_occupations", dev, 1e-6)
 
     # Wick expansion vs brute-force Fock moments on closed-form states at

@@ -100,34 +100,6 @@ class FockOperator:
                 f"matrix shape {self.matrix.shape} does not match layout dimension {self.layout.dim}"
             )
 
-    def dag(self):
-        return FockOperator(self.matrix.conj().T.tocsr(), self.layout)
-
-    def __matmul__(self, other):
-        if isinstance(other, FockOperator):
-            self._check_layout(other.layout)
-            return FockOperator((self.matrix @ other.matrix).tocsr(), self.layout)
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, FockOperator):
-            self._check_layout(other.layout)
-            return FockOperator((self.matrix + other.matrix).tocsr(), self.layout)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, FockOperator):
-            self._check_layout(other.layout)
-            return FockOperator((self.matrix - other.matrix).tocsr(), self.layout)
-        return NotImplemented
-
-    def __rmul__(self, scalar):
-        return FockOperator((scalar * self.matrix).tocsr(), self.layout)
-
-    def _check_layout(self, other_layout):
-        if other_layout != self.layout:
-            raise ValueError("operators act on different layouts")
-
 
 @dataclass(frozen=True)
 class FockState:

@@ -7,9 +7,11 @@ pair creation and exchange only ever reach a small invariant block of the
 truncated space (the ``n2 - n1 + n3 = 0`` lattice, or one ``n_a + n_c``
 parity sector for the degenerate variant).  Evolution finds the basis states
 that ``H`` connects to the initial state's support, diagonalizes ``H`` on
-that block once, and builds every sample from the eigenbasis.  Nothing
-leaves the block, so the restriction is exact for any Hermitian ``H``,
-whether or not it conserves a charge.
+that block once, and builds all samples as one stacked eigenbasis product.
+Nothing leaves the block, so the restriction is exact for any Hermitian
+``H``, whether or not it conserves a charge.  The same propagator,
+:func:`_propagate`, evolves the microscopic and effective models of
+:mod:`raman`; it is the package's only state-vector propagator.
 
 State comparisons across routes are gauged by the phase of the
 largest-magnitude amplitude, since the closed-form amplitude table fixes
@@ -20,6 +22,7 @@ phase-faithful agreement therefore holds for real non-negative couplings.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -95,15 +98,34 @@ def conserved_number_operator(layout: ModeLayout) -> FockOperator:
 
 @dataclass
 class Trajectory:
-    """Sampled states of a closed evolution with per-sample diagnostics."""
+    """Sampled observables of a closed evolution, one array entry (or row) per sample.
 
-    times: list
-    states: list
-    occupations: list  # (n1, n2, n3) per sample
-    zeta12: list
-    leakage: list  # total population with any mode at its top level
-    norms: list
+    ``states`` embeds the full-layout :class:`FockState` of a sample only
+    when it is accessed; the trajectory itself keeps the reachable block.
+    """
+
+    times: np.ndarray
+    states: Sequence
+    occupations: np.ndarray  # (n, n_modes)
+    zeta12: np.ndarray  # nan unless the layout has three modes
+    leakage: np.ndarray  # total population with any mode at its top level
+    norms: np.ndarray
     warnings: list = field(default_factory=list)
+
+
+class _BlockStates(Sequence):
+    """Full-layout states of an ``(n, |block|)`` amplitude stack, embedded on access."""
+
+    def __init__(self, block, amps, layout):
+        self.block, self.amps, self.layout = block, amps, layout
+
+    def __len__(self):
+        return len(self.amps)
+
+    def __getitem__(self, i):
+        psi = np.zeros(self.layout.dim, dtype=complex)
+        psi[self.block] = self.amps[i]
+        return FockState(psi, self.layout)
 
 
 def _hermiticity_check(H: sp.spmatrix):
@@ -124,15 +146,33 @@ def _reachable(H: sp.spmatrix, psi: np.ndarray) -> np.ndarray:
         reach = grown
 
 
-def _zeta12(p: np.ndarray, occ) -> float:
-    """``Var(n1 - n2) / (n1 + n2)`` from basis populations ``p`` and their occupations."""
-    den = float(p @ occ[0]) + float(p @ occ[1])
-    if den < 1e-14:
-        return 1.0
+def _propagate(H: sp.spmatrix, psi0: np.ndarray, times: np.ndarray):
+    """``exp(-i H t) psi0`` at every time, on the block of basis states reachable from ``psi0``.
+
+    Returns the block's indices and the ``(len(times), |block|)`` amplitude
+    stack.  No matrix element of the Hermitian ``H`` leaves the block, so one
+    ``eigh`` there is exact; rows at ``t = 0`` are ``psi0`` itself.
+    """
+    block = _reachable(H, psi0)
+    w, P = np.linalg.eigh(H[block][:, block].toarray())
+    coeffs = P.conj().T @ psi0[block]
+    amps = (np.exp(-1j * np.outer(times, w)) * coeffs) @ P.T
+    amps[times == 0.0] = psi0[block]
+    return block, amps
+
+
+def _zeta12(p: np.ndarray, occ) -> np.ndarray:
+    """``Var(n1 - n2) / (n1 + n2)`` from basis populations ``p`` and their occupations.
+
+    ``p`` holds one sample per row (or is one sample); the independent-states
+    value 1 where the denominator is below 1e-14.
+    """
+    den = p @ occ[0] + p @ occ[1]
     diff = (occ[0] - occ[1]).astype(float)
-    mean = float(p @ diff)
-    var = float(p @ diff**2) - mean**2
-    return var / den
+    mean = p @ diff
+    var = p @ diff**2 - mean**2
+    vacuum = den < 1e-14
+    return np.where(vacuum, 1.0, var / np.where(vacuum, 1.0, den))
 
 
 def evolve_state(
@@ -143,10 +183,13 @@ def evolve_state(
 ) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
-    ``H`` is restricted to the basis states reachable from the support of
-    ``psi0`` (no matrix element of ``H`` leaves that block), diagonalized there
-    once by ``eigh``, and each sample is ``P diag(exp(-i w t)) P^dag psi0``
-    embedded back into the full layout.  Sample 0 is ``psi0`` itself.
+    Every sample comes from one stacked eigenbasis product
+    (:func:`_propagate`): ``H`` is restricted to the basis states reachable
+    from the support of ``psi0``, diagonalized there once by ``eigh``, and
+    the samples are the rows of ``(exp(-i t w) * P^dag psi0) @ P^T``; sample 0
+    is ``psi0`` itself.  Occupations, zeta12, leakage and norms are array
+    reductions over the block's populations, and ``states`` embeds a sample
+    into the full layout only when it is accessed.
 
     Parameters
     ----------
@@ -166,57 +209,41 @@ def evolve_state(
     """
     if H.layout != psi0.layout:
         raise ValueError("Hamiltonian and state layouts differ")
-    times = [float(t) for t in times]
-    if not times or times[0] != 0.0:
+    times = np.asarray(times, dtype=float)
+    if not times.size or times[0] != 0.0:
         raise ValueError("sample times must start at 0")
-    if any(b <= a for a, b in zip(times, times[1:])):
+    if np.any(times[1:] <= times[:-1]):
         raise ValueError("sample times must be strictly ascending")
     _hermiticity_check(H.matrix)
 
     layout = H.layout
-    block = _reachable(H.matrix, psi0.amplitudes)
-    w, P = np.linalg.eigh(H.matrix[block][:, block].toarray())
-    coeffs = P.conj().T @ psi0.amplitudes[block]
+    block, amps = _propagate(H.matrix, psi0.amplitudes, times)
     occ = [o[block] for o in layout.occupation_arrays()]
-    boundary = top_level_mask(layout)[block]
-
-    traj = Trajectory([], [], [], [], [], [])
-    prev_norm = float(np.linalg.norm(psi0.amplitudes))
-    warned = False
-    for t in times:
-        if t == 0.0:
-            psi = psi0.amplitudes.copy()
-        else:
-            psi = np.zeros(layout.dim, dtype=complex)
-            psi[block] = P @ (np.exp(-1j * w * t) * coeffs)
-        amps = psi[block]
-        norm = float(np.linalg.norm(amps))
-        drift = abs(norm - prev_norm)
-        if drift > _NORM_DRIFT_PER_STEP:
-            raise IntegrationError(
-                f"norm drifted by {drift:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
-            )
-        prev_norm = norm
-
-        p = np.abs(amps) ** 2
-        n1 = float(p @ occ[0]) if layout.n_modes >= 1 else 0.0
-        n2 = float(p @ occ[1]) if layout.n_modes >= 2 else 0.0
-        n3 = float(p @ occ[2]) if layout.n_modes >= 3 else 0.0
-        leak = float(p[boundary].sum())
-        traj.times.append(t)
-        traj.states.append(FockState(psi, layout))
-        traj.occupations.append((n1, n2, n3))
-        traj.zeta12.append(_zeta12(p, occ) if layout.n_modes == 3 else float("nan"))
-        traj.leakage.append(leak)
-        traj.norms.append(norm)
-        if leak > leakage_threshold and not warned:
-            msg = (
-                f"top-level population {leak:.3e} exceeded {leakage_threshold:g} "
-                f"at t={t:.6g}; truncation may bias observables"
-            )
-            traj.warnings.append(msg)
-            warnings.warn(msg, TruncationWarning, stacklevel=2)
-            warned = True
+    p = np.abs(amps) ** 2
+    norms = np.sqrt(p.sum(axis=1))
+    drift = np.abs(np.diff(norms, prepend=np.linalg.norm(psi0.amplitudes)))
+    first = np.argmax(drift > _NORM_DRIFT_PER_STEP)
+    if drift[first] > _NORM_DRIFT_PER_STEP:
+        raise IntegrationError(
+            f"norm drifted by {drift[first]:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
+        )
+    leakage = p[:, top_level_mask(layout)[block]].sum(axis=1)
+    traj = Trajectory(
+        times,
+        _BlockStates(block, amps, layout),
+        np.column_stack([p @ o for o in occ]),
+        _zeta12(p, occ) if layout.n_modes == 3 else np.full(len(times), np.nan),
+        leakage,
+        norms,
+    )
+    over = np.flatnonzero(leakage > leakage_threshold)
+    if over.size:
+        msg = (
+            f"top-level population {leakage[over[0]]:.3e} exceeded {leakage_threshold:g} "
+            f"at t={times[over[0]]:.6g}; truncation may bias observables"
+        )
+        traj.warnings.append(msg)
+        warnings.warn(msg, TruncationWarning, stacklevel=2)
     return traj
 
 
@@ -230,7 +257,7 @@ def relative_number_squeezing(state: FockState) -> float:
     layout = state.layout
     if layout.n_modes != 3:
         raise ValueError("relative number squeezing expects a three-mode layout")
-    return _zeta12(np.abs(state.amplitudes) ** 2, layout.occupation_arrays())
+    return float(_zeta12(np.abs(state.amplitudes) ** 2, layout.occupation_arrays()))
 
 
 def target_state(layout: ModeLayout, r: float) -> FockState:

@@ -177,14 +177,22 @@ def _smooth3(y):
     return out
 
 
+# S is shot-noise normalised, so a flat spectrum sits at 1 up to a few ulps;
+# a dip shallower than this against both smoothed neighbours is rounding
+_DIP_FLOOR = 1e-12
+
+
 def find_local_minima(omega, s, min_separation=3):
-    """Strict three-point local minima after light smoothing over 3 samples.
+    """Three-point local minima, deeper than ``_DIP_FLOOR``, after light smoothing over 3 samples.
 
     Minima closer than ``min_separation`` grid steps are merged, keeping the
     deepest.  Returns ``[(omega, S)]`` with S read off the unsmoothed curve.
     """
     y = _smooth3(np.asarray(s, dtype=float))
-    idx = [i for i in range(1, len(y) - 1) if y[i] < y[i - 1] and y[i] < y[i + 1]]
+    idx = [
+        i for i in range(1, len(y) - 1)
+        if y[i] + _DIP_FLOOR < y[i - 1] and y[i] + _DIP_FLOOR < y[i + 1]
+    ]
     merged = []
     for i in idx:
         if merged and i - merged[-1] < min_separation:

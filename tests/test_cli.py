@@ -107,6 +107,15 @@ class TestSpectrum:
         _, cols = read_csv(out / "spectrum.csv")
         assert np.max(np.abs(cols["s_plus"] - 1.0)) <= 1e-10
 
+    def test_flat_spectrum_reports_no_minima(self, tmp_path):
+        # the uncoupled spectrum is 1 to within a few ulps; rounding is no dip
+        code, out = run(tmp_path, "spectrum", {
+            "xi1_hz": 0.0, "xi2_hz": 0.0, "kappa_hz": 7e3, "num_points": 201,
+        })
+        assert code == 0
+        summary = json.loads((out / "spectrum_summary.json").read_text())
+        assert summary["minima_omega_over_theta"] == []
+
     def test_unstable_config_exit_code(self, tmp_path, capsys):
         code, _ = run(tmp_path, "spectrum", {
             "xi1_hz": 1e3, "xi2_hz": 0.0, "kappa_hz": 1e3, "num_points": 101,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mwsqueeze.fock import (
+    FockOperator,
     FockState,
     ModeLayout,
     basis_state,
@@ -38,7 +39,7 @@ def test_annihilator_two_level_factor():
 def test_single_quantum_matrix_element():
     for dims in [(2, 2, 2), (5, 4, 3), (7, 7, 7)]:
         lay = ModeLayout(dims)
-        adag = mode_annihilator(lay, 0).dag().matrix
+        adag = mode_annihilator(lay, 0).matrix.conj().T
         elem = adag[lay.index((1, 0, 0)), lay.index((0, 0, 0))]
         assert elem == pytest.approx(1.0)
 
@@ -88,9 +89,9 @@ def test_embed_order_independent():
 
 def test_embed_matches_operator_product():
     lay = ModeLayout((4, 3, 4))
-    a1dag = mode_annihilator(lay, 0).dag()
-    cdag = mode_annihilator(lay, 2).dag()
-    prod = (a1dag @ cdag).matrix
+    a1dag = mode_annihilator(lay, 0).matrix.conj().T
+    cdag = mode_annihilator(lay, 2).matrix.conj().T
+    prod = a1dag @ cdag
     up0 = np.diag(np.sqrt(np.arange(1, 4)), -1)
     up2 = np.diag(np.sqrt(np.arange(1, 4)), -1)
     embedded = embed_product(lay, [(0, up0), (2, up2)]).matrix
@@ -132,8 +133,8 @@ def test_expectation_values():
 def test_expectation_hermitian_is_real():
     rng = np.random.default_rng(7)
     lay = ModeLayout((3, 3, 3))
-    a = mode_annihilator(lay, 1)
-    herm = a + a.dag()
+    a = mode_annihilator(lay, 1).matrix
+    herm = FockOperator((a + a.conj().T).tocsr(), lay)
     psi = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
     psi /= np.linalg.norm(psi)
     val = expectation(FockState(psi, lay), herm)

@@ -1,6 +1,7 @@
 """State-vector evolution: Hamiltonian structure, trajectories, squeezing measures."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,6 +158,22 @@ class TestEvolution:
             ref = fdyn.gauge_phase(fdyn.analytic_state(c, t, lay, tail_tol=1e-9))
             got = fdyn.gauge_phase(st)
             assert np.max(np.abs(ref.amplitudes - got.amplitudes)) < 1e-6
+
+    def test_memory_scales_with_the_reachable_block(self):
+        # 2001 full-layout states of (24, 24, 12) would hold 221 MB; the
+        # reachable block from vacuum has 222 of the 6912 basis states
+        c = couplings(3.0)
+        lay = ModeLayout((24, 24, 12))
+        H = fdyn.build_effective_hamiltonian(c, lay)
+        times = np.linspace(0.0, 2 * cf.t_pi(c), 2001)
+        tracemalloc.start()
+        try:
+            traj = evolve_quiet(H, vacuum_state(lay), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == 2001
+        assert peak < 64e6
 
 
 class TestRelativeNumberSqueezing:

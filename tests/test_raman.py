@@ -37,6 +37,20 @@ class TestFullHamiltonian:
             H = raman.build_full_hamiltonian(rc, basis, t)
             assert abs(H - H.conj().T).max() < 1e-14
 
+    @pytest.mark.parametrize("n_atoms, cap", [(1, 2), (2, 2), (2, 3)])
+    def test_rotating_frame_of_static_generator(self, n_atoms, cap):
+        # H(t) = e^{iAt} (H_s - A) e^{-iAt} with A = diag(H_s): the frame
+        # equivalence behind the "exact" route, checked without an integrator
+        rng = np.random.default_rng(11)
+        rc = raman.RamanConfig(0.9 + 0.2j, 1.1, 0.8 - 0.1j, 1.0, 11.0, 23.0, 0.4, n_atoms)
+        basis = raman.AtomicBasis(n_atoms, cap)
+        Hs = raman.static_frame_hamiltonian(rc, basis).toarray()
+        a = np.diag(Hs).real
+        for t in rng.uniform(0.0, 10.0, 20):
+            rotated = np.exp(1j * np.subtract.outer(a, a) * t) * (Hs - np.diag(a))
+            H = raman.build_full_hamiltonian(rc, basis, t).toarray()
+            assert np.max(np.abs(H - rotated)) < 1e-12
+
     def test_static_frame_matches_rk4(self):
         rc = fixtures.adiabatic_fixture_config(10)
         ex = raman.adiabatic_error(rc, 25.0, 11, method="exact")
