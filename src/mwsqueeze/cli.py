@@ -149,10 +149,14 @@ def _load_config(path: str) -> dict:
 
 
 def _physical(build, *args, **kwargs):
-    """Call a parameter constructor, reporting its ``ValueError`` as a ``ConfigError``."""
+    """Call a parameter or grid constructor, reporting its refusal as a ``ConfigError``.
+
+    A ``ValueError`` is a bad value; a ``MemoryError`` is a grid size that numpy
+    refuses to allocate.
+    """
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -193,7 +197,7 @@ def _evolve_times(cfg, couplings):
         t_end = mult * closed_form.t_pi(couplings)
     if t_end <= 0:
         raise ConfigError("final time must be positive")
-    return np.linspace(0.0, t_end, n)
+    return _physical(np.linspace, 0.0, t_end, n)
 
 
 def _evolve_rows(times, theta, occupations, zeta12, *extra):
@@ -353,7 +357,7 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
     if theta is None:
         # uncoupled or non-oscillatory: the cavity linewidth sets the scale
         theta = kappa
-    grid = spectrum.default_omega_grid(theta, kappa, points)
+    grid = _physical(spectrum.default_omega_grid, theta, kappa, points)
     result = spectrum.squeezing_spectrum(couplings, decays, grid)
     scale = theta
     rows = np.column_stack([result.omega / scale, result.s_plus, result.s_minus])

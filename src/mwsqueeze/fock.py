@@ -116,10 +116,6 @@ class FockState:
             )
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _ladder(dim):
     # annihilation on a single mode: <n-1| a |n> = sqrt(n)

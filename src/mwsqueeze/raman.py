@@ -5,8 +5,8 @@ modes form a double Raman system.  The interaction-picture Hamiltonian
 carries explicit phase factors ``exp(i delta t)``; because every term shifts
 a fixed diagonal combination, the model is equivalent to a static
 Hamiltonian ``A + H0 + H0^dag`` in a rotated frame whose diagonal generator
-``A`` commutes with all occupation observables.  That equivalence provides
-an exact integration route against which the fixed-step method is checked.
+``A`` commutes with all occupation observables.  That equivalence makes the
+time-dependent model a single eigendecomposition of the static generator.
 
 The validator compares the full model against the bosonized effective
 coupling ``(beta2 a2 + beta1 a1^dag) c^dag + H.c.`` with
@@ -25,7 +25,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import IntegrationError
 from .fock_dynamics import _propagate
 
 if TYPE_CHECKING:
@@ -43,7 +42,6 @@ __all__ = [
 ]
 
 _G, _H, _E1, _E2 = 0, 1, 2, 3
-_RK4_PHASE_STEP = 2.0 * math.pi / 50.0  # max step is 1/50 of the fastest phase period
 
 
 @dataclass(frozen=True)
@@ -78,6 +76,23 @@ def _csr(dim: int, data=(), rows=(), cols=()) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=complex)
 
 
+def _hop_operator(index: dict, hops) -> sp.csr_matrix:
+    """Operator with ``<target|op|s> = amp`` for each ``(target, amp)`` of ``hops(s)``.
+
+    Walks the states of ``index`` in basis order; hops landing outside the
+    basis are dropped.
+    """
+    rows, cols, data = [], [], []
+    for s, i in index.items():
+        for target, amp in hops(s):
+            j = index.get(target)
+            if j is not None:
+                rows.append(j)
+                cols.append(i)
+                data.append(amp)
+    return _csr(len(index), data, rows, cols)
+
+
 class AtomicBasis:
     """Distinguishable atoms with levels {g, h, e1, e2} times two cavity modes.
 
@@ -109,36 +124,26 @@ class AtomicBasis:
 
     def flip(self, atom: int, src: int, dst: int) -> sp.csr_matrix:
         """Single-atom operator |dst><src| on the composite basis."""
-        rows, cols = [], []
-        for s, i in self.index.items():
+
+        def hops(s):
             levels, n1, n2 = s
-            if levels[atom] != src:
-                continue
-            new = levels[:atom] + (dst,) + levels[atom + 1 :]
-            j = self.index.get((new, n1, n2))
-            if j is not None:
-                rows.append(j)
-                cols.append(i)
-        data = np.ones(len(rows))
-        return _csr(self.dim, data, rows, cols)
+            if levels[atom] == src:
+                yield (levels[:atom] + (dst,) + levels[atom + 1 :], n1, n2), 1.0
+
+        return _hop_operator(self.index, hops)
 
     def annihilator(self, mode: int) -> sp.csr_matrix:
         """Photon annihilation on cavity mode 1 or 2."""
         if mode not in (1, 2):
             raise ValueError("cavity mode index must be 1 or 2")
-        rows, cols, data = [], [], []
-        for s, i in self.index.items():
+
+        def hops(s):
             levels, n1, n2 = s
             n = n1 if mode == 1 else n2
-            if n == 0:
-                continue
-            new = (levels, n1 - 1, n2) if mode == 1 else (levels, n1, n2 - 1)
-            j = self.index.get(new)
-            if j is not None:
-                rows.append(j)
-                cols.append(i)
-                data.append(math.sqrt(n))
-        return _csr(self.dim, data, rows, cols)
+            if n > 0:
+                yield ((levels, n1 - 1, n2) if mode == 1 else (levels, n1, n2 - 1)), math.sqrt(n)
+
+        return _hop_operator(self.index, hops)
 
     def level_population_diagonal(self, level: int) -> np.ndarray:
         return np.array([sum(1 for l in s[0] if l == level) for s in self.states], dtype=float)
@@ -239,17 +244,6 @@ class _TwoLevelBasis:
         self.dim = len(self.states)
         self.n_atoms = basis.n_atoms
 
-    def op_from(self, fn):
-        rows, cols, data = [], [], []
-        for s, i in self.index.items():
-            for target, amp in fn(s):
-                j = self.index.get(target)
-                if j is not None:
-                    rows.append(j)
-                    cols.append(i)
-                    data.append(amp)
-        return _csr(self.dim, data, rows, cols)
-
 
 def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis):
     """Eq.-(2)-form effective Hamiltonian on the two-level restricted basis.
@@ -276,67 +270,9 @@ def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis):
             if n2 > 0:
                 yield (flipped, n1, n2 - 1), beta2 * math.sqrt(n2) / rootn
 
-    half = sub.op_from(hops)
+    half = _hop_operator(sub.index, hops)
     H = half + half.conj().T
     return sub, H.tocsr()
-
-
-def _rk4_step_size(r: RamanConfig, norm_estimate: float, horizon: float) -> float:
-    delta_max = max(abs(r.delta1), abs(r.delta2), abs(r.delta2 - r.delta_two_photon), 1e-30)
-    step = _RK4_PHASE_STEP / delta_max
-    # tighten so the accumulated fourth-order defect stays inside the 1e-8
-    # norm budget over the whole horizon
-    budget = 3e-9
-    tight = (120.0 * budget / max(norm_estimate * horizon, 1e-30)) ** 0.25 / delta_max
-    return min(step, tight)
-
-
-def rk4_full_model(r: RamanConfig, basis: AtomicBasis, times, step: float | None = None):
-    """Fixed-step fourth-order integration of the time-dependent full model.
-
-    Returns the interaction-picture states at the sample times.  The step is
-    at most 1/50 of the fastest phase period, shrunk further to keep the
-    cumulative norm drift within 1e-8 over the horizon.
-    """
-    blocks, phases = _coupling_blocks(r, basis)
-    dense = [B.toarray() for B in blocks]
-    dense_dag = [B.conj().T for B in dense]
-    horizon = max(times)
-    norm_est = float(sum(np.abs(B).sum(axis=1).max() for B in dense)) * 2.0
-    if step is None:
-        step = _rk4_step_size(r, norm_est, horizon)
-
-    def apply_h(t, v):
-        out = np.zeros_like(v)
-        for B, Bd, ph in zip(dense, dense_dag, phases):
-            e = np.exp(1j * ph * t)
-            out += e * (B @ v) + np.conj(e) * (Bd @ v)
-        return out
-
-    psi = np.zeros(basis.dim, dtype=complex)
-    psi[basis.ground_index()] = 1.0
-    out = []
-    t = 0.0
-    for target in times:
-        gap = target - t
-        if gap < 0:
-            raise ValueError("sample times must be ascending")
-        if gap > 0:
-            nsub = max(1, int(math.ceil(gap / step - 1e-12)))
-            dt = gap / nsub
-            for _ in range(nsub):
-                k1 = -1j * apply_h(t, psi)
-                k2 = -1j * apply_h(t + dt / 2, psi + dt / 2 * k1)
-                k3 = -1j * apply_h(t + dt / 2, psi + dt / 2 * k2)
-                k4 = -1j * apply_h(t + dt, psi + dt * k3)
-                psi = psi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                t += dt
-        t = target
-        out.append(psi.copy())
-    drift = abs(np.linalg.norm(out[-1]) - 1.0)
-    if drift > 1e-8:
-        raise IntegrationError(f"fixed-step integration norm drift {drift:.3e} exceeds 1e-8")
-    return out
 
 
 def adiabatic_error(
@@ -344,7 +280,6 @@ def adiabatic_error(
     horizon: float,
     samples: int,
     excitation_cap: int = 2,
-    method: str = "exact",
 ):
     """Compare full-model and effective-model occupations from ``|g...g>|0,0>``.
 
@@ -353,13 +288,13 @@ def adiabatic_error(
     absolute full-vs-effective difference, the latter the peak population of
     the intermediate levels e1, e2.
 
-    ``method`` "exact" evolves the static-frame generator with
-    ``fock_dynamics._propagate`` (one ``eigh``, norm preserved to machine
-    precision); "rk4" uses the fixed-step integrator and is cross-checked
-    against "exact" in the test suite.  The effective model always takes
-    ``_propagate``.  Both models' samples are embedded as ``(samples, dim)``
-    stacks on the full basis, where the occupations and the e-level
-    population are array reductions and ``<c^dag c>`` is ``|c psi|^2``.
+    Both models evolve with ``fock_dynamics._propagate`` (one ``eigh``, norm
+    preserved to machine precision): the full model through its static-frame
+    generator, whose occupations are those of the interaction picture, and
+    the effective model directly.  Both models' samples are embedded as
+    ``(samples, dim)`` stacks on the full basis, where the occupations and
+    the e-level population are array reductions and ``<c^dag c>`` is
+    ``|c psi|^2``.
     """
     if r.n_atoms > 4:
         raise ValueError("adiabatic validation is desk-scale: n_atoms <= 4")
@@ -379,13 +314,7 @@ def adiabatic_error(
         out[:, index[block]] = amps
         return out
 
-    if method == "exact":
-        H = static_frame_hamiltonian(r, basis)
-        full = evolve(H, np.arange(basis.dim), basis.ground_index())
-    elif method == "rk4":
-        full = np.array(rk4_full_model(r, basis, times))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    full = evolve(static_frame_hamiltonian(r, basis), np.arange(basis.dim), basis.ground_index())
     sub, Heff = effective_few_atom_hamiltonian(r, basis)
     eff = evolve(Heff, np.array(sub.full_indices), sub.index[((_G,) * sub.n_atoms, 0, 0)])
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError
 from .moments import _SECTORS, _SWAP, _rates, drift_matrix, rightmost_eigenvalue
-from .params import DecayRates, coupling_pair, oscillation_rate
+from .params import DecayRates, coupling_pair
 
 __all__ = [
     "SpectrumResult",
@@ -44,8 +44,6 @@ class SpectrumResult:
     s_minus: np.ndarray
     minima: list  # [(omega, S)] local minima of s_plus
     regime_label: str  # "three-minima" | "single-broad" | "narrow"
-    theta: float | None = None
-    kappa: float | None = None
 
 
 def _input_coupling(d: DecayRates) -> np.ndarray:
@@ -164,10 +162,8 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
         raise NumericalError("squeezing spectrum dipped below zero beyond tolerance")
 
     minima = find_local_minima(omega, s_plus)
-    theta = oscillation_rate((xi1, xi2))
-    kappa = max(d.kappa1, d.kappa2)
-    result = SpectrumResult(omega, s_plus, s_minus, minima, "narrow", theta, kappa)
-    result.regime_label = classify_regime(result, theta if theta is not None else 0.0, kappa)
+    result = SpectrumResult(omega, s_plus, s_minus, minima, "narrow")
+    result.regime_label = classify_regime(result, max(d.kappa1, d.kappa2))
     return result
 
 
@@ -203,7 +199,7 @@ def find_local_minima(omega, s, min_separation=3):
     return [(float(omega[i]), float(s[i])) for i in merged]
 
 
-def classify_regime(result: SpectrumResult, theta: float, kappa: float) -> str:
+def classify_regime(result: SpectrumResult, kappa: float) -> str:
     """Regime label from the minima structure.
 
     "three-minima" for exactly three separated local minima; "single-broad"

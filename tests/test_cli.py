@@ -247,6 +247,13 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("feasibility", {"temperature_k": -1}),
     ("feasibility", {"temperature_k": 0}),
     ("feasibility", {"temperature_k": 0.1, "gamma_a_hz": -5}),
+    # grid sizes numpy refuses before allocating anything: 10**15 float64
+    # values (7 PiB) exceed the address space, the larger two overflow its size
+    ("evolve", {"r": 1.1, "theta_hz": 1e4, "num_samples": 10**15}),
+    ("evolve", {"r": 1.1, "theta_hz": 1e4, "num_samples": 2**62}),
+    ("evolve", {"r": 1.1, "theta_hz": 1e4, "num_samples": 10**30}),
+    ("spectrum", {**_SPECTRUM_BASE, "num_points": 10**15 + 1}),
+    ("spectrum", {**_SPECTRUM_BASE, "num_points": 10**30 + 1}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-r-below-1", "spectrum-negative-gamma-s",
@@ -255,7 +262,9 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
         "sweep-r-string", "sweep-r-below-1", "sweep-r-nan",
         "sweep-min-s-negative-theta", "sweep-negative-temperature", "sweep-suppression-zero-kappa",
         "sweep-t-pi-zero-theta", "sweep-t-pi-nan-theta", "feasibility-negative-temperature",
-        "feasibility-zero-temperature", "feasibility-negative-gamma-a"])
+        "feasibility-zero-temperature", "feasibility-negative-gamma-a",
+        "evolve-samples-1e15", "evolve-samples-2e62", "evolve-samples-1e30",
+        "spectrum-points-1e15", "spectrum-points-1e30"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     err = capsys.readouterr().err

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from mwsqueeze import fixtures, raman
+from mwsqueeze import fixtures, fock_dynamics, raman
 
 
 def preset_config(n_atoms=1, ratio=10.0):
@@ -40,7 +40,7 @@ class TestFullHamiltonian:
     @pytest.mark.parametrize("n_atoms, cap", [(1, 2), (2, 2), (2, 3)])
     def test_rotating_frame_of_static_generator(self, n_atoms, cap):
         # H(t) = e^{iAt} (H_s - A) e^{-iAt} with A = diag(H_s): the frame
-        # equivalence behind the "exact" route, checked without an integrator
+        # equivalence behind the static-frame route, checked without an integrator
         rng = np.random.default_rng(11)
         rc = raman.RamanConfig(0.9 + 0.2j, 1.1, 0.8 - 0.1j, 1.0, 11.0, 23.0, 0.4, n_atoms)
         basis = raman.AtomicBasis(n_atoms, cap)
@@ -51,19 +51,39 @@ class TestFullHamiltonian:
             H = raman.build_full_hamiltonian(rc, basis, t).toarray()
             assert np.max(np.abs(H - rotated)) < 1e-12
 
-    def test_static_frame_matches_rk4(self):
-        rc = fixtures.adiabatic_fixture_config(10)
-        ex = raman.adiabatic_error(rc, 25.0, 11, method="exact")
-        rk = raman.adiabatic_error(rc, 25.0, 11, method="rk4")
-        assert ex[0] == pytest.approx(rk[0], abs=1e-9)
-        assert ex[1] == pytest.approx(rk[1], abs=1e-9)
+    @pytest.mark.parametrize("horizon, samples", [(25, 11), (40, 5)])
+    def test_static_frame_matches_reference_integrator(self, horizon, samples):
+        # an adaptive DOP853 run of the time-dependent H(t) against the
+        # static-frame route: psi_I(t) = e^{iAt} psi_s(t), A = diag(H_s)
+        from scipy.integrate import solve_ivp
 
-    def test_rk4_norm_preserved(self):
         rc = fixtures.adiabatic_fixture_config(10)
         basis = raman.AtomicBasis(1, 2)
-        states = raman.rk4_full_model(rc, basis, np.linspace(0.0, 40.0, 5))
-        for psi in states:
-            assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
+        blocks, phases = raman._coupling_blocks(rc, basis)
+        dense = np.array([B.toarray() for B in blocks])
+        stack = np.concatenate([dense, dense.conj().transpose(0, 2, 1)])
+        rates = 1j * np.concatenate([phases, np.negative(phases)])
+
+        def rhs(t, psi):
+            return -1j * (np.tensordot(np.exp(rates * t), stack, 1) @ psi)
+
+        times = np.linspace(0.0, horizon, samples)
+        psi0 = np.zeros(basis.dim, dtype=complex)
+        psi0[basis.ground_index()] = 1.0
+        ref = solve_ivp(rhs, (0.0, horizon), psi0, method="DOP853", t_eval=times,
+                        rtol=1e-12, atol=1e-12).y.T
+
+        Hs = raman.static_frame_hamiltonian(rc, basis)
+        block, amps = fock_dynamics._propagate(Hs, psi0, times)
+        static = np.zeros((samples, basis.dim), dtype=complex)
+        static[:, block] = amps
+        a = Hs.diagonal().real
+        assert np.max(np.abs(np.exp(1j * np.outer(times, a)) * static - ref)) < 1e-9
+        assert np.max(np.abs(np.linalg.norm(static, axis=1) - 1.0)) < 1e-12
+
+        pe = basis.level_population_diagonal(raman._E1) + basis.level_population_diagonal(raman._E2)
+        epop = (np.abs(ref) ** 2 @ pe).max()
+        assert raman.adiabatic_error(rc, horizon, samples)[1] == pytest.approx(epop, abs=1e-9)
 
 
 class TestEffectiveCouplings:
@@ -186,3 +206,22 @@ def test_conserved_combination_commutes_with_full_model():
     N = np.diag(basis.conserved_combination_diagonal())
     H = raman.static_frame_hamiltonian(rc, basis).toarray()
     assert np.max(np.abs(H @ N - N @ H)) < 1e-12
+
+
+@pytest.mark.parametrize("n_atoms, cap", [(2, 2), (3, 2), (3, 3)])
+def test_operator_commutators_below_the_cap(n_atoms, cap):
+    # [c, c^dag] = (N_g - N_h)/N and [a_i, a_i^dag] = 1 on every state whose
+    # raising stays inside the basis (excitation below the cap)
+    basis = raman.AtomicBasis(n_atoms, cap)
+    below = [sum(l != raman._G for l in levels) + n1 + n2 < cap for levels, n1, n2 in basis.states]
+
+    def commutator(op):
+        op = op.toarray()
+        return (op @ op.conj().T - op.conj().T @ op)[:, below]
+
+    ng_nh = basis.level_population_diagonal(raman._G) - basis.level_population_diagonal(raman._H)
+    expected = np.diag(ng_nh / n_atoms)[:, below]
+    assert np.max(np.abs(commutator(basis.collective_flip()) - expected)) < 1e-14
+    for mode in (1, 2):
+        identity = np.eye(basis.dim)[:, below]
+        assert np.max(np.abs(commutator(basis.annihilator(mode)) - identity)) < 1e-14

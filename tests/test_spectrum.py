@@ -188,19 +188,19 @@ class TestClassifier:
             + np.exp(-((omega + 1) ** 2) / 0.02)
         )
         res = self._result(omega, s)
-        assert spec.classify_regime(res, 1.0, 0.1) == "three-minima"
+        assert spec.classify_regime(res, 0.1) == "three-minima"
 
     def test_single_broad_dip(self):
         omega = np.linspace(-3, 3, 601)
         s = 1 - 0.9 * np.exp(-(omega**2) / 2.0)
         res = self._result(omega, s)
-        assert spec.classify_regime(res, 1.0, 0.5) == "single-broad"
+        assert spec.classify_regime(res, 0.5) == "single-broad"
 
     def test_single_narrow_dip(self):
         omega = np.linspace(-3, 3, 601)
         s = 1 - 0.9 * np.exp(-(omega**2) / 0.001)
         res = self._result(omega, s)
-        assert spec.classify_regime(res, 1.0, 2.0) == "narrow"
+        assert spec.classify_regime(res, 2.0) == "narrow"
 
 
 class TestParseval:
