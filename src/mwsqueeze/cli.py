@@ -213,19 +213,16 @@ def _uncoupled_rows(times, *extra):
 def _route_analytic(couplings, times):
     if couplings is None:
         return _uncoupled_rows(times)
-    occ = closed_form.occupations_closed_form_grid(couplings, times)
+    occ = closed_form.occupations_closed_form(couplings, times)
     return _evolve_rows(times, couplings.theta, occ, closed_form.zeta12_closed_form_grid(occ))
 
 
 def _route_gaussian(couplings, times):
     M = moments.drift_matrix(couplings)
-    V = moments.evolve_moments(M, moments.vacuum_moments(), times).V
+    V = moments.evolve_moments(M, moments.vacuum_moments(), times)
     theta = couplings.theta if couplings is not None else 0.0
     return _evolve_rows(
-        times,
-        theta,
-        moments.occupations_from_moment_stack(V),
-        moments.zeta12_from_moment_stack(V),
+        times, theta, moments.occupations_from_moments(V), moments.zeta12_from_moments(V)
     )
 
 
@@ -353,7 +350,7 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
     points = cfg.get("num_points", 2001)
     if points < 11 or points % 2 == 0:
         raise ConfigError("num_points must be an odd integer >= 11")
-    theta = oscillation_rate(couplings)
+    theta = _physical(oscillation_rate, couplings)
     if theta is None:
         # uncoupled or non-oscillatory: the cavity linewidth sets the scale
         theta = kappa
@@ -492,7 +489,7 @@ def _validate_checks(cfg):
         tr3 = fdyn.evolve_state(
             fdyn.build_effective_hamiltonian(c3, lay3), vacuum_state(lay3), t3
         )
-    dev = np.abs(tr3.occupations - closed_form.occupations_closed_form_grid(c3, tr3.times)).max()
+    dev = np.abs(tr3.occupations - closed_form.occupations_closed_form(c3, tr3.times)).max()
     record("fock_vs_closed_form_occupations", dev, 1e-6)
 
     # Wick expansion vs brute-force Fock moments on closed-form states at
@@ -512,9 +509,9 @@ def _validate_checks(cfg):
     V = moments.evolve_moments(moments.drift_matrix(c11), moments.vacuum_moments(), [tpi])[0]
     occ = moments.occupations_from_moments(V)
     ref = closed_form.occupations_closed_form(c11, tpi)
-    record("gaussian_vs_closed_form_at_t_pi", max(abs(a - b) for a, b in zip(occ, ref)), 1e-6)
+    record("gaussian_vs_closed_form_at_t_pi", np.abs(occ - ref).max(), 1e-6)
     record("gaussian_zeta12_dip", abs(moments.zeta12_from_moments(V)), 1e-8)
-    record("commutator_offsets", max(abs(x - 1.0) for x in moments.commutator_offsets(V)), 1e-8)
+    record("commutator_offsets", np.abs(moments.commutator_offsets(V) - 1.0).max(), 1e-8)
 
     # spectrum calibration, symmetry, stability fixtures
     d = DecayRates.cavities(1.0)

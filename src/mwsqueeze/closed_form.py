@@ -19,7 +19,6 @@ from .params import EffectiveCouplings
 
 __all__ = [
     "occupations_closed_form",
-    "occupations_closed_form_grid",
     "zeta12_closed_form",
     "zeta12_closed_form_grid",
     "PropagatorAmplitudes",
@@ -34,8 +33,8 @@ __all__ = [
 ]
 
 
-def occupations_closed_form_grid(c: EffectiveCouplings, times) -> np.ndarray:
-    """Occupations ``(n1, n2, n3)`` of the closed dynamics from vacuum, as ``(len(times), 3)``.
+def occupations_closed_form(c: EffectiveCouplings, t) -> np.ndarray:
+    """Occupations ``(n1, n2, n3)`` of the closed dynamics from vacuum at a time or times ``t``.
 
     With ``theta = sqrt(|xi2|^2 - |xi1|^2)``::
 
@@ -43,25 +42,22 @@ def occupations_closed_form_grid(c: EffectiveCouplings, times) -> np.ndarray:
         n3 = (|xi1|^2 / theta^2) sin^2(theta t)
         n1 = n2 + n3
 
-    The trigonometric factors are taken per element with :mod:`math`, so a
-    sample's bits do not depend on the grid it is evaluated on.
+    Returns shape ``np.shape(t) + (3,)``.  The trigonometric factors are
+    taken per element with :mod:`math`, so a sample's bits do not depend on
+    the grid it is evaluated on.
     """
     x1 = abs(complex(c.xi1))
     x2 = abs(complex(c.xi2))
     th = c.theta
-    phase = (th * np.asarray(times, dtype=float)).tolist()
-    n2 = (x1 * x2 / th**2) ** 2 * np.array([(math.cos(p) - 1.0) ** 2 for p in phase])
-    n3 = (x1 / th) ** 2 * np.array([math.sin(p) ** 2 for p in phase])
-    return np.column_stack([n2 + n3, n2, n3])
-
-
-def occupations_closed_form(c: EffectiveCouplings, t: float):
-    """Occupations ``(n1, n2, n3)`` at one time; see :func:`occupations_closed_form_grid`."""
-    return tuple(occupations_closed_form_grid(c, [t])[0].tolist())
+    phase = th * np.asarray(t, dtype=float)
+    shape, p = np.shape(phase), np.ravel(phase).tolist()
+    n2 = (x1 * x2 / th**2) ** 2 * np.reshape([(math.cos(q) - 1.0) ** 2 for q in p], shape)
+    n3 = (x1 / th) ** 2 * np.reshape([math.sin(q) ** 2 for q in p], shape)
+    return np.stack([n2 + n3, n2, n3], axis=-1)
 
 
 def zeta12_closed_form_grid(occupations: np.ndarray) -> np.ndarray:
-    """Closed-form ``zeta12`` from the ``(n, 3)`` array of :func:`occupations_closed_form_grid`.
+    """Closed-form ``zeta12`` from the ``(n, 3)`` array of :func:`occupations_closed_form`.
 
     On the reachable subspace the conserved combination
     ``n2 - n1 + n3 = 0`` makes ``n1 - n2`` equal to the spin number operator,
@@ -83,7 +79,7 @@ def zeta12_closed_form_grid(occupations: np.ndarray) -> np.ndarray:
 
 def zeta12_closed_form(c: EffectiveCouplings, t: float) -> float:
     """``zeta12`` at one time; see :func:`zeta12_closed_form_grid`."""
-    return float(zeta12_closed_form_grid(occupations_closed_form_grid(c, [t]))[0])
+    return float(zeta12_closed_form_grid(occupations_closed_form(c, [t]))[0])
 
 
 @dataclass(frozen=True)

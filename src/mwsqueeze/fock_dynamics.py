@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -110,7 +110,6 @@ class Trajectory:
     zeta12: np.ndarray  # nan unless the layout has three modes
     leakage: np.ndarray  # total population with any mode at its top level
     norms: np.ndarray
-    warnings: list = field(default_factory=list)
 
 
 class _BlockStates(Sequence):
@@ -175,12 +174,7 @@ def _zeta12(p: np.ndarray, occ) -> np.ndarray:
     return np.where(vacuum, 1.0, var / np.where(vacuum, 1.0, den))
 
 
-def evolve_state(
-    H: FockOperator,
-    psi0: FockState,
-    times,
-    leakage_threshold: float = _LEAKAGE_THRESHOLD,
-) -> Trajectory:
+def evolve_state(H: FockOperator, psi0: FockState, times) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
     Every sample comes from one stacked eigenbasis product
@@ -199,8 +193,6 @@ def evolve_state(
         Initial state on the same layout.
     times : sequence of float
         Sorted ascending, starting at 0.
-    leakage_threshold : float
-        Top-level population above which a truncation warning is attached.
 
     Raises
     ------
@@ -236,14 +228,14 @@ def evolve_state(
         leakage,
         norms,
     )
-    over = np.flatnonzero(leakage > leakage_threshold)
+    over = np.flatnonzero(leakage > _LEAKAGE_THRESHOLD)
     if over.size:
-        msg = (
-            f"top-level population {leakage[over[0]]:.3e} exceeded {leakage_threshold:g} "
-            f"at t={times[over[0]]:.6g}; truncation may bias observables"
+        warnings.warn(
+            f"top-level population {leakage[over[0]]:.3e} exceeded {_LEAKAGE_THRESHOLD:g} "
+            f"at t={times[over[0]]:.6g}; truncation may bias observables",
+            TruncationWarning,
+            stacklevel=2,
         )
-        traj.warnings.append(msg)
-        warnings.warn(msg, TruncationWarning, stacklevel=2)
     return traj
 
 

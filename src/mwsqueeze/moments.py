@@ -12,15 +12,15 @@ propagator is an exact quadratic in the drift matrix, so ``zeta12``, a
 difference of O(n^2) Wick terms divided by O(n), is off at ``T_pi`` by no
 more than a few ``n eps``: the rounding of the Wick subtraction itself.
 
-Observables are computed on whole ``(n, 6, 6)`` stacks; the per-matrix
-functions are the one-sample case of the stacked ones.
+A moment matrix is a plain complex ``(6, 6)`` array, and a trajectory is the
+``(n, 6, 6)`` stack of its samples.  Each observable is one function that takes
+one matrix or any stack ``(..., 6, 6)`` and returns ``(...)`` or ``(..., 3)``;
+its per-element arithmetic gives a sample the same bits in every stack.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .fock import FockState
 from .params import COUPLING_TERMS, CONSERVED_CHARGE, DecayRates, coupling_pair
 
 __all__ = [
-    "MomentMatrix",
-    "MomentTrajectory",
     "vacuum_moments",
     "drift_matrix",
     "diffusion_matrix",
@@ -38,9 +36,7 @@ __all__ = [
     "evolve_moments",
     "steady_state_moments",
     "occupations_from_moments",
-    "occupations_from_moment_stack",
     "zeta12_from_moments",
-    "zeta12_from_moment_stack",
     "commutator_offsets",
     "moments_from_fock_state",
 ]
@@ -52,44 +48,6 @@ _CHARGE = np.ravel([(-q, q) for q in CONSERVED_CHARGE])
 _SECTORS = [np.flatnonzero(_CHARGE == q) for q in sorted(set(_CHARGE.tolist()))]
 # samples propagated and validated per stacked call, bounding the temporaries
 _BLOCK = 1024
-
-
-@dataclass(frozen=True)
-class MomentMatrix:
-    """A 6x6 second-moment matrix ``<v v^dag>`` tagged with its time."""
-
-    V: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        V = np.asarray(self.V, dtype=complex)
-        if V.shape != (6, 6):
-            raise ValueError("moment matrix must be 6x6")
-        object.__setattr__(self, "V", V)
-
-    def validate(self, tol: float = 1e-10):
-        """Check Hermiticity and positive semidefiniteness within ``tol``."""
-        _validate_stack(self.V[None], tol)
-
-
-@dataclass(frozen=True)
-class MomentTrajectory(Sequence):
-    """Moment matrices at a grid of times: the ``(n, 6, 6)`` stack ``V`` and the times ``t``.
-
-    An index gives the :class:`MomentMatrix` of one sample, a view into
-    ``V``; a slice gives a shorter trajectory.
-    """
-
-    V: np.ndarray
-    t: np.ndarray
-
-    def __len__(self):
-        return len(self.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return MomentTrajectory(self.V[i], self.t[i])
-        return MomentMatrix(self.V[i], float(self.t[i]))
 
 
 def _validate_stack(V, tol):
@@ -113,11 +71,11 @@ def _validate_stack(V, tol):
         raise NumericalError(f"moment matrix not PSD: min eigenvalue {lo[i]:.3e}")
 
 
-def vacuum_moments() -> MomentMatrix:
+def vacuum_moments() -> np.ndarray:
     """Moment matrix of the three-mode vacuum: ``<a a^dag> = 1``, all else 0."""
     V = np.zeros((6, 6), dtype=complex)
     V[0, 0] = V[2, 2] = V[4, 4] = 1.0
-    return MomentMatrix(V, 0.0)
+    return V
 
 
 def _rates(d: DecayRates) -> np.ndarray:
@@ -206,39 +164,38 @@ def _van_loan(M, D, t):
     return F, Q
 
 
-def evolve_moments(M: np.ndarray, V0: MomentMatrix, times, diffusion=None) -> MomentTrajectory:
-    """Propagate ``dV/dt = M V + V M^dag + D`` from ``V0`` at each sample time.
+def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.ndarray:
+    """Propagate ``dV/dt = M V + V M^dag + D`` from ``V0`` at ``t = 0`` to each sample time.
 
     The closed case (no diffusion, and ``M^3 = -theta^2 M`` as for every
     undamped drift) is ``V(t) = E V0 E^dag`` with the exact quadratic
     ``E = exp(M t)`` of :func:`_putzer`; any other drift takes one Van Loan
     block exponential per sample.  Samples are propagated and validated as
-    stacks of ``_BLOCK`` into one ``(n, 6, 6)`` array, returned as a
-    :class:`MomentTrajectory`.
+    stacks of ``_BLOCK`` into the returned ``(n, 6, 6)`` array.
     """
     M = np.asarray(M, dtype=complex)
-    t0 = V0.t
-    rel = np.asarray(times, dtype=float) - t0
-    if np.any(rel < 0):
-        raise ValueError("sample times must not precede the initial time")
+    V0 = np.asarray(V0, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    if np.any(times < 0):
+        raise ValueError("sample times must not be negative")
 
     D = np.zeros_like(M) if diffusion is None else np.asarray(diffusion, dtype=complex)
     propagate = _putzer(M) if not D.any() else None
-    out = np.empty((len(rel), 6, 6), dtype=complex)
-    for lo in range(0, len(rel), _BLOCK):
-        t = rel[lo:lo + _BLOCK]
+    out = np.empty((len(times), 6, 6), dtype=complex)
+    for lo in range(0, len(times), _BLOCK):
+        t = times[lo:lo + _BLOCK]
         if propagate is not None:
             E = propagate(t)
-            block = E @ V0.V @ E.conj().swapaxes(1, 2)
+            block = E @ V0 @ E.conj().swapaxes(1, 2)
         else:
             pairs = [_van_loan(M, D, dt) for dt in t]
-            block = np.array([F @ V0.V @ F.conj().T + Q for F, Q in pairs])
+            block = np.array([F @ V0 @ F.conj().T + Q for F, Q in pairs])
         _validate_stack(block, 1e-8 * np.maximum(1.0, np.abs(block).max(axis=(1, 2))))
         out[lo:lo + _BLOCK] = block
-    return MomentTrajectory(out, t0 + rel)
+    return out
 
 
-def steady_state_moments(M: np.ndarray, diffusion: np.ndarray) -> MomentMatrix:
+def steady_state_moments(M: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """Solve ``M V + V M^dag + D = 0`` for the steady-state moment matrix."""
     M = np.asarray(M, dtype=complex)
     abscissa = float(rightmost_eigenvalue(M).real)
@@ -249,22 +206,16 @@ def steady_state_moments(M: np.ndarray, diffusion: np.ndarray) -> MomentMatrix:
         )
     import scipy.linalg
 
-    V = scipy.linalg.solve_sylvester(M, M.conj().T, -np.asarray(diffusion, dtype=complex))
-    return MomentMatrix(V, float("inf"))
+    return scipy.linalg.solve_sylvester(M, M.conj().T, -np.asarray(diffusion, dtype=complex))
 
 
-def occupations_from_moment_stack(V: np.ndarray) -> np.ndarray:
-    """Normally ordered occupations ``(n1, n2, n3)`` of each matrix of a ``(n, 6, 6)`` stack, as ``(n, 3)``."""
-    n = V[:, [1, 3, 5], [1, 3, 5]].real
+def occupations_from_moments(V) -> np.ndarray:
+    """Normally ordered occupations ``(n1, n2, n3)`` of a moment matrix or stack: ``(..., 6, 6) -> (..., 3)``."""
+    n = np.asarray(V)[..., [1, 3, 5], [1, 3, 5]].real
     bad = n < -1e-10
     if bad.any():
         raise NumericalError(f"negative occupation {n[bad][0]:.3e} from moment matrix")
     return n
-
-
-def occupations_from_moments(V: MomentMatrix):
-    """Normally ordered occupations ``(n1, n2, n3)`` read off the moment matrix."""
-    return tuple(occupations_from_moment_stack(V.V[None])[0].tolist())
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
@@ -274,11 +225,11 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     the last bit for about one value in a thousand, which would make
     ``zeta12`` depend on whether it was computed alone or in a stack.
     """
-    return np.array([math.pow(abs(x), 2.0) for x in z.tolist()])
+    return np.array([math.pow(abs(x), 2.0) for x in z.ravel().tolist()]).reshape(z.shape)
 
 
-def zeta12_from_moment_stack(V: np.ndarray) -> np.ndarray:
-    """Relative number squeezing of each matrix of a ``(n, 6, 6)`` stack of zero-mean Gaussian states.
+def zeta12_from_moments(V) -> np.ndarray:
+    """Relative number squeezing of a zero-mean Gaussian moment matrix or stack: ``(..., 6, 6) -> (...)``.
 
     The fourth moments in ``Var(n1 - n2)`` factorize by Wick's theorem into::
 
@@ -290,35 +241,30 @@ def zeta12_from_moment_stack(V: np.ndarray) -> np.ndarray:
     This expansion is unit-tested against a brute-force Fock computation.
     Returns 1 by convention where the denominator is below 1e-14.
     """
-    n1 = V[:, 1, 1].real
-    n2 = V[:, 3, 3].real
-    m1 = _abs2(V[:, 0, 1])  # <a1 a1>
-    m2 = _abs2(V[:, 2, 3])  # <a2 a2>
-    c12 = _abs2(V[:, 0, 3])  # <a1 a2>
-    d12 = _abs2(V[:, 1, 3])  # <a1^dag a2>
+    V = np.asarray(V)
+    n1 = V[..., 1, 1].real
+    n2 = V[..., 3, 3].real
+    m1 = _abs2(V[..., 0, 1])  # <a1 a1>
+    m2 = _abs2(V[..., 2, 3])  # <a2 a2>
+    c12 = _abs2(V[..., 0, 3])  # <a1 a2>
+    d12 = _abs2(V[..., 1, 3])  # <a1^dag a2>
     num = n1 * (n1 + 1.0) + n2 * (n2 + 1.0) + m1 + m2 - 2.0 * c12 - 2.0 * d12
     den = n1 + n2
-    out = np.ones(len(den))
-    keep = ~(den < 1e-14)
-    out[keep] = num[keep] / den[keep]
-    return out
+    out = np.ones(np.shape(den))
+    np.divide(num, den, out=out, where=~(den < 1e-14))
+    return out[()]  # a numpy scalar for one matrix
 
 
-def zeta12_from_moments(V: MomentMatrix) -> float:
-    """``zeta12`` of one moment matrix; see :func:`zeta12_from_moment_stack`."""
-    return float(zeta12_from_moment_stack(V.V[None])[0])
+def commutator_offsets(V) -> np.ndarray:
+    """``<[a_i, a_i^dag]>`` per mode of a moment matrix or stack: ``(..., 6, 6) -> (..., 3)``.
 
-
-def commutator_offsets(V: MomentMatrix):
-    """``<[a_i, a_i^dag]>`` reconstructed from the moment matrix, per mode.
-
-    Equals (1, 1, 1) for canonical closed evolution.
+    Equals 1 for canonical closed evolution.
     """
-    M = V.V
-    return tuple(float((M[2 * i, 2 * i] - M[2 * i + 1, 2 * i + 1]).real) for i in range(3))
+    V = np.asarray(V)
+    return (V[..., [0, 2, 4], [0, 2, 4]] - V[..., [1, 3, 5], [1, 3, 5]]).real
 
 
-def moments_from_fock_state(state: FockState) -> MomentMatrix:
+def moments_from_fock_state(state: FockState) -> np.ndarray:
     """Extract the 6x6 moment matrix from a three-mode Fock-space state.
 
     Brute-force expectation values of all ``v_j v_k^dag`` pairs; this is the
@@ -340,4 +286,4 @@ def moments_from_fock_state(state: FockState) -> MomentMatrix:
     for j in range(6):
         for k in range(6):
             V[j, k] = np.vdot(applied[j], applied[k])
-    return MomentMatrix(V, float("nan"))
+    return V

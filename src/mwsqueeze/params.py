@@ -20,6 +20,13 @@ COUPLING_TERMS = (("pair", 0, 2), ("exchange", 1, 2))
 CONSERVED_CHARGE = (-1, 1, 1)
 
 
+def _check_squares(xi1: complex, xi2: complex):
+    """Refuse a rate whose square is not a finite double: theta and the closed form square them."""
+    for name, x in (("xi1", abs(xi1)), ("xi2", abs(xi2))):
+        if not x * x < math.inf:
+            raise ValueError(f"|{name}| = {x:g} rad/s is too large: its square overflows a double")
+
+
 def coupling_pair(c):
     """Resolve a couplings argument to a raw ``(xi1, xi2)`` complex pair.
 
@@ -31,14 +38,19 @@ def coupling_pair(c):
         return 0.0 + 0.0j, 0.0 + 0.0j
     if isinstance(c, EffectiveCouplings):
         return complex(c.xi1), complex(c.xi2)
-    xi1, xi2 = c
-    return complex(xi1), complex(xi2)
+    xi1, xi2 = (complex(xi) for xi in c)
+    _check_squares(xi1, xi2)
+    return xi1, xi2
 
 
 def oscillation_rate(c) -> float | None:
-    """``theta = sqrt(|xi2|^2 - |xi1|^2)`` of a couplings argument, or None when ``|xi2| <= |xi1|``."""
+    """``theta = sqrt(|xi2|^2 - |xi1|^2)`` of a couplings argument, or None unless ``theta^2 > 0``.
+
+    ``theta^2`` can underflow to 0 although ``|xi2| > |xi1|``; that is None too.
+    """
     x1, x2 = (abs(xi) for xi in coupling_pair(c))
-    return math.sqrt(x2**2 - x1**2) if x2 > x1 else None
+    theta2 = x2**2 - x1**2
+    return math.sqrt(theta2) if theta2 > 0 else None
 
 
 @dataclass(frozen=True)
@@ -48,7 +60,8 @@ class EffectiveCouplings:
     ``xi1`` is the pair-creation (cavity 1 <-> spin) rate and ``xi2`` the
     excitation-exchange (cavity 2 <-> spin) rate.  ``|xi2| > |xi1| > 0`` is
     required so that the oscillation rate ``theta = sqrt(|xi2|^2 - |xi1|^2)``
-    is real and the target two-mode squeezed state is normalizable.
+    is real and the target two-mode squeezed state is normalizable; rates
+    whose squares overflow, or make ``theta`` underflow to 0, are refused.
     """
 
     xi1: complex
@@ -60,6 +73,11 @@ class EffectiveCouplings:
             raise ValueError("|xi1| must be positive")
         if not x2 > x1:
             raise ValueError(f"|xi2| must exceed |xi1|, got |xi1|={x1:g}, |xi2|={x2:g}")
+        _check_squares(complex(self.xi1), complex(self.xi2))
+        if self.theta is None:
+            raise ValueError(
+                f"theta = sqrt(|xi2|^2 - |xi1|^2) underflows to 0 at |xi1|={x1:g}, |xi2|={x2:g}"
+            )
 
     @property
     def r(self) -> float:

@@ -176,12 +176,14 @@ def _smooth3(y):
 # S is shot-noise normalised, so a flat spectrum sits at 1 up to a few ulps;
 # a dip shallower than this against both smoothed neighbours is rounding
 _DIP_FLOOR = 1e-12
+# local minima closer than this many grid steps count as one dip
+_MIN_SEPARATION = 3
 
 
-def find_local_minima(omega, s, min_separation=3):
+def find_local_minima(omega, s):
     """Three-point local minima, deeper than ``_DIP_FLOOR``, after light smoothing over 3 samples.
 
-    Minima closer than ``min_separation`` grid steps are merged, keeping the
+    Minima closer than ``_MIN_SEPARATION`` grid steps are merged, keeping the
     deepest.  Returns ``[(omega, S)]`` with S read off the unsmoothed curve.
     """
     y = _smooth3(np.asarray(s, dtype=float))
@@ -191,7 +193,7 @@ def find_local_minima(omega, s, min_separation=3):
     ]
     merged = []
     for i in idx:
-        if merged and i - merged[-1] < min_separation:
+        if merged and i - merged[-1] < _MIN_SEPARATION:
             if s[i] < s[merged[-1]]:
                 merged[-1] = i
         else:

@@ -294,7 +294,7 @@ def test_criterion_08_spectrum_sanity(spectrum_runs):
     c, d, _, _ = spectrum_runs[1.0]
     M = mom.drift_matrix(c, d)
     D = mom.diffusion_matrix(d)
-    V_time = mom.evolve_moments(M, mom.vacuum_moments(), [80.0], diffusion=D)[0].V
+    V_time = mom.evolve_moments(M, mom.vacuum_moments(), [80.0], diffusion=D)[0]
     V_spec = spec.spectral_moment_integral(c, d, omega_max=80.0, points=16001)
     parseval = float(np.max(np.abs(V_spec - V_time)) / np.max(np.abs(V_time)))
     ok = worst_sym <= 1e-8 and parseval <= 0.01

@@ -107,6 +107,15 @@ class TestSpectrum:
         _, cols = read_csv(out / "spectrum.csv")
         assert np.max(np.abs(cols["s_plus"] - 1.0)) <= 1e-10
 
+    def test_underflowing_raw_pair_takes_the_linewidth_scale(self, tmp_path):
+        # |xi2|^2 - |xi1|^2 underflows to 0: no oscillation rate, so omega is in units of kappa
+        code, out = run(tmp_path, "spectrum", {
+            "xi1_hz": 1e-200, "xi2_hz": 2e-200, "kappa_hz": 7e3, "gamma_s_hz": 7e3, "num_points": 101,
+        })
+        assert code == 0
+        summary = json.loads((out / "spectrum_summary.json").read_text())
+        assert summary["omega_unit_rad_s"] == summary["kappa_rad_s"]
+
     def test_flat_spectrum_reports_no_minima(self, tmp_path):
         # the uncoupled spectrum is 1 to within a few ulps; rounding is no dip
         code, out = run(tmp_path, "spectrum", {
@@ -254,6 +263,16 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("evolve", {"r": 1.1, "theta_hz": 1e4, "num_samples": 10**30}),
     ("spectrum", {**_SPECTRUM_BASE, "num_points": 10**15 + 1}),
     ("spectrum", {**_SPECTRUM_BASE, "num_points": 10**30 + 1}),
+    # a coupling rate whose square overflows a double (theta and the closed form square it)
+    ("spectrum", {"xi1_hz": 1, "xi2_hz": 1e160, "kappa_hz": 7000, "num_points": 101}),
+    ("spectrum", {**_SPECTRUM_BASE, "theta_over_kappa": 1e160}),
+    ("evolve", {"xi1_hz": 1, "xi2_hz": 1e160}),
+    ("evolve", {"route": "analytic", "xi1_hz": 1, "xi2_hz": 1e160, "t_final_s": 1e-3}),
+    ("evolve", {"r": 1.1, "theta_hz": 1e160}),
+    ("sweep", {"outputs": ["min_s"], "r": 1.1, "theta_over_kappa_values": [1e160], "kappa_hz": 7e3}),
+    # rates so small that |xi2|^2 - |xi1|^2 underflows, so theta and 1 / T_pi are 0
+    ("evolve", {"xi1_hz": 1e-200, "xi2_hz": 2e-200}),
+    ("evolve", {"r": 1.1, "theta_hz": 1e-300}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-r-below-1", "spectrum-negative-gamma-s",
@@ -264,7 +283,10 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
         "sweep-t-pi-zero-theta", "sweep-t-pi-nan-theta", "feasibility-negative-temperature",
         "feasibility-zero-temperature", "feasibility-negative-gamma-a",
         "evolve-samples-1e15", "evolve-samples-2e62", "evolve-samples-1e30",
-        "spectrum-points-1e15", "spectrum-points-1e30"])
+        "spectrum-points-1e15", "spectrum-points-1e30",
+        "spectrum-raw-xi-overflow", "spectrum-theta-overflow", "evolve-gaussian-xi-overflow",
+        "evolve-analytic-xi-overflow", "evolve-theta-overflow", "sweep-theta-overflow",
+        "evolve-xi-underflow", "evolve-theta-underflow"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     err = capsys.readouterr().err
@@ -365,7 +387,13 @@ class TestArrayRowsKeepPerSampleBits:
         times = np.linspace(0.0, 2.0 * cf.t_pi(c), 2001)
         Vs = mom.evolve_moments(mom.drift_matrix(c), mom.vacuum_moments(), times)
         assert cols["zeta12"].tolist() == [mom.zeta12_from_moments(V) for V in Vs]
-        assert cols["zeta12"].tolist() == [_scalar_wick(V.V) for V in Vs]
+        assert cols["zeta12"].tolist() == [_scalar_wick(V) for V in Vs]
+        # any (..., 6, 6) stack: an (a, b, 6, 6) grid of the same samples keeps their bits
+        grid = Vs.reshape(69, 29, 6, 6)
+        assert mom.zeta12_from_moments(grid).shape == (69, 29)
+        assert mom.zeta12_from_moments(grid).tobytes() == mom.zeta12_from_moments(Vs).tobytes()
+        assert mom.occupations_from_moments(grid).shape == (69, 29, 3)
+        assert mom.occupations_from_moments(grid).tobytes() == mom.occupations_from_moments(Vs).tobytes()
 
     @pytest.mark.parametrize("r,samples", [(1.001, 2001), (4.0, 161)])
     def test_route_all_summary(self, tmp_path, r, samples):

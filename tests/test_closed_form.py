@@ -16,7 +16,7 @@ def couplings(r, theta=1.0):
 
 class TestOccupations:
     def test_zero_time(self):
-        assert cf.occupations_closed_form(couplings(2.0), 0.0) == (0.0, 0.0, 0.0)
+        assert tuple(cf.occupations_closed_form(couplings(2.0), 0.0)) == (0.0, 0.0, 0.0)
 
     def test_at_t_pi(self):
         c = couplings(2.0)
@@ -38,6 +38,18 @@ class TestOccupations:
             n1, n2, n3 = cf.occupations_closed_form(c, t)
             assert n1 == pytest.approx(n2 + n3, rel=1e-12, abs=1e-14)
             assert n1 >= 0 and n2 >= 0 and n3 >= 0
+
+    def test_scalar_time_is_a_row_of_the_grid(self):
+        # shape np.shape(t) + (3,), and a sample's bits do not depend on the grid
+        c = couplings(1.3)
+        times = np.linspace(0.0, 2.5 * cf.t_pi(c), 37)
+        grid = cf.occupations_closed_form(c, times)
+        assert grid.shape == (37, 3)
+        assert cf.occupations_closed_form(c, times.reshape(37, 1)).shape == (37, 1, 3)
+        for i, t in enumerate(times):
+            row = cf.occupations_closed_form(c, t)
+            assert row.shape == (3,)
+            assert row.tobytes() == grid[i].tobytes()
 
 
 class TestEvolvedAmplitudes:

@@ -121,8 +121,7 @@ class TestEvolution:
         lay = ModeLayout((3, 3, 3))
         H = fdyn.build_effective_hamiltonian(c, lay)
         with pytest.warns(TruncationWarning):
-            traj = fdyn.evolve_state(H, vacuum_state(lay), [0.0, cf.t_pi(c)])
-        assert traj.warnings
+            fdyn.evolve_state(H, vacuum_state(lay), [0.0, cf.t_pi(c)])
 
     def test_time_grid_validation(self):
         c = couplings(2.0)

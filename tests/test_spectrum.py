@@ -210,7 +210,7 @@ class TestParseval:
         M = mom.drift_matrix(c, d)
         D = mom.diffusion_matrix(d)
         # steady state by integrating the moment equation to convergence
-        V_time = mom.evolve_moments(M, mom.vacuum_moments(), [80.0], diffusion=D)[0].V
+        V_time = mom.evolve_moments(M, mom.vacuum_moments(), [80.0], diffusion=D)[0]
         V_spec = spec.spectral_moment_integral(c, d, omega_max=80.0, points=16001)
         scale = np.max(np.abs(V_time))
         assert np.max(np.abs(V_spec - V_time)) <= 0.01 * scale
