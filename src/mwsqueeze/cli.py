@@ -17,6 +17,7 @@ route, the validation suite) are imported by the commands that use them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import __version__, closed_form, feasibility, moments, spectrum
 from .errors import ConfigError, IntegrationError, NumericalError, StabilityError
-from .fock import ModeLayout, vacuum_state
+from .fock import FockOperator, ModeLayout, vacuum_state
 from .params import DecayRates, EffectiveCouplings, oscillation_rate
 
 TWO_PI = 2.0 * math.pi
@@ -375,33 +376,20 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
 def run_feasibility(cfg: dict, outdir: Path) -> int:
     preset = feasibility.rb_preset()
     payload = {
-        "rb_preset": {
-            "collective_coupling_over_2pi_range_hz": list(preset.collective_coupling_over_2pi_range),
-            "kappa_over_2pi_hz": preset.kappa_over_2pi,
-            "hyperfine_freq_hz": preset.hyperfine_freq,
-            "rabi_ratio": preset.rabi_ratio,
-            "dispersive_ratio": preset.dispersive_ratio,
-            "theta_over_2pi_hz": preset.theta_over_2pi,
-            "collective_coupling_over_2pi_hz": preset.collective_coupling_over_2pi,
-            "xi1_over_2pi_hz": preset.xi1_over_2pi,
-            "xi2_over_2pi_hz": preset.xi2_over_2pi,
-            "t_pi_s": preset.t_pi,
-            "epsilon": preset.epsilon,
-            "photons_per_mode": preset.photons_per_mode,
-        },
-        "crossover_temperature_k": feasibility.crossover_temperature(preset.hyperfine_freq),
+        "rb_preset": dataclasses.asdict(preset),
+        "crossover_temperature_k": feasibility.crossover_temperature(preset.hyperfine_freq_hz),
     }
     if "temperature_k" in cfg:
         temp = cfg["temperature_k"]
-        n_th = _physical(feasibility.thermal_occupation, preset.hyperfine_freq, temp)
-        kappa = TWO_PI * preset.kappa_over_2pi
+        n_th = _physical(feasibility.thermal_occupation, preset.hyperfine_freq_hz, temp)
+        kappa = TWO_PI * preset.kappa_over_2pi_hz
         block = {
             "temperature_k": temp,
             "n_thermal": n_th,
             "heating_rate_over_2pi_hz": feasibility.heating_rate(kappa, n_th) / TWO_PI,
         }
         if "gamma_a_hz" in cfg:
-            g_coll = TWO_PI * preset.collective_coupling_over_2pi
+            g_coll = TWO_PI * preset.collective_coupling_over_2pi_hz
             gamma_c = _physical(feasibility.absorption_rate, g_coll, 1.0, TWO_PI * cfg["gamma_a_hz"])
             block["absorption_rate_over_2pi_hz"] = gamma_c / TWO_PI
             block["thermal_suppression"] = feasibility.thermal_suppression(kappa, gamma_c)
@@ -457,7 +445,8 @@ def _validate_checks(cfg):
     if corrupt:
         # test-harness hook: turn the exchange term into pair creation,
         # which stays Hermitian but breaks the conserved combination
-        H = fdyn._hamiltonian(c2, small, (0, 1, 2), (("pair", 0, 2), ("pair", 1, 2)))
+        ops = [mode_annihilator(small, m).matrix for m in range(3)]
+        H = FockOperator(fdyn._hamiltonian(c2, ops, (("pair", 0, 2), ("pair", 1, 2))), small)
     else:
         H = fdyn.build_effective_hamiltonian(c2, small)
     elem = H.matrix[small.index((1, 0, 1)), small.index((0, 0, 0))]

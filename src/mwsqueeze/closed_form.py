@@ -98,7 +98,6 @@ class PropagatorAmplitudes:
     alpha1: float
     alpha2: float
     exp_alpha4: float
-    t: float
 
 
 def propagator_amplitudes(c: EffectiveCouplings, t: float) -> PropagatorAmplitudes:
@@ -108,7 +107,6 @@ def propagator_amplitudes(c: EffectiveCouplings, t: float) -> PropagatorAmplitud
         alpha1=sign * math.sqrt(n3 / (1.0 + n1)),
         alpha2=math.sqrt(n2 / (1.0 + n1)),
         exp_alpha4=1.0 / math.sqrt(1.0 + n1),
-        t=t,
     )
 
 
@@ -181,10 +179,14 @@ def tmss_amplitudes(r: float, n_max: int) -> np.ndarray:
 
 
 def squeezing_parameter(r: float) -> float:
-    """Two-mode squeezing degree ``atanh(2r / (1 + r^2))``."""
+    """Two-mode squeezing degree ``atanh(2r / (1 + r^2))``.
+
+    Evaluated as ``log1p(4r / (r - 1)^2) / 2``, which keeps its digits as
+    r -> 1+, where ``2r / (1 + r^2)`` rounds toward 1.
+    """
     if r <= 1:
         raise ValueError("r must exceed 1")
-    return math.atanh(2.0 * r / (1.0 + r * r))
+    return 0.5 * math.log1p(4.0 * r / ((r - 1.0) * (r - 1.0)))
 
 
 def t_pi(c: EffectiveCouplings) -> float:
@@ -203,13 +205,20 @@ def suggest_cavity_cutoff(r: float, tail_mass: float = 1e-10) -> int:
     """Smallest cavity ``n_max`` whose geometric target-state tail is below ``tail_mass``.
 
     Uses ``n_max >= log(tail_mass) / log(q)`` with ``q = (2r/(1+r^2))^2``.
+    Near r = 1, ``log q`` is ``2 log1p(-d)`` with ``d = 1 - 2r/(1+r^2) =
+    (r-1)^2/(1+r^2)``, which does not round to 0.
     """
     if r <= 1:
         raise ValueError("r must exceed 1")
     if not 0 < tail_mass < 1:
         raise ValueError("tail_mass must lie in (0, 1)")
-    q = (2.0 * r / (1.0 + r * r)) ** 2
-    return int(math.ceil(math.log(tail_mass) / math.log(q)))
+    d = (r - 1.0) * (r - 1.0) / (1.0 + r * r)
+    if d < 0.5:
+        log_q = 2.0 * math.log1p(-d)
+    else:
+        q = 2.0 * r / (1.0 + r * r)
+        log_q = math.log(q * q)
+    return int(math.ceil(math.log(tail_mass) / log_q))
 
 
 def suggest_spin_cutoff(r: float, tail_mass: float = 1e-10) -> int:

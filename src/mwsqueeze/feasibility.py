@@ -2,8 +2,9 @@
 
 Rates are angular (rad/s) internally; everything user-facing in this module
 speaks ordinary frequency (Hz) with explicit ``/2pi`` conversion at the
-boundary, which is why all public field names carry an ``_over_2pi`` or
-``_hz`` suffix.
+boundary, which is why every dimensioned field name carries its unit
+(``_hz`` or ``_s``); the ``feasibility`` command writes the fields under
+these names.
 """
 
 from __future__ import annotations
@@ -90,17 +91,17 @@ class ExperimentPreset:
     """
 
     # primaries
-    collective_coupling_over_2pi_range: tuple  # Hz, (low, high)
-    kappa_over_2pi: float  # Hz
-    hyperfine_freq: float  # Hz
+    collective_coupling_over_2pi_range_hz: tuple  # (low, high)
+    kappa_over_2pi_hz: float
+    hyperfine_freq_hz: float
     rabi_ratio: float  # r = |xi2/xi1|
     dispersive_ratio: float  # Delta / g
-    theta_over_2pi: float  # Hz, pinned outcome
+    theta_over_2pi_hz: float  # pinned outcome
     # derived
-    collective_coupling_over_2pi: float  # Hz, back-solved from theta
-    xi1_over_2pi: float  # Hz
-    xi2_over_2pi: float  # Hz
-    t_pi: float  # s
+    collective_coupling_over_2pi_hz: float  # back-solved from theta
+    xi1_over_2pi_hz: float
+    xi2_over_2pi_hz: float
+    t_pi_s: float
     epsilon: float
     photons_per_mode: float
 
@@ -124,16 +125,16 @@ def rb_preset() -> ExperimentPreset:
     xi2 = abs(couplings.xi2)
     collective = xi1 * dispersive  # rad/s
     return ExperimentPreset(
-        collective_coupling_over_2pi_range=(40e3, 400e3),
-        kappa_over_2pi=7e3,
-        hyperfine_freq=6.83e9,
+        collective_coupling_over_2pi_range_hz=(40e3, 400e3),
+        kappa_over_2pi_hz=7e3,
+        hyperfine_freq_hz=6.83e9,
         rabi_ratio=r,
         dispersive_ratio=dispersive,
-        theta_over_2pi=theta_over_2pi,
-        collective_coupling_over_2pi=collective / TWO_PI,
-        xi1_over_2pi=xi1 / TWO_PI,
-        xi2_over_2pi=xi2 / TWO_PI,
-        t_pi=closed_form.t_pi(couplings),
+        theta_over_2pi_hz=theta_over_2pi,
+        collective_coupling_over_2pi_hz=collective / TWO_PI,
+        xi1_over_2pi_hz=xi1 / TWO_PI,
+        xi2_over_2pi_hz=xi2 / TWO_PI,
+        t_pi_s=closed_form.t_pi(couplings),
         epsilon=closed_form.squeezing_parameter(r),
         photons_per_mode=closed_form.photons_per_mode_at_t_pi(r),
     )

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 
-from .raman import RamanConfig
+from .params import oscillation_rate
+from .raman import RamanConfig, effective_couplings
 
 __all__ = [
     "adiabatic_fixture_config",
@@ -69,10 +70,7 @@ def adiabatic_fixture_config(dispersive_ratio: float, n_atoms: int = 1) -> Raman
 
 def adiabatic_theta(config: RamanConfig) -> float:
     """Oscillation rate of the effective model for the fixture configs."""
-    from .raman import effective_couplings
-
-    b1, b2 = effective_couplings(config)
-    return math.sqrt(abs(b2) ** 2 - abs(b1) ** 2)
+    return oscillation_rate(effective_couplings(config))
 
 
 # max |n_full - n_eff| over a half-period horizon, 161 samples, cap 2;

@@ -5,10 +5,12 @@ slowest: the composite index of ``(n_0, n_1, ..., n_{k-1})`` is
 ``((n_0 * d_1 + n_1) * d_2 + n_2) * ...``.  This ordering is fixed so that
 amplitude dumps are comparable across computational routes.
 
-Operators are stored sparse (CSR); states are dense complex vectors.
-Truncation is silent: a ladder operator simply has no matrix element out of
-the top level.  Monitoring boundary population is the caller's job via
-:func:`top_level_mask`.
+The only operators built here are the per-mode ladder operators of
+:func:`mode_annihilator`; Hamiltonians are assembled from them by
+:mod:`fock_dynamics`.  Operators are stored sparse (CSR); states are dense
+complex vectors.  Truncation is silent: a ladder operator simply has no
+matrix element out of the top level.  Monitoring boundary population is the
+caller's job via :func:`top_level_mask`.
 """
 
 from __future__ import annotations
@@ -26,11 +28,7 @@ __all__ = [
     "FockOperator",
     "FockState",
     "mode_annihilator",
-    "mode_number",
-    "embed_product",
-    "expectation",
     "vacuum_state",
-    "basis_state",
     "top_level_mask",
 ]
 
@@ -124,13 +122,13 @@ def _ladder(dim):
     return sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr", dtype=complex)
 
 
-def _embed(layout, factors):
-    """kron-embed {mode: single-mode sparse matrix} with identities elsewhere."""
+def _embed(layout, mode, factor):
+    """kron-embed the single-mode sparse ``factor`` on ``mode``, identities elsewhere."""
     import scipy.sparse as sp
 
     out = None
-    for mode, d in enumerate(layout.dims):
-        mat = factors.get(mode, sp.identity(d, format="csr", dtype=complex))
+    for m, d in enumerate(layout.dims):
+        mat = factor if m == mode else sp.identity(d, format="csr", dtype=complex)
         out = mat if out is None else sp.kron(out, mat, format="csr")
     return out.tocsr()
 
@@ -144,69 +142,12 @@ def mode_annihilator(layout: ModeLayout, mode: int) -> FockOperator:
     """
     if not 0 <= mode < layout.n_modes:
         raise ValueError(f"mode index {mode} outside 0..{layout.n_modes - 1}")
-    return FockOperator(_embed(layout, {mode: _ladder(layout.dims[mode])}), layout)
-
-
-def mode_number(layout: ModeLayout, mode: int) -> FockOperator:
-    """Number operator of one mode (diagonal), identity on the others."""
-    if not 0 <= mode < layout.n_modes:
-        raise ValueError(f"mode index {mode} outside 0..{layout.n_modes - 1}")
-    import scipy.sparse as sp
-
-    n_diag = sp.diags(np.arange(layout.dims[mode], dtype=float), 0, format="csr", dtype=complex)
-    return FockOperator(_embed(layout, {mode: n_diag}), layout)
-
-
-def embed_product(layout: ModeLayout, ops) -> FockOperator:
-    """Tensor product of single-mode factors with identity on unspecified modes.
-
-    Parameters
-    ----------
-    layout : ModeLayout
-    ops : iterable of (mode, matrix)
-        At most one factor per mode.  Each matrix must be the single-mode
-        factor (dimension ``layout.dims[mode]``), dense or sparse.
-
-    The result is independent of the order in which distinct modes are
-    listed; an empty list gives the identity.
-    """
-    import scipy.sparse as sp
-
-    factors = {}
-    for mode, mat in ops:
-        if not 0 <= mode < layout.n_modes:
-            raise ValueError(f"mode index {mode} outside 0..{layout.n_modes - 1}")
-        if mode in factors:
-            raise ValueError(f"duplicate factor for mode {mode}")
-        mat = sp.csr_matrix(mat, dtype=complex)
-        d = layout.dims[mode]
-        if mat.shape != (d, d):
-            raise ValueError(f"factor for mode {mode} must be {d}x{d}, got {mat.shape}")
-        factors[mode] = mat
-    return FockOperator(_embed(layout, factors), layout)
-
-
-def expectation(state: FockState, op: FockOperator) -> complex:
-    """Expectation value <psi|O|psi>.
-
-    Real to within roundoff when ``O`` is Hermitian and the state normalized.
-    """
-    if state.layout != op.layout:
-        raise ValueError("state and operator layouts differ")
-    psi = state.amplitudes
-    return complex(np.vdot(psi, op.matrix @ psi))
+    return FockOperator(_embed(layout, mode, _ladder(layout.dims[mode])), layout)
 
 
 def vacuum_state(layout: ModeLayout) -> FockState:
     psi = np.zeros(layout.dim, dtype=complex)
     psi[0] = 1.0
-    return FockState(psi, layout)
-
-
-def basis_state(layout: ModeLayout, occupations) -> FockState:
-    """Product Fock state ``|n_0, n_1, ...>``."""
-    psi = np.zeros(layout.dim, dtype=complex)
-    psi[layout.index(occupations)] = 1.0
     return FockState(psi, layout)
 
 

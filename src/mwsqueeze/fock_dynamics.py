@@ -1,13 +1,15 @@
 """Exact truncated-Fock-space evolution under the effective Hamiltonian.
 
 The Hamiltonian ``H = i xi1 a1^dag c^dag - i xi1* a1 c + i xi2 a2^dag c -
-i xi2* a2 c^dag`` is built from ``params.COUPLING_TERMS`` on a (cavity1,
-cavity2, spin) layout; the degenerate variant identifies the two cavities.  Starting from vacuum,
-pair creation and exchange only ever reach a small invariant block of the
-truncated space (the ``n2 - n1 + n3 = 0`` lattice, or one ``n_a + n_c``
-parity sector for the degenerate variant).  Evolution finds the basis states
-that ``H`` connects to the initial state's support, diagonalizes ``H`` on
-that block once, and builds all samples as one stacked eigenbasis product.
+i xi2* a2 c^dag`` is built from ``params.COUPLING_TERMS`` over the ladder
+operators of a (cavity1, cavity2, spin) layout; the degenerate variant
+passes its one cavity for both, and :mod:`raman` builds its effective model
+from the same table.  Starting from vacuum, pair creation and exchange only
+ever reach a small invariant block of the truncated space (the
+``n2 - n1 + n3 = 0`` lattice, or one ``n_a + n_c`` parity sector for the
+degenerate variant).  Evolution finds the basis states that ``H`` connects
+to the initial state's support, diagonalizes ``H`` on that block once, and
+builds all samples as one stacked eigenbasis product.
 Nothing leaves the block, so the restriction is exact for any Hermitian
 ``H``, whether or not it conserves a charge.  The same propagator,
 :func:`_propagate`, evolves the microscopic and effective models of
@@ -61,17 +63,19 @@ _NORM_DRIFT_PER_STEP = 1e-8
 _LEAKAGE_THRESHOLD = 1e-6
 
 
-def _hamiltonian(c, layout: ModeLayout, modes, terms=COUPLING_TERMS) -> FockOperator:
+def _hamiltonian(c, ops, terms=COUPLING_TERMS) -> sp.csr_matrix:
     """Sum of ``i xi T - i xi* T^dag`` over ``terms`` (see ``COUPLING_TERMS``), rates from ``c``.
 
-    ``modes[m]`` is the layout mode that plays model mode ``m`` (cavity 1, cavity 2, spin).
+    ``ops`` are the sparse annihilators of the model modes (cavity 1, cavity 2,
+    spin) on one basis.  ``T`` applies its lowering factor, if any, first and
+    ``T^dag`` is its conjugate transpose, so no product passes through a
+    state above the basis's truncation.
     """
-    a = {m: mode_annihilator(layout, m).matrix for m in set(modes)}
     H = 0
     for (kind, j, k), xi in zip(terms, coupling_pair(c)):
-        T = a[modes[j]].conj().T @ (a[modes[k]].conj().T if kind == "pair" else a[modes[k]])
+        T = ops[j].conj().T @ (ops[k].conj().T if kind == "pair" else ops[k])
         H = H + 1j * xi * T - 1j * np.conj(xi) * T.conj().T
-    return FockOperator(H.tocsr(), layout)
+    return H.tocsr()
 
 
 def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
@@ -85,7 +89,8 @@ def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
     """
     if layout.n_modes != 3:
         raise ValueError("effective Hamiltonian needs a three-mode layout")
-    return _hamiltonian(c, layout, (0, 1, 2))
+    ops = [mode_annihilator(layout, m).matrix for m in range(3)]
+    return FockOperator(_hamiltonian(c, ops), layout)
 
 
 def conserved_number_operator(layout: ModeLayout) -> FockOperator:
@@ -336,7 +341,8 @@ def degenerate_mode_evolve(
     if layout2.n_modes != 2:
         raise ValueError("degenerate evolution needs a two-mode (cavity, spin) layout")
     # both cavities of the model are the one layout cavity
-    H = _hamiltonian(c, layout2, (0, 0, 1))
+    a, spin = (mode_annihilator(layout2, m).matrix for m in range(2))
+    H = FockOperator(_hamiltonian(c, (a, a, spin)), layout2)
     traj = evolve_state(H, vacuum_state(layout2), [0.0, t] if t > 0 else [0.0])
     state = traj.states[-1]
     phis = np.arange(phase_samples) * np.pi / phase_samples

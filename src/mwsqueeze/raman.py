@@ -10,10 +10,12 @@ time-dependent model a single eigendecomposition of the static generator.
 
 The validator compares the full model against the bosonized effective
 coupling ``(beta2 a2 + beta1 a1^dag) c^dag + H.c.`` with
-``beta_i = sqrt(N) Omega_i^* g_i / Delta_i``, restricted to the same
-excitation-capped basis.  The effective form assumes the two-photon
-resonance condition; the ``delta_two_photon`` knob of the full model
-realizes or detunes it.
+``beta_i = sqrt(N) Omega_i^* g_i / Delta_i``, built from
+``params.COUPLING_TERMS`` over the cavity operators and the collective
+``c`` of the same excitation-capped basis, so both models evolve from one
+state on one basis.  The effective form assumes the two-photon resonance
+condition; the ``delta_two_photon`` knob of the full model realizes or
+detunes it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fock_dynamics import _propagate
+from .fock_dynamics import _hamiltonian, _propagate
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -233,46 +235,18 @@ def effective_couplings(r: RamanConfig):
     return beta1, beta2
 
 
-class _TwoLevelBasis:
-    """Atoms restricted to {g, h}, same excitation cap; hosts the effective model."""
+def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis) -> sp.csr_matrix:
+    """Eq.-(2)-form effective Hamiltonian ``(beta2 a2 + beta1 a1^dag) c^dag + H.c.`` on ``basis``.
 
-    def __init__(self, basis: AtomicBasis):
-        keep = [i for i, s in enumerate(basis.states) if all(l in (_G, _H) for l in s[0])]
-        self.states = [basis.states[i] for i in keep]
-        self.full_indices = keep
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.dim = len(self.states)
-        self.n_atoms = basis.n_atoms
-
-
-def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis):
-    """Eq.-(2)-form effective Hamiltonian on the two-level restricted basis.
-
-    Returns the restricted basis and the Hamiltonian
-    ``(beta2 a2 + beta1 a1^dag) c^dag + H.c.`` with the collective ``c`` of
-    the same few atoms.  The composite hops are built directly so that a hop
-    whose endpoints respect the excitation cap is never lost to an
-    over-the-cap intermediate (operator products truncate differently).
+    Built from ``params.COUPLING_TERMS`` over the basis's cavity annihilators
+    and the collective ``c`` of the same few atoms, at the rates
+    ``xi = (-i beta1, -i beta2*)``.  No hop passes through a state above the
+    excitation cap, and no element joins the two-level (g, h) states to a
+    state with an atom in e1 or e2.
     """
     beta1, beta2 = effective_couplings(r)
-    sub = _TwoLevelBasis(basis)
-    rootn = math.sqrt(sub.n_atoms)
-
-    def hops(s):
-        levels, n1, n2 = s
-        for atom, l in enumerate(levels):
-            if l != _G:
-                continue
-            flipped = levels[:atom] + (_H,) + levels[atom + 1 :]
-            # beta1 a1^dag c^dag
-            yield (flipped, n1 + 1, n2), beta1 * math.sqrt(n1 + 1) / rootn
-            # beta2 a2 c^dag
-            if n2 > 0:
-                yield (flipped, n1, n2 - 1), beta2 * math.sqrt(n2) / rootn
-
-    half = _hop_operator(sub.index, hops)
-    H = half + half.conj().T
-    return sub, H.tocsr()
+    ops = (basis.annihilator(1), basis.annihilator(2), basis.collective_flip())
+    return _hamiltonian((-1j * beta1, -1j * np.conj(beta2)), ops)
 
 
 def adiabatic_error(
@@ -291,10 +265,10 @@ def adiabatic_error(
     Both models evolve with ``fock_dynamics._propagate`` (one ``eigh``, norm
     preserved to machine precision): the full model through its static-frame
     generator, whose occupations are those of the interaction picture, and
-    the effective model directly.  Both models' samples are embedded as
-    ``(samples, dim)`` stacks on the full basis, where the occupations and
-    the e-level population are array reductions and ``<c^dag c>`` is
-    ``|c psi|^2``.
+    the effective model directly, both from one ``|g...g>|0,0>`` on one
+    basis.  Both models' samples are ``(samples, dim)`` stacks, where the
+    occupations and the e-level population are array reductions and
+    ``<c^dag c>`` is ``|c psi|^2``.
     """
     if r.n_atoms > 4:
         raise ValueError("adiabatic validation is desk-scale: n_atoms <= 4")
@@ -304,19 +278,17 @@ def adiabatic_error(
         raise ValueError("need at least two samples")
     basis = AtomicBasis(r.n_atoms, excitation_cap)
     times = np.linspace(0.0, horizon, samples)
+    psi0 = np.zeros(basis.dim, dtype=complex)
+    psi0[basis.ground_index()] = 1.0
 
-    def evolve(H, index, ground):
-        # H's basis state k is the full basis state index[k]; start from its state ``ground``
-        psi0 = np.zeros(H.shape[0], dtype=complex)
-        psi0[ground] = 1.0
+    def evolve(H):
         block, amps = _propagate(H, psi0, times)
         out = np.zeros((samples, basis.dim), dtype=complex)
-        out[:, index[block]] = amps
+        out[:, block] = amps
         return out
 
-    full = evolve(static_frame_hamiltonian(r, basis), np.arange(basis.dim), basis.ground_index())
-    sub, Heff = effective_few_atom_hamiltonian(r, basis)
-    eff = evolve(Heff, np.array(sub.full_indices), sub.index[((_G,) * sub.n_atoms, 0, 0)])
+    full = evolve(static_frame_hamiltonian(r, basis))
+    eff = evolve(effective_few_atom_hamiltonian(r, basis))
 
     c = basis.collective_flip()
     n1, n2 = basis.photon_diagonal(1), basis.photon_diagonal(2)

@@ -63,6 +63,17 @@ class TestEvolve:
         assert code == 2
         assert "gaussian" in capsys.readouterr().err
 
+    def test_route_all_skips_fock_where_the_cutoff_is_out_of_reach(self, tmp_path):
+        # at r = 1.00000001 the cavity cutoff is ~2e17 photons: the fock route is
+        # skipped on route all, and refused on route fock (see the malformed configs)
+        code, out = run(tmp_path, "evolve", {
+            "route": "all", "r": 1.00000001, "theta_hz": 10e3, "num_samples": 41,
+        })
+        assert code == 0
+        summary = json.loads((out / "evolve_summary.json").read_text())
+        assert summary["routes"] == ["analytic", "gaussian"]
+        assert "fock_skipped" in summary
+
     def test_route_all_cross_route_discrepancy(self, tmp_path):
         code, out = run(tmp_path, "evolve", {
             "route": "all", "r": 2.0, "theta_hz": 10e3, "num_samples": 41,
@@ -157,12 +168,12 @@ class TestValidate:
 
 class TestSweep:
     def test_epsilon_column_matches_oracle(self, tmp_path):
-        code, out = run(tmp_path, "sweep", {
-            "outputs": ["epsilon"], "r_values": [1.01, 1.05, 1.1],
-        })
+        # the last three sit where 2r / (1 + r^2) rounds toward 1
+        r_values = [1.01, 1.05, 1.1, 1.00001, 1.000001, 1.0000000000000002]
+        code, out = run(tmp_path, "sweep", {"outputs": ["epsilon"], "r_values": r_values})
         assert code == 0
         _, cols = read_csv(out / "sweep.csv")
-        expected = [math.log(2.01 / 0.01), math.log(2.05 / 0.05), math.log(2.1 / 0.1)]
+        expected = [math.log((1.0 + r) / (r - 1.0)) for r in r_values]
         assert np.allclose(cols["epsilon"], expected, rtol=1e-12)
 
     def test_single_point(self, tmp_path):
@@ -273,6 +284,8 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     # rates so small that |xi2|^2 - |xi1|^2 underflows, so theta and 1 / T_pi are 0
     ("evolve", {"xi1_hz": 1e-200, "xi2_hz": 2e-200}),
     ("evolve", {"r": 1.1, "theta_hz": 1e-300}),
+    # a cavity cutoff of ~2e17 photons, where log(2r / (1 + r^2)) rounds to 0
+    ("evolve", {"route": "fock", "r": 1.00000001, "theta_hz": 1e4}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-r-below-1", "spectrum-negative-gamma-s",
@@ -286,7 +299,7 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
         "spectrum-points-1e15", "spectrum-points-1e30",
         "spectrum-raw-xi-overflow", "spectrum-theta-overflow", "evolve-gaussian-xi-overflow",
         "evolve-analytic-xi-overflow", "evolve-theta-overflow", "sweep-theta-overflow",
-        "evolve-xi-underflow", "evolve-theta-underflow"])
+        "evolve-xi-underflow", "evolve-theta-underflow", "evolve-fock-r-near-1"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     err = capsys.readouterr().err

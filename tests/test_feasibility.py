@@ -85,7 +85,7 @@ class TestHeatingRate:
 class TestRbPreset:
     def test_headline_numbers(self):
         p = fz.rb_preset()
-        assert p.t_pi == pytest.approx(50e-6, rel=1e-9)
+        assert p.t_pi_s == pytest.approx(50e-6, rel=1e-9)
         assert p.epsilon == pytest.approx(3.04, abs=0.01)
         assert p.photons_per_mode == pytest.approx(109.75, abs=0.01)
 
@@ -95,12 +95,12 @@ class TestRbPreset:
 
     def test_back_solved_coupling_in_quoted_range(self):
         p = fz.rb_preset()
-        lo, hi = p.collective_coupling_over_2pi_range
-        assert lo < p.collective_coupling_over_2pi < hi
+        lo, hi = p.collective_coupling_over_2pi_range_hz
+        assert lo < p.collective_coupling_over_2pi_hz < hi
         # chain: |xi1| = collective / dispersive ratio, theta from (r, xi1)
-        xi1 = TWO_PI * p.collective_coupling_over_2pi / p.dispersive_ratio
+        xi1 = TWO_PI * p.collective_coupling_over_2pi_hz / p.dispersive_ratio
         theta = xi1 * math.sqrt(p.rabi_ratio**2 - 1)
-        assert theta / TWO_PI == pytest.approx(p.theta_over_2pi, rel=1e-9)
+        assert theta / TWO_PI == pytest.approx(p.theta_over_2pi_hz, rel=1e-9)
 
     def test_derived_values_recomputed(self):
         a, b = fz.rb_preset(), fz.rb_preset()

@@ -111,6 +111,22 @@ class TestEffectiveCouplings:
         assert rc.dispersive_ratio == pytest.approx(20.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("n_atoms, cap", [(1, 2), (2, 3), (3, 2)])
+def test_effective_hamiltonian_phases(n_atoms, cap):
+    # (beta2 a2 + beta1 a1^dag) c^dag + h.c. with beta_i = sqrt(N) Omega_i^* g_i / Delta_i,
+    # written out here from the basis operators, at complex drives and couplings
+    rc = raman.RamanConfig(0.9 + 0.2j, 1.1 - 0.3j, 0.8 - 0.1j, 1.0 + 0.5j, 11.0, 23.0, 0.4, n_atoms)
+    beta1 = math.sqrt(n_atoms) * np.conj(rc.omega1_rabi) * rc.g1 / rc.delta1
+    beta2 = math.sqrt(n_atoms) * np.conj(rc.omega2_rabi) * rc.g2 / rc.delta2
+    basis = raman.AtomicBasis(n_atoms, cap)
+    cdag = basis.collective_flip().conj().T
+    a1dag = basis.annihilator(1).conj().T
+    half = beta1 * (a1dag @ cdag) + beta2 * (cdag @ basis.annihilator(2))
+    expected = (half + half.conj().T).toarray()
+    H = raman.effective_few_atom_hamiltonian(rc, basis).toarray()
+    assert np.max(np.abs(H - expected)) < 1e-15
+
+
 class TestAdiabaticError:
     def test_zero_drives_zero_deviation(self):
         rc = raman.RamanConfig(0.0, 0.0, 0.0, 0.0, 10.0, 20.0, 0.0, 1)
