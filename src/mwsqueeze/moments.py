@@ -8,14 +8,19 @@ V[2i, 2i]``, so the canonical commutator reconstructs as
 
 Occupations stay exact at arbitrary photon number, which is what makes the
 ``r -> 1+`` regime (thousands of photons per mode) accessible.  The closed
-propagator is an exact quadratic in the drift matrix, so ``zeta12``, a
-difference of O(n^2) Wick terms divided by O(n), is off at ``T_pi`` by no
-more than a few ``n eps``: the rounding of the Wick subtraction itself.
+propagator is an exact quadratic ``I + a M + b M^2`` in the drift matrix with
+real scalars ``a(t)``, ``b(t)``, so a closed trajectory is one fixed quadratic
+in ``(a, b)`` over six constant matrices, and ``zeta12``, a difference of
+O(n^2) Wick terms divided by O(n), is off at ``T_pi`` by no more than a few
+``n eps``: the rounding of the Wick subtraction itself.
 
 A moment matrix is a plain complex ``(6, 6)`` array, and a trajectory is the
 ``(n, 6, 6)`` stack of its samples.  Each observable is one function that takes
-one matrix or any stack ``(..., 6, 6)`` and returns ``(...)`` or ``(..., 3)``;
-its per-element arithmetic gives a sample the same bits in every stack.
+one matrix or any stack ``(..., 6, 6)`` and returns ``(...)`` or ``(..., 3)``.
+Propagation, observables and ``|z|^2`` (a libm ufunc pair) are per-element
+arithmetic, which gives a sample the same bits in every stack; the PSD check
+is an LDL^dag factorisation vectorised over the samples, with no eigensolver
+unless a sample fails.
 """
 
 from __future__ import annotations
@@ -43,32 +48,59 @@ __all__ = [
 
 # pairing of each component with its dagger in the vector ordering
 _SWAP = (1, 0, 3, 2, 5, 4)
-# charge sectors of the vector: a_j changes the conserved charge by -q_j, a_j^dag by +q_j
+# charge sectors of the vector: a_j changes the conserved charge by -q_j, a_j^dag by +q_j;
+# one row of component indices per sector
 _CHARGE = np.ravel([(-q, q) for q in CONSERVED_CHARGE])
-_SECTORS = [np.flatnonzero(_CHARGE == q) for q in sorted(set(_CHARGE.tolist()))]
+_SECTORS = np.array([np.flatnonzero(_CHARGE == q) for q in sorted(set(_CHARGE.tolist()))])
 # samples propagated and validated per stacked call, bounding the temporaries
 _BLOCK = 1024
 
 
-def _validate_stack(V, tol):
-    """Hermiticity and PSD of a ``(n, 6, 6)`` stack within ``tol``; raises for the first bad sample.
+def _positive_definite(A):
+    """Whether each Hermitian matrix of a ``(..., k, k)`` stack is positive definite; overwrites ``A``.
 
-    PSD is checked per charge sector when no entry joins two (as from vacuum).
+    A right-looking LDL^dag, one column at a time and vectorised over the
+    stack: a matrix fails at its first pivot that is not positive (or is NaN),
+    and from then on divides by 1 so that its leftover arithmetic stays finite.
     """
-    VH = V.conj().swapaxes(1, 2)
-    herm = np.abs(V - VH).max(axis=(1, 2))
-    H = (V + VH) / 2.0
-    blocks = [np.arange(6)] if V[:, _CHARGE[:, None] != _CHARGE].any() else _SECTORS
-    eigs = [np.linalg.eigvalsh(H[:, b[:, None], b]) for b in blocks]  # ascending
-    lo = np.min([e[:, 0] for e in eigs], axis=0)
-    hi = np.max([e[:, -1] for e in eigs], axis=0)
+    ok = np.ones(A.shape[:-2], dtype=bool)
+    for j in range(A.shape[-1]):
+        d = A[..., j, j].real
+        ok &= d > 0
+        col = A[..., j + 1:, j] / np.where(ok, d, 1.0)[..., None]
+        A[..., j + 1:, j + 1:] -= col[..., :, None] * A[..., None, j, j + 1:]
+    return ok
+
+
+def _validate_stack(V, tol):
+    """Finiteness, Hermiticity and PSD of a ``(n, 6, 6)`` stack within ``tol``; raises for the first bad sample.
+
+    PSD within ``tol`` means ``H + tol I`` is positive definite, ``H`` the
+    Hermitian part, per charge sector when no entry joins two (as from vacuum)
+    and on the whole matrix otherwise.  Only the sample that fails gets an
+    eigensolver, for the minimum eigenvalue in the message.
+    """
+    rows = np.arange(6)[None] if V[:, _CHARGE[:, None] != _CHARGE].any() else _SECTORS
+    diag = np.arange(rows.shape[1])
+    with np.errstate(all="ignore"):  # a non-finite sample fails below, whatever its arithmetic gives
+        VH = V.conj().swapaxes(1, 2)
+        herm = np.abs(V - VH).max(axis=(1, 2))
+        H = (V + VH) / 2.0
+        finite = np.isfinite(H).all(axis=(1, 2))
+        blocks = H[:, rows[:, :, None], rows[:, None, :]]  # (n, sectors, k, k)
+        shifted = blocks.copy()
+        shifted[..., diag, diag] += np.broadcast_to(tol, herm.shape)[:, None, None]
+        psd = _positive_definite(shifted).all(axis=1)
     bad_herm = herm > tol
-    bad = bad_herm | (lo < -tol * np.maximum(1.0, hi))
+    bad = ~finite | bad_herm | ~psd
     if bad.any():
         i = int(np.argmax(bad))
+        if not finite[i]:
+            raise NumericalError("moment matrix has a non-finite entry")
         if bad_herm[i]:
             raise NumericalError(f"moment matrix Hermiticity violated by {herm[i]:.3e}")
-        raise NumericalError(f"moment matrix not PSD: min eigenvalue {lo[i]:.3e}")
+        lo = np.linalg.eigvalsh(blocks[i]).min()
+        raise NumericalError(f"moment matrix not PSD: min eigenvalue {lo:.3e}")
 
 
 def vacuum_moments() -> np.ndarray:
@@ -121,24 +153,38 @@ def rightmost_eigenvalue(M) -> complex:
     return ev[np.argmax(ev.real)]
 
 
-def _putzer(M):
-    """Map from a time array to the stack of ``exp(M t)`` when ``M^3 = -theta^2 M``, else None.
+def _putzer(M, V0):
+    """Map from a time array to the stack of ``E V0 E^dag``, ``E = exp(M t)``, when ``M^3 = -theta^2 M``, else None.
 
-    By Cayley-Hamilton (Putzer), ``exp(M t) = I + (sin(theta t)/theta) M +
-    (2 sin^2(theta t/2)/theta^2) M^2`` with ``theta^2 = -tr(M^2)/4``, also for
-    ``theta^2 <= 0``; no eigenvectors, so nothing degrades as the eigenvalues
-    0 and ``+-i theta`` merge for ``r -> 1+``.
+    By Cayley-Hamilton (Putzer), ``E = I + a M + b M^2`` with the real scalars
+    ``a = sin(theta t)/theta`` and ``b = 2 sin^2(theta t/2)/theta^2``,
+    ``theta^2 = -tr(M^2)/4``, also for ``theta^2 <= 0``; no eigenvectors, so
+    nothing degrades as the eigenvalues 0 and ``+-i theta`` merge for
+    ``r -> 1+``.  Hence ``E V0 E^dag = C0 + a C1 + b C2 + a^2 C3 + ab C4 + b^2 C5``
+    over six matrices fixed once, and each sample is elementwise real
+    multiply-adds on the float view, so it has the same bits in any stack.
     """
     M2 = M @ M
     theta2 = -M2.trace().real / 4.0
     if np.abs(M2 @ M + theta2 * M).max() > 1e-12 * np.abs(M).max() ** 3:
         return None
     w = np.sqrt(complex(theta2))  # imaginary for theta^2 < 0, where sin(i x)/i = sinh(x)
+    Md, M2d = M.conj().T, M2.conj().T
+    C = np.array([
+        V0,
+        M @ V0 + V0 @ Md,
+        M2 @ V0 + V0 @ M2d,
+        M @ V0 @ Md,
+        M @ V0 @ M2d + M2 @ V0 @ Md,
+        M2 @ V0 @ M2d,
+    ]).view(float)  # (6, 6, 12): real and imaginary parts interleaved
 
     def propagate(t):
-        a = np.sin(w * t) / w if w else t
-        b = 2.0 * (np.sin(w * t / 2.0) / w) ** 2 if w else t * t / 2.0
-        return np.eye(6) + a[:, None, None] * M + b[:, None, None] * M2
+        a = np.real(np.sin(w * t) / w) if w else t
+        b = np.real(2.0 * (np.sin(w * t / 2.0) / w) ** 2) if w else t * t / 2.0
+        a, b = a[:, None, None], b[:, None, None]
+        V = C[0] + a * C[1] + b * C[2] + (a * a) * C[3] + (a * b) * C[4] + (b * b) * C[5]
+        return V.view(complex)
 
     return propagate
 
@@ -169,9 +215,12 @@ def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.n
 
     The closed case (no diffusion, and ``M^3 = -theta^2 M`` as for every
     undamped drift) is ``V(t) = E V0 E^dag`` with the exact quadratic
-    ``E = exp(M t)`` of :func:`_putzer`; any other drift takes one Van Loan
-    block exponential per sample.  Samples are propagated and validated as
-    stacks of ``_BLOCK`` into the returned ``(n, 6, 6)`` array.
+    ``E = exp(M t) = I + a M + b M^2`` of :func:`_putzer`, evaluated as a
+    quadratic in the two real coefficients ``(a, b)`` over six constant
+    matrices; any other drift takes one Van Loan block exponential per sample.
+    Samples are propagated and validated (:func:`_validate_stack`: finite,
+    Hermitian and PSD within ``1e-8 max(1, max|V|)``) as stacks of ``_BLOCK``
+    into the returned ``(n, 6, 6)`` array.
     """
     M = np.asarray(M, dtype=complex)
     V0 = np.asarray(V0, dtype=complex)
@@ -180,13 +229,12 @@ def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.n
         raise ValueError("sample times must not be negative")
 
     D = np.zeros_like(M) if diffusion is None else np.asarray(diffusion, dtype=complex)
-    propagate = _putzer(M) if not D.any() else None
+    propagate = _putzer(M, V0) if not D.any() else None
     out = np.empty((len(times), 6, 6), dtype=complex)
     for lo in range(0, len(times), _BLOCK):
         t = times[lo:lo + _BLOCK]
         if propagate is not None:
-            E = propagate(t)
-            block = E @ V0 @ E.conj().swapaxes(1, 2)
+            block = propagate(t)
         else:
             pairs = [_van_loan(M, D, dt) for dt in t]
             block = np.array([F @ V0 @ F.conj().T + Q for F, Q in pairs])
@@ -219,13 +267,14 @@ def occupations_from_moments(V) -> np.ndarray:
 
 
 def _abs2(z: np.ndarray) -> np.ndarray:
-    """``|z|^2`` per element, rounded as libm ``hypot`` then ``pow``.
+    """``|z|^2`` per element, rounded as libm ``hypot`` then ``pow``, the bits of ``math.pow(abs(x), 2.0)``.
 
-    NumPy's array ``abs`` and its ``x**2`` (a multiply) differ from these in
-    the last bit for about one value in a thousand, which would make
-    ``zeta12`` depend on whether it was computed alone or in a stack.
+    ``np.hypot`` and ``np.float_power`` are ufuncs over those libm calls.
+    ``np.abs`` and ``np.power`` (SIMD paths), ``h * h`` and ``re^2 + im^2``
+    all differ from them in the last bit for one value in 1 200 or more, which
+    would make ``zeta12`` depend on whether it was computed alone or in a stack.
     """
-    return np.array([math.pow(abs(x), 2.0) for x in z.ravel().tolist()]).reshape(z.shape)
+    return np.float_power(np.hypot(z.real, z.imag), 2.0)
 
 
 def zeta12_from_moments(V) -> np.ndarray:

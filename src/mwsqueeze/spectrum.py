@@ -187,10 +187,8 @@ def find_local_minima(omega, s):
     deepest.  Returns ``[(omega, S)]`` with S read off the unsmoothed curve.
     """
     y = _smooth3(np.asarray(s, dtype=float))
-    idx = [
-        i for i in range(1, len(y) - 1)
-        if y[i] + _DIP_FLOOR < y[i - 1] and y[i] + _DIP_FLOOR < y[i + 1]
-    ]
+    dip = (y[1:-1] + _DIP_FLOOR < y[:-2]) & (y[1:-1] + _DIP_FLOOR < y[2:])
+    idx = (np.flatnonzero(dip) + 1).tolist()
     merged = []
     for i in idx:
         if merged and i - merged[-1] < _MIN_SEPARATION:

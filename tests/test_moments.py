@@ -1,6 +1,7 @@
 """Second-moment propagation, the Wick expansion, and route equivalence."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.linalg as sla
 from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import moments as mom
-from mwsqueeze.errors import StabilityError, TruncationWarning
+from mwsqueeze.errors import NumericalError, StabilityError, TruncationWarning
 from mwsqueeze.fock import ModeLayout, mode_annihilator, vacuum_state
 from mwsqueeze.params import DecayRates, EffectiveCouplings
 
@@ -151,6 +152,90 @@ class TestEvolveMoments:
         M = mom.drift_matrix(c)  # closed: marginal
         with pytest.raises(StabilityError):
             mom.steady_state_moments(M, np.zeros((6, 6)))
+
+    def test_closed_sample_keeps_its_bits_in_any_stack(self):
+        c = couplings(1.001)
+        M = mom.drift_matrix(c)
+        V0 = tmss_moments(1.3)
+        times = np.linspace(0.0, 2 * cf.t_pi(c), 2 * mom._BLOCK + 7)
+        stack = mom.evolve_moments(M, V0, times)
+        for k in (0, 1, mom._BLOCK - 1, mom._BLOCK, len(times) - 1):
+            alone = mom.evolve_moments(M, V0, times[k:k + 1])[0]
+            assert alone.tobytes() == stack[k].tobytes()
+        shifted = mom.evolve_moments(M, V0, times[3:])
+        assert shifted.tobytes() == stack[3:].tobytes()
+
+    def test_non_finite_initial_moments_fail(self):
+        V0 = mom.vacuum_moments()
+        V0[1, 1] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            mom.evolve_moments(mom.drift_matrix(couplings(1.5)), V0, [0.0, 1.0])
+
+
+def _pair_block(x):
+    """Vacuum moments with ``V[0, 3] = V[3, 0] = x``: the sector ``[[1, x], [x, 0]]``, min eigenvalue ``(1 - sqrt(1 + 4x^2)) / 2``."""
+    V = mom.vacuum_moments()
+    V[0, 3] = V[3, 0] = x
+    return V
+
+
+class TestValidateStack:
+    """``_validate_stack``'s failure paths: the first bad sample raises, with its figure."""
+
+    TOL = 1e-8
+
+    def test_negative_sector_eigenvalue(self):
+        V = np.array([mom.vacuum_moments(), _pair_block(1.5), mom.vacuum_moments()])
+        lo = (1.0 - math.sqrt(10.0)) / 2.0
+        with pytest.raises(NumericalError, match=re.escape(f"not PSD: min eigenvalue {lo:.3e}")):
+            mom._validate_stack(V, self.TOL)
+
+    def test_first_bad_sample_is_reported(self):
+        V = np.array([mom.vacuum_moments(), _pair_block(0.5), _pair_block(1.5)])
+        lo = (1.0 - math.sqrt(2.0)) / 2.0
+        with pytest.raises(NumericalError, match=re.escape(f"min eigenvalue {lo:.3e}")):
+            mom._validate_stack(V, self.TOL)
+
+    def test_non_hermitian(self):
+        V = np.array([mom.vacuum_moments()] * 3)
+        V[2, 0, 3] = 0.25
+        with pytest.raises(NumericalError, match=r"Hermiticity violated by 2\.500e-01"):
+            mom._validate_stack(V, self.TOL)
+
+    def test_off_sector_entry_takes_the_full_matrix(self):
+        # V[0, 1] joins the two charge sectors; per sector the matrix is PSD
+        V = np.array([mom.vacuum_moments()] * 3)
+        V[1, 0, 1] = V[1, 1, 0] = 1.5
+        lo = (1.0 - math.sqrt(10.0)) / 2.0
+        with pytest.raises(NumericalError, match=re.escape(f"not PSD: min eigenvalue {lo:.3e}")):
+            mom._validate_stack(V, self.TOL)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite(self, value):
+        V = np.array([mom.vacuum_moments()] * 3)
+        V[1, 2, 2] = value
+        with pytest.raises(NumericalError, match="non-finite"):
+            mom._validate_stack(V, self.TOL)
+
+    def test_within_tolerance_passes(self):
+        V = np.array([mom.vacuum_moments()] * 3)
+        V[1, 1, 1] = -0.5 * self.TOL  # sector eigenvalue -tol/2
+        mom._validate_stack(V, self.TOL)
+        mom._validate_stack(V, np.full(3, self.TOL))
+
+    def test_tolerance_is_not_scaled_twice(self):
+        # tol already carries max|V| (1e-8 * 1e8 = 1): an eigenvalue of -2 fails
+        V = mom.vacuum_moments()
+        V[0, 0] = 1e8
+        V[1, 1] = -2.0
+        with pytest.raises(NumericalError, match=re.escape("min eigenvalue -2.000e+00")):
+            mom._validate_stack(V[None], 1e-8 * np.abs(V).max())
+
+
+def test_abs2_has_the_bits_of_libm():
+    rng = np.random.default_rng(11)
+    z = 10.0 ** rng.uniform(-150.0, 150.0, 20_000) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 20_000))
+    assert mom._abs2(z).tolist() == [math.pow(abs(x), 2.0) for x in z.tolist()]
 
 
 class TestOccupationsAndZeta:

@@ -202,6 +202,25 @@ class TestClassifier:
         res = self._result(omega, s)
         assert spec.classify_regime(res, 2.0) == "narrow"
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_minima_match_the_per_index_scan(self, seed):
+        # steps of 1e-12 put many smoothed differences within rounding of _DIP_FLOOR
+        rng = np.random.default_rng(seed)
+        s = 1.0 + rng.integers(-4, 5, size=400) * 1e-12
+        omega = np.linspace(-1.0, 1.0, 400)
+        y = spec._smooth3(s)
+        idx = [i for i in range(1, len(y) - 1)
+               if y[i] + spec._DIP_FLOOR < y[i - 1] and y[i] + spec._DIP_FLOOR < y[i + 1]]
+        merged = []
+        for i in idx:
+            if merged and i - merged[-1] < spec._MIN_SEPARATION:
+                if s[i] < s[merged[-1]]:
+                    merged[-1] = i
+            else:
+                merged.append(i)
+        assert len(merged) > 3
+        assert spec.find_local_minima(omega, s) == [(float(omega[i]), float(s[i])) for i in merged]
+
 
 class TestParseval:
     def test_spectral_integral_matches_lyapunov(self):
