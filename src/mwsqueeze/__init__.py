@@ -19,13 +19,12 @@ front end.
 """
 
 from .params import DecayRates, EffectiveCouplings
-from .fock import FockOperator, FockState, ModeLayout
+from .fock import FockOperator, ModeLayout
 
 __all__ = [
     "DecayRates",
     "EffectiveCouplings",
     "FockOperator",
-    "FockState",
     "ModeLayout",
     "__version__",
 ]

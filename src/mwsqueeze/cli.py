@@ -21,13 +21,14 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, closed_form, feasibility, moments, spectrum
-from .errors import ConfigError, IntegrationError, NumericalError, StabilityError
+from .errors import ConfigError, IntegrationError, NumericalError, StabilityError, TruncationWarning
 from .fock import FockOperator, ModeLayout, vacuum_state
 from .params import DecayRates, EffectiveCouplings, oscillation_rate
 
@@ -426,14 +427,14 @@ def _validate_checks(cfg):
     require_dim(layout.dim)
     worst = 0.0
     for m in range(3):
-        a = mode_annihilator(layout, m).matrix
+        a = mode_annihilator(layout, m)
         comm = (a @ a.conj().T - a.conj().T @ a).toarray()
         occ = layout.occupation_arrays()[m]
         expect = np.diag(np.where(occ == layout.dims[m] - 1, -(layout.dims[m] - 1.0), 1.0))
         worst = max(worst, float(np.max(np.abs(comm - expect))))
         for k in range(3):
             if k != m:
-                b = mode_annihilator(layout, k).matrix
+                b = mode_annihilator(layout, k)
                 cross = a @ b.conj().T - b.conj().T @ a
                 worst = max(worst, float(abs(cross).max()) if cross.nnz else 0.0)
     record("fock_commutators", worst, 1e-12)
@@ -445,7 +446,7 @@ def _validate_checks(cfg):
     if corrupt:
         # test-harness hook: turn the exchange term into pair creation,
         # which stays Hermitian but breaks the conserved combination
-        ops = [mode_annihilator(small, m).matrix for m in range(3)]
+        ops = [mode_annihilator(small, m) for m in range(3)]
         H = FockOperator(fdyn._hamiltonian(c2, ops, (("pair", 0, 2), ("pair", 1, 2))), small)
     else:
         H = fdyn.build_effective_hamiltonian(c2, small)
@@ -453,17 +454,12 @@ def _validate_checks(cfg):
     record("pair_creation_element", abs(elem - 1j * complex(c2.xi1)), 1e-12)
 
     times = np.linspace(0.0, 2.0 * closed_form.t_pi(c2), 41)
-    import warnings as _warnings
-
-    from .errors import TruncationWarning
-
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", TruncationWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
         traj = fdyn.evolve_state(H, vacuum_state(small), times)
-    nop = fdyn.conserved_number_operator(small).matrix
+    nop = fdyn.conserved_number_operator(small)
     worst_n = 0.0
-    for st in traj.states:
-        psi = st.amplitudes
+    for psi in traj.states:
         worst_n = max(worst_n, abs(np.vdot(psi, nop @ psi).real), abs(np.vdot(psi, nop @ (nop @ psi)).real))
     record("conserved_number", worst_n, 1e-8)
     record("norm_preservation", max(abs(n - 1.0) for n in traj.norms), 1e-8)
@@ -473,8 +469,8 @@ def _validate_checks(cfg):
     lay3 = ModeLayout((24, 24, 11))
     require_dim(lay3.dim)
     t3 = np.linspace(0.0, 2.0 * closed_form.t_pi(c3), 41)
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", TruncationWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
         tr3 = fdyn.evolve_state(
             fdyn.build_effective_hamiltonian(c3, lay3), vacuum_state(lay3), t3
         )
@@ -487,8 +483,8 @@ def _validate_checks(cfg):
     wick_dev = 0.0
     for frac in (0.2, 0.45, 0.7, 0.95):
         st = fdyn.analytic_state(c3, frac * closed_form.t_pi(c3), lay3, tail_tol=1e-9)
-        direct = fdyn.relative_number_squeezing(st)
-        V = moments.moments_from_fock_state(st)
+        direct = fdyn.relative_number_squeezing(st, lay3)
+        V = moments.moments_from_fock_state(st, lay3)
         wick_dev = max(wick_dev, abs(direct - moments.zeta12_from_moments(V)))
     record("zeta12_wick_vs_fock", wick_dev, 1e-8)
 

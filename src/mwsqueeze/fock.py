@@ -6,9 +6,10 @@ slowest: the composite index of ``(n_0, n_1, ..., n_{k-1})`` is
 amplitude dumps are comparable across computational routes.
 
 The only operators built here are the per-mode ladder operators of
-:func:`mode_annihilator`; Hamiltonians are assembled from them by
-:mod:`fock_dynamics`.  Operators are stored sparse (CSR); states are dense
-complex vectors.  Truncation is silent: a ladder operator simply has no
+:func:`mode_annihilator`, plain CSR matrices; Hamiltonians are assembled
+from them by :mod:`fock_dynamics`, which pairs one with its layout in a
+:class:`FockOperator`.  A state is a plain dense complex vector of length
+``layout.dim``.  Truncation is silent: a ladder operator simply has no
 matrix element out of the top level.  Monitoring boundary population is the
 caller's job via :func:`top_level_mask`.
 """
@@ -26,7 +27,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ModeLayout",
     "FockOperator",
-    "FockState",
     "mode_annihilator",
     "vacuum_state",
     "top_level_mask",
@@ -87,7 +87,7 @@ class ModeLayout:
 
 @dataclass(frozen=True)
 class FockOperator:
-    """A sparse operator on the composite space together with its layout."""
+    """A sparse Hamiltonian on the composite space together with its layout."""
 
     matrix: sp.spmatrix
     layout: ModeLayout
@@ -97,22 +97,6 @@ class FockOperator:
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match layout dimension {self.layout.dim}"
             )
-
-
-@dataclass(frozen=True)
-class FockState:
-    """A dense state vector on the composite space together with its layout."""
-
-    amplitudes: np.ndarray
-    layout: ModeLayout
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.layout.dim,):
-            raise ValueError(
-                f"amplitude vector length {amp.shape} does not match layout dimension {self.layout.dim}"
-            )
-        object.__setattr__(self, "amplitudes", amp)
 
 
 def _ladder(dim):
@@ -133,7 +117,7 @@ def _embed(layout, mode, factor):
     return out.tocsr()
 
 
-def mode_annihilator(layout: ModeLayout, mode: int) -> FockOperator:
+def mode_annihilator(layout: ModeLayout, mode: int) -> sp.csr_matrix:
     """Annihilation operator of one mode, identity on the others.
 
     Matrix elements are the standard ``sqrt(n)`` on the first subdiagonal of
@@ -142,13 +126,13 @@ def mode_annihilator(layout: ModeLayout, mode: int) -> FockOperator:
     """
     if not 0 <= mode < layout.n_modes:
         raise ValueError(f"mode index {mode} outside 0..{layout.n_modes - 1}")
-    return FockOperator(_embed(layout, mode, _ladder(layout.dims[mode])), layout)
+    return _embed(layout, mode, _ladder(layout.dims[mode]))
 
 
-def vacuum_state(layout: ModeLayout) -> FockState:
+def vacuum_state(layout: ModeLayout) -> np.ndarray:
     psi = np.zeros(layout.dim, dtype=complex)
     psi[0] = 1.0
-    return FockState(psi, layout)
+    return psi
 
 
 def top_level_mask(layout: ModeLayout) -> np.ndarray:

@@ -15,6 +15,11 @@ Nothing leaves the block, so the restriction is exact for any Hermitian
 :func:`_propagate`, evolves the microscopic and effective models of
 :mod:`raman`; it is the package's only state-vector propagator.
 
+States are plain complex vectors of length ``layout.dim`` and ladder
+operators plain CSR matrices; a Hamiltonian travels as a
+:class:`~mwsqueeze.fock.FockOperator` only because :func:`evolve_state`
+needs its layout.
+
 State comparisons across routes are gauged by the phase of the
 largest-magnitude amplitude, since the closed-form amplitude table fixes
 phases only up to convention (its alphas are real non-negative); exact
@@ -34,7 +39,6 @@ from . import closed_form
 from .errors import IntegrationError, TruncationWarning
 from .fock import (
     FockOperator,
-    FockState,
     ModeLayout,
     mode_annihilator,
     top_level_mask,
@@ -56,7 +60,6 @@ __all__ = [
     "analytic_state",
     "gauge_phase",
     "degenerate_mode_evolve",
-    "quadrature_variances",
 ]
 
 _NORM_DRIFT_PER_STEP = 1e-8
@@ -89,23 +92,23 @@ def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
     """
     if layout.n_modes != 3:
         raise ValueError("effective Hamiltonian needs a three-mode layout")
-    ops = [mode_annihilator(layout, m).matrix for m in range(3)]
+    ops = [mode_annihilator(layout, m) for m in range(3)]
     return FockOperator(_hamiltonian(c, ops), layout)
 
 
-def conserved_number_operator(layout: ModeLayout) -> FockOperator:
+def conserved_number_operator(layout: ModeLayout) -> sp.csr_matrix:
     """The constant of motion ``n2 - n1 + n3`` (diagonal), weighted by ``CONSERVED_CHARGE``."""
     import scipy.sparse as sp
 
     diag = np.dot(CONSERVED_CHARGE, layout.occupation_arrays())
-    return FockOperator(sp.diags(diag.astype(complex), 0, format="csr"), layout)
+    return sp.diags(diag.astype(complex), 0, format="csr")
 
 
 @dataclass
 class Trajectory:
     """Sampled observables of a closed evolution, one array entry (or row) per sample.
 
-    ``states`` embeds the full-layout :class:`FockState` of a sample only
+    ``states`` embeds a sample into a full-layout amplitude vector only
     when it is accessed; the trajectory itself keeps the reachable block.
     """
 
@@ -118,7 +121,7 @@ class Trajectory:
 
 
 class _BlockStates(Sequence):
-    """Full-layout states of an ``(n, |block|)`` amplitude stack, embedded on access."""
+    """Full-layout amplitude vectors of an ``(n, |block|)`` stack, embedded on access."""
 
     def __init__(self, block, amps, layout):
         self.block, self.amps, self.layout = block, amps, layout
@@ -129,7 +132,7 @@ class _BlockStates(Sequence):
     def __getitem__(self, i):
         psi = np.zeros(self.layout.dim, dtype=complex)
         psi[self.block] = self.amps[i]
-        return FockState(psi, self.layout)
+        return psi
 
 
 def _hermiticity_check(H: sp.spmatrix):
@@ -179,7 +182,7 @@ def _zeta12(p: np.ndarray, occ) -> np.ndarray:
     return np.where(vacuum, 1.0, var / np.where(vacuum, 1.0, den))
 
 
-def evolve_state(H: FockOperator, psi0: FockState, times) -> Trajectory:
+def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
     Every sample comes from one stacked eigenbasis product
@@ -188,24 +191,28 @@ def evolve_state(H: FockOperator, psi0: FockState, times) -> Trajectory:
     the samples are the rows of ``(exp(-i t w) * P^dag psi0) @ P^T``; sample 0
     is ``psi0`` itself.  Occupations, zeta12, leakage and norms are array
     reductions over the block's populations, and ``states`` embeds a sample
-    into the full layout only when it is accessed.
+    into a full-layout amplitude vector only when it is accessed.
 
     Parameters
     ----------
     H : FockOperator
-        Hermitian generator.
-    psi0 : FockState
-        Initial state on the same layout.
+        Hermitian generator and the layout it acts on.
+    psi0 : ndarray
+        Initial amplitudes, a vector of length ``H.layout.dim``.
     times : sequence of float
         Sorted ascending, starting at 0.
 
     Raises
     ------
+    ValueError
+        If ``psi0`` is not a vector of length ``H.layout.dim``, or the
+        times do not start at 0 and ascend strictly.
     IntegrationError
         If the norm drifts by more than 1e-8 between consecutive samples.
     """
-    if H.layout != psi0.layout:
-        raise ValueError("Hamiltonian and state layouts differ")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (H.layout.dim,):
+        raise ValueError(f"state shape {psi0.shape} does not match layout dimension {H.layout.dim}")
     times = np.asarray(times, dtype=float)
     if not times.size or times[0] != 0.0:
         raise ValueError("sample times must start at 0")
@@ -214,11 +221,11 @@ def evolve_state(H: FockOperator, psi0: FockState, times) -> Trajectory:
     _hermiticity_check(H.matrix)
 
     layout = H.layout
-    block, amps = _propagate(H.matrix, psi0.amplitudes, times)
+    block, amps = _propagate(H.matrix, psi0, times)
     occ = [o[block] for o in layout.occupation_arrays()]
     p = np.abs(amps) ** 2
     norms = np.sqrt(p.sum(axis=1))
-    drift = np.abs(np.diff(norms, prepend=np.linalg.norm(psi0.amplitudes)))
+    drift = np.abs(np.diff(norms, prepend=np.linalg.norm(psi0)))
     first = np.argmax(drift > _NORM_DRIFT_PER_STEP)
     if drift[first] > _NORM_DRIFT_PER_STEP:
         raise IntegrationError(
@@ -244,20 +251,19 @@ def evolve_state(H: FockOperator, psi0: FockState, times) -> Trajectory:
     return traj
 
 
-def relative_number_squeezing(state: FockState) -> float:
+def relative_number_squeezing(psi: np.ndarray, layout: ModeLayout) -> float:
     """``Var(n1 - n2) / (n1 + n2)`` for a three-mode state.
 
     Number operators are diagonal in the Fock basis, so this is a direct
     fourth-moment computation with no Gaussian assumption.  Returns the
     independent-states reference value 1 when the denominator is below 1e-14.
     """
-    layout = state.layout
     if layout.n_modes != 3:
         raise ValueError("relative number squeezing expects a three-mode layout")
-    return float(_zeta12(np.abs(state.amplitudes) ** 2, layout.occupation_arrays()))
+    return float(_zeta12(np.abs(psi) ** 2, layout.occupation_arrays()))
 
 
-def target_state(layout: ModeLayout, r: float) -> FockState:
+def target_state(layout: ModeLayout, r: float) -> np.ndarray:
     """The two-mode squeezed target over ``|n, n>`` tensored with spin vacuum."""
     if layout.n_modes != 3:
         raise ValueError("target state expects a three-mode layout")
@@ -266,18 +272,19 @@ def target_state(layout: ModeLayout, r: float) -> FockState:
     psi = np.zeros(layout.dim, dtype=complex)
     for n in range(n_max + 1):
         psi[layout.index((n, n, 0))] = amps[n]
-    return FockState(psi, layout)
+    return psi
 
 
-def fidelity_with_target(state: FockState, r: float) -> float:
-    """Overlap ``|<target|state>|^2`` with the magnitude-normalized target."""
+def fidelity_with_target(psi: np.ndarray, layout: ModeLayout, r: float) -> float:
+    """Overlap ``|<target|psi>|^2`` with the magnitude-normalized target."""
     if r <= 1:
         raise ValueError("r must exceed 1")
-    tgt = target_state(state.layout, r)
-    return float(abs(np.vdot(tgt.amplitudes, state.amplitudes)) ** 2)
+    return float(abs(np.vdot(target_state(layout, r), psi)) ** 2)
 
 
-def analytic_state(c: EffectiveCouplings, t: float, layout: ModeLayout, tail_tol=1e-6) -> FockState:
+def analytic_state(
+    c: EffectiveCouplings, t: float, layout: ModeLayout, tail_tol=1e-6
+) -> np.ndarray:
     """Closed-form evolved state embedded on the given layout.
 
     The amplitude table entry (m, n) populates the basis state
@@ -296,54 +303,33 @@ def analytic_state(c: EffectiveCouplings, t: float, layout: ModeLayout, tail_tol
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("layout retains none of the analytic state")
-    return FockState(psi / nrm, layout)
+    return psi / nrm
 
 
-def gauge_phase(state: FockState) -> FockState:
+def gauge_phase(psi: np.ndarray) -> np.ndarray:
     """Rotate the global phase so the largest-magnitude amplitude is real positive."""
-    amps = state.amplitudes
-    k = int(np.argmax(np.abs(amps)))
-    ph = amps[k] / abs(amps[k]) if amps[k] != 0 else 1.0
-    return FockState(amps / ph, state.layout)
+    k = int(np.argmax(np.abs(psi)))
+    ph = psi[k] / abs(psi[k]) if psi[k] != 0 else 1.0
+    return psi / ph
 
 
-def quadrature_variances(state: FockState, mode: int, phases) -> np.ndarray:
-    """``Var((a e^{-i phi} + a^dag e^{i phi}) / sqrt 2)`` on a grid of phases.
+def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:
+    """Minimum cavity quadrature variance of the degenerate evolution from vacuum, per sample.
 
+    Evolves the single-cavity variant (one ``eigh`` serves every time; the
+    times are checked as by :func:`evolve_state`) and returns, for each
+    sample, the exact minimum over phases ``phi`` of
+    ``Var((a e^{-i phi} + a^dag e^{i phi}) / sqrt 2)``, which is
+    ``1/2 + <a^dag a> - |<a a>|``.  No phase grid is needed: every term
+    changes ``n_a + n_c`` by 0 or 2, so from vacuum its parity is conserved,
+    ``a`` maps the state into the other parity and ``<a> = 0`` exactly.
     The vacuum reference level is 1/2.
     """
-    layout = state.layout
-    a = mode_annihilator(layout, mode).matrix
-    psi = state.amplitudes
-    apsi = a @ psi
-    n_exp = float(np.vdot(apsi, apsi).real)
-    aa = complex(np.vdot(psi, a @ apsi))
-    a_mean = complex(np.vdot(psi, apsi))
-    phases = np.asarray(phases, dtype=float)
-    second = 0.5 * (1.0 + 2.0 * n_exp + 2.0 * (np.exp(-2j * phases) * aa).real)
-    mean = np.sqrt(2.0) * (np.exp(-1j * phases) * a_mean).real
-    return second - mean**2
-
-
-def degenerate_mode_evolve(
-    c,
-    layout2: ModeLayout,
-    t: float,
-    phase_samples: int,
-) -> float:
-    """Minimum cavity quadrature variance of the degenerate evolution from vacuum.
-
-    Evolves the single-cavity variant to time ``t`` and minimizes the
-    quadrature variance over a grid of ``phase_samples`` phases in [0, pi).
-    """
-    if phase_samples < 1:
-        raise ValueError("phase_samples must be positive")
     if layout2.n_modes != 2:
         raise ValueError("degenerate evolution needs a two-mode (cavity, spin) layout")
     # both cavities of the model are the one layout cavity
-    a, spin = (mode_annihilator(layout2, m).matrix for m in range(2))
+    a, spin = (mode_annihilator(layout2, m) for m in range(2))
     H = FockOperator(_hamiltonian(c, (a, a, spin)), layout2)
-    traj = evolve_state(H, vacuum_state(layout2), [0.0, t] if t > 0 else [0.0])
-    state = traj.states[-1]
-    phis = np.arange(phase_samples) * np.pi / phase_samples
-    return float(np.min(quadrature_variances(state, 0, phis)))
+    traj = evolve_state(H, vacuum_state(layout2), times)
+    aa = np.array([abs(np.vdot(psi, a @ (a @ psi))) for psi in traj.states])
+    return 0.5 + traj.occupations[:, 0] - aa

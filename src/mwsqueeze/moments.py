@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import NumericalError, StabilityError
-from .fock import FockState
+from .fock import ModeLayout
 from .params import COUPLING_TERMS, CONSERVED_CHARGE, DecayRates, coupling_pair
 
 __all__ = [
@@ -313,22 +313,20 @@ def commutator_offsets(V) -> np.ndarray:
     return (V[..., [0, 2, 4], [0, 2, 4]] - V[..., [1, 3, 5], [1, 3, 5]]).real
 
 
-def moments_from_fock_state(state: FockState) -> np.ndarray:
-    """Extract the 6x6 moment matrix from a three-mode Fock-space state.
+def moments_from_fock_state(psi: np.ndarray, layout: ModeLayout) -> np.ndarray:
+    """Extract the 6x6 moment matrix from a three-mode Fock-space state vector.
 
     Brute-force expectation values of all ``v_j v_k^dag`` pairs; this is the
     anti-hallucination oracle used to validate the Wick expansion.
     """
-    layout = state.layout
     if layout.n_modes != 3:
         raise ValueError("moment extraction expects a three-mode layout")
     from .fock import mode_annihilator
 
     ops = []
     for m in range(3):
-        a = mode_annihilator(layout, m).matrix
+        a = mode_annihilator(layout, m)
         ops.extend([a, a.conj().T.tocsr()])
-    psi = state.amplitudes
     # <v_j v_k^dag> = (v_j^dag psi)^dag (v_k^dag psi), and v_j^dag = v_{swap(j)}
     applied = [ops[_SWAP[j]] @ psi for j in range(6)]
     V = np.zeros((6, 6), dtype=complex)

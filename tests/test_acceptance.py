@@ -65,7 +65,7 @@ def _fock_run(spin_dim):
         ref = cf.occupations_closed_form(c, t)
         occ_dev = max(occ_dev, max(abs(a - b) for a, b in zip(occ, ref)))
         ana = fdyn.analytic_state(c, t, lay, tail_tol=1.0)
-        fid_min = min(fid_min, abs(np.vdot(ana.amplitudes, st.amplitudes)) ** 2)
+        fid_min = min(fid_min, abs(np.vdot(ana, st)) ** 2)
     st_pi = traj.states[80]
     return {
         "couplings": c,
@@ -73,7 +73,7 @@ def _fock_run(spin_dim):
         "traj": traj,
         "occ_dev": occ_dev,
         "fid_min": fid_min,
-        "tmss_fidelity": fdyn.fidelity_with_target(st_pi, 2.0),
+        "tmss_fidelity": fdyn.fidelity_with_target(st_pi, lay, 2.0),
         "n3_at_t_pi": traj.occupations[80][2],
     }
 
@@ -203,10 +203,9 @@ def test_criterion_05_diagnostic_conformant_truncation(r2_run_conformant):
 
 def test_criterion_06_conservation(r2_run_stated):
     traj = r2_run_stated["traj"]
-    N = fdyn.conserved_number_operator(r2_run_stated["layout"]).matrix
+    N = fdyn.conserved_number_operator(r2_run_stated["layout"])
     worst = 0.0
-    for st in traj.states:
-        psi = st.amplitudes
+    for psi in traj.states:
         worst = max(
             worst,
             abs(np.vdot(psi, N @ psi).real),

@@ -19,7 +19,7 @@ def test_annihilator_two_level_factor():
     # dims (2,2,2): the mode-0 factor is the 2x2 matrix with the single
     # entry 1 connecting |1> -> |0>, kron-embedded to 8x8
     lay = ModeLayout((2, 2, 2))
-    a = mode_annihilator(lay, 0).matrix.toarray()
+    a = mode_annihilator(lay, 0).toarray()
     assert a.shape == (8, 8)
     expected = np.kron(np.array([[0, 1], [0, 0]]), np.eye(4))
     assert np.array_equal(a, expected)
@@ -30,7 +30,7 @@ def test_annihilator_two_level_factor():
 def test_single_quantum_matrix_element():
     for dims in [(2, 2, 2), (5, 4, 3), (7, 7, 7)]:
         lay = ModeLayout(dims)
-        adag = mode_annihilator(lay, 0).matrix.conj().T
+        adag = mode_annihilator(lay, 0).conj().T
         elem = adag[lay.index((1, 0, 0)), lay.index((0, 0, 0))]
         assert elem == pytest.approx(1.0)
 
@@ -40,7 +40,7 @@ def test_commutator_identity_below_truncation(d):
     lay = ModeLayout((d, d, d))
     occ = lay.occupation_arrays()
     for m in range(3):
-        a = mode_annihilator(lay, m).matrix
+        a = mode_annihilator(lay, m)
         comm = (a @ a.conj().T - a.conj().T @ a).toarray()
         off_diag = comm - np.diag(np.diag(comm))
         assert np.max(np.abs(off_diag)) == 0.0
@@ -56,8 +56,8 @@ def test_cross_mode_commutators_vanish():
         for j in range(3):
             if i == j:
                 continue
-            ai = mode_annihilator(lay, i).matrix
-            aj = mode_annihilator(lay, j).matrix
+            ai = mode_annihilator(lay, i)
+            aj = mode_annihilator(lay, j)
             comm = ai @ aj.conj().T - aj.conj().T @ ai
             assert abs(comm).max() == 0.0 if comm.nnz else True
             assert comm.nnz == 0 or abs(comm).max() == 0.0

@@ -63,7 +63,7 @@ class TestDrift:
         M = mom.drift_matrix(xi)
         v = []
         for m in range(3):
-            a = mode_annihilator(lay, m).matrix
+            a = mode_annihilator(lay, m)
             v.extend([a, a.conj().T])
         rng = np.random.default_rng(5)
         low = np.all([o <= 3 for o in lay.occupation_arrays()], axis=0)
@@ -274,8 +274,8 @@ class TestWickOracle:
         tpi = cf.t_pi(c)
         for frac in (0.15, 0.4, 0.65, 0.9, 1.2, 1.7):
             st = fdyn.analytic_state(c, frac * tpi, lay, tail_tol=1e-10)
-            direct = fdyn.relative_number_squeezing(st)
-            wick = mom.zeta12_from_moments(mom.moments_from_fock_state(st))
+            direct = fdyn.relative_number_squeezing(st, lay)
+            wick = mom.zeta12_from_moments(mom.moments_from_fock_state(st, lay))
             assert wick == pytest.approx(direct, abs=1e-9)
 
     def test_moment_extraction_matches_gaussian_route(self):
@@ -283,7 +283,7 @@ class TestWickOracle:
         lay = ModeLayout((54, 54, 22))
         t = 0.6 * cf.t_pi(c)
         st = fdyn.analytic_state(c, t, lay, tail_tol=1e-10)
-        V_state = mom.moments_from_fock_state(st)
+        V_state = mom.moments_from_fock_state(st, lay)
         V_exact = mom.evolve_moments(mom.drift_matrix(c), mom.vacuum_moments(), [t])[0]
         assert np.max(np.abs(V_state - V_exact)) < 1e-8
 
