@@ -162,23 +162,28 @@ def _physical(build, *args, **kwargs):
         raise ConfigError(str(exc)) from exc
 
 
-def _couplings_from_config(cfg) -> EffectiveCouplings | None:
-    """Resolve couplings from (r, theta_hz) or (xi1_hz, xi2_hz); None if zero."""
-    has_rt = "r" in cfg or "theta_hz" in cfg
+def _couplings_from_config(cfg, rate_key: str, unit: float, raw=False):
+    """Couplings from ``(r, theta = cfg[rate_key] * unit)`` or ``(xi1_hz, xi2_hz)``; None if both rates are 0.
+
+    ``raw`` keeps a rate pair as an unordered ``(xi1, xi2)`` tuple, so stability
+    studies (for example ``xi2 = 0`` parametric gain) are expressible; a raw
+    pair reads ``r`` only beside ``rate_key``.
+    """
+    has_rt = rate_key in cfg or "r" in cfg and not raw
     has_xi = "xi1_hz" in cfg or "xi2_hz" in cfg
     if has_rt and has_xi:
-        raise ConfigError("give either (r, theta_hz) or (xi1_hz, xi2_hz), not both")
+        raise ConfigError(f"give either (r, {rate_key}) or (xi1_hz, xi2_hz), not both")
     if has_rt:
-        if "r" not in cfg or "theta_hz" not in cfg:
-            raise ConfigError("both r and theta_hz are required")
-        return _physical(EffectiveCouplings.from_theta_r, TWO_PI * cfg["theta_hz"], cfg["r"])
-    if has_xi:
-        xi1 = TWO_PI * cfg.get("xi1_hz", 0.0)
-        xi2 = TWO_PI * cfg.get("xi2_hz", 0.0)
-        if xi1 == 0.0 and xi2 == 0.0:
-            return None
-        return _physical(EffectiveCouplings, xi1, xi2)
-    raise ConfigError("couplings missing: give (r, theta_hz) or (xi1_hz, xi2_hz)")
+        if "r" not in cfg or rate_key not in cfg:
+            raise ConfigError(f"both r and {rate_key} are required")
+        return _physical(EffectiveCouplings.from_theta_r, cfg[rate_key] * unit, cfg["r"])
+    if not has_xi:
+        raise ConfigError(f"couplings missing: give (r, {rate_key}) or (xi1_hz, xi2_hz)")
+    xi1 = TWO_PI * cfg.get("xi1_hz", 0.0)
+    xi2 = TWO_PI * cfg.get("xi2_hz", 0.0)
+    if xi1 == 0.0 and xi2 == 0.0:
+        return None
+    return (xi1, xi2) if raw else _physical(EffectiveCouplings, xi1, xi2)
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +212,10 @@ def _evolve_rows(times, theta, occupations, zeta12, *extra):
     return np.column_stack([times, theta * times, occupations, zeta12, *extra])
 
 
-def _uncoupled_rows(times, *extra):
-    n = len(times)
-    return _evolve_rows(times, 0.0, np.zeros((n, 3)), np.ones(n), *extra)
-
-
 def _route_analytic(couplings, times):
     if couplings is None:
-        return _uncoupled_rows(times)
+        n = len(times)
+        return _evolve_rows(times, 0.0, np.zeros((n, 3)), np.ones(n))
     occ = closed_form.occupations_closed_form(couplings, times)
     return _evolve_rows(times, couplings.theta, occ, closed_form.zeta12_closed_form_grid(occ))
 
@@ -222,7 +223,7 @@ def _route_analytic(couplings, times):
 def _route_gaussian(couplings, times):
     M = moments.drift_matrix(couplings)
     V = moments.evolve_moments(M, moments.vacuum_moments(), times)
-    theta = couplings.theta if couplings is not None else 0.0
+    theta = oscillation_rate(couplings) or 0.0
     return _evolve_rows(
         times, theta, moments.occupations_from_moments(V), moments.zeta12_from_moments(V)
     )
@@ -251,13 +252,11 @@ def _route_fock(layout, couplings, times):
             "propagator is exact at any photon number (its zeta12 is off by a few "
             "n * 2.2e-16 at n photons per mode, the rounding of the Wick subtraction)"
         )
-    if couplings is None:
-        return _uncoupled_rows(times, np.zeros(len(times)))
     from . import fock_dynamics as fdyn
 
     H = fdyn.build_effective_hamiltonian(couplings, layout)
     traj = fdyn.evolve_state(H, vacuum_state(layout), times)
-    return _evolve_rows(traj.times, couplings.theta, traj.occupations, traj.zeta12, traj.leakage)
+    return _evolve_rows(traj.times, oscillation_rate(couplings) or 0.0, traj.occupations, traj.zeta12, traj.leakage)
 
 
 def _route_discrepancy(a, b):
@@ -279,13 +278,14 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
     route = cfg.get("route", "gaussian")
     if route not in _ROUTES:
         raise ConfigError(f"route must be one of {_ROUTES}")
-    couplings = _couplings_from_config(cfg)
+    couplings = _couplings_from_config(cfg, "theta_hz", TWO_PI)
     times = _evolve_times(cfg, couplings)
     # a malformed dims is refused on every route, not only where the fock route uses it
     layout = _fock_layout(cfg, couplings) if "dims" in cfg or route in ("fock", "all") else None
     header = ["t_seconds", "theta_t", "n1", "n2", "n3", "zeta12"]
 
     results = {}
+    fock_skipped = False
     if route in ("analytic", "all"):
         results["analytic"] = _route_analytic(couplings, times)
     if route in ("gaussian", "all"):
@@ -296,21 +296,19 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
         except ConfigError:
             if route == "fock":
                 raise
-            results["_fock_skipped"] = True
+            fock_skipped = True
 
     for name, rows in results.items():
-        if name.startswith("_"):
-            continue
         cols = header + (["leakage"] if name == "fock" else [])
         write_csv(outdir / f"evolve_{name}.csv", cols, rows)
 
     if route == "all":
-        summary = {"routes": sorted(k for k in results if not k.startswith("_"))}
+        summary = {"routes": sorted(results)}
         summary["discrepancies"] = {
             f"{a}_vs_{b}": _route_discrepancy(results[a], results[b])
             for a in summary["routes"] for b in summary["routes"] if a < b
         }
-        if results.get("_fock_skipped"):
+        if fock_skipped:
             summary["fock_skipped"] = "truncation infeasible at this r; see gaussian route"
         write_json(outdir / "evolve_summary.json", summary)
     return 0
@@ -319,46 +317,30 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 # spectrum
 
-def _spectrum_params(cfg):
+def _spectrum(couplings, decays: DecayRates, kappa: float, points: int):
+    """Squeezing spectrum on the default grid, and that grid's frequency unit.
+
+    The unit is the oscillation rate theta or, uncoupled or non-oscillatory,
+    the cavity linewidth ``kappa``.
+    """
+    unit = _physical(oscillation_rate, couplings) or kappa
+    grid = _physical(spectrum.default_omega_grid, unit, kappa, points)
+    return spectrum.squeezing_spectrum(couplings, decays, grid), unit
+
+
+def run_spectrum(cfg: dict, outdir: Path) -> int:
     kappa_hz = cfg.get("kappa_hz")
     if kappa_hz is None or kappa_hz <= 0:
         raise ConfigError("kappa_hz (> 0) is required")
     kappa = TWO_PI * kappa_hz
-    has_ratio = "theta_over_kappa" in cfg
-    has_xi = "xi1_hz" in cfg or "xi2_hz" in cfg
-    if has_ratio and has_xi:
-        raise ConfigError("give (r, theta_over_kappa) or (xi1_hz, xi2_hz), not both")
-    if has_ratio:
-        if "r" not in cfg:
-            raise ConfigError("r is required with theta_over_kappa")
-        theta = cfg["theta_over_kappa"] * kappa
-        couplings = _physical(EffectiveCouplings.from_theta_r, theta, cfg["r"])
-    elif has_xi:
-        # raw pair: no magnitude-ordering constraint, so stability studies
-        # (for example xi2 = 0 parametric gain) are expressible
-        xi1 = TWO_PI * cfg.get("xi1_hz", 0.0)
-        xi2 = TWO_PI * cfg.get("xi2_hz", 0.0)
-        couplings = None if (xi1 == 0.0 and xi2 == 0.0) else (xi1, xi2)
-    else:
-        raise ConfigError("couplings missing: give (r, theta_over_kappa) or (xi1_hz, xi2_hz)")
+    couplings = _couplings_from_config(cfg, "theta_over_kappa", kappa, raw=True)
     decays = _physical(
         DecayRates, kappa1=kappa, kappa2=kappa, gamma_s=TWO_PI * cfg.get("gamma_s_hz", 0.0)
     )
-    return couplings, decays, kappa
-
-
-def run_spectrum(cfg: dict, outdir: Path) -> int:
-    couplings, decays, kappa = _spectrum_params(cfg)
     points = cfg.get("num_points", 2001)
     if points < 11 or points % 2 == 0:
         raise ConfigError("num_points must be an odd integer >= 11")
-    theta = _physical(oscillation_rate, couplings)
-    if theta is None:
-        # uncoupled or non-oscillatory: the cavity linewidth sets the scale
-        theta = kappa
-    grid = _physical(spectrum.default_omega_grid, theta, kappa, points)
-    result = spectrum.squeezing_spectrum(couplings, decays, grid)
-    scale = theta
+    result, scale = _spectrum(couplings, decays, kappa, points)
     rows = np.column_stack([result.omega / scale, result.s_plus, result.s_minus])
     write_csv(outdir / "spectrum.csv", ["omega_over_theta", "s_plus", "s_minus"], rows)
     write_json(outdir / "spectrum_summary.json", {
@@ -498,12 +480,12 @@ def _validate_checks(cfg):
     record("gaussian_zeta12_dip", abs(moments.zeta12_from_moments(V)), 1e-8)
     record("commutator_offsets", np.abs(moments.commutator_offsets(V) - 1.0).max(), 1e-8)
 
-    # spectrum calibration, symmetry, stability fixtures
+    # spectrum calibration, symmetry, stability fixtures; kappa = 1 puts the default grid at +-3
     d = DecayRates.cavities(1.0)
-    sres = spectrum.squeezing_spectrum(None, d, np.linspace(-3, 3, 201))
+    sres, _ = _spectrum(None, d, 1.0, 201)
     record("shot_noise_calibration", float(np.max(np.abs(sres.s_plus - 1.0))), 1e-10)
     csp = EffectiveCouplings.from_theta_r(1.0, 1.1)
-    sres2 = spectrum.squeezing_spectrum(csp, DecayRates.cavities(1.0), np.linspace(-3, 3, 401))
+    sres2, _ = _spectrum(csp, d, 1.0, 401)
     record("spectrum_symmetry", float(np.max(np.abs(sres2.s_plus - sres2.s_plus[::-1]))), 1e-8)
     stable_closed, _ = spectrum.stability_check(c11, DecayRates())
     stable_damped, _ = spectrum.stability_check(csp, DecayRates.cavities(1.0))
@@ -559,92 +541,72 @@ def run_validate(cfg: dict, outdir: Path) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-_SWEEP_OUTPUTS = ("epsilon", "t_pi_s", "min_s", "n_thermal", "suppression")
+def _epsilon(p):
+    r = p["r"]
+    eps = _physical(closed_form.squeezing_parameter, r)
+    oracle = math.log((1.0 + r) / (r - 1.0))
+    if abs(eps - oracle) > 1e-9 * max(1.0, abs(oracle)):
+        raise NumericalError(f"squeezing parameter failed its oracle cross-check at r={r}")
+    return eps
 
 
-def _sweep_point(outputs, fixed, r, ratio, temp):
-    row = {}
-    if "epsilon" in outputs:
-        eps = _physical(closed_form.squeezing_parameter, r)
-        oracle = math.log((1.0 + r) / (r - 1.0))
-        if abs(eps - oracle) > 1e-9 * max(1.0, abs(oracle)):
-            raise NumericalError(f"squeezing parameter failed its oracle cross-check at r={r}")
-        row["epsilon"] = eps
-    if "t_pi_s" in outputs:
-        if ratio is not None:
-            theta_hz = ratio * fixed["kappa_hz"]
-        else:
-            theta_hz = fixed["theta_hz"]
-        if not theta_hz > 0:
-            raise ConfigError(f"t_pi_s needs a positive theta, got {theta_hz:g} Hz")
-        row["t_pi_s"] = 1.0 / (2.0 * theta_hz)
-    if "min_s" in outputs:
-        kappa = TWO_PI * fixed["kappa_hz"]
-        theta = (ratio if ratio is not None else fixed["theta_over_kappa"]) * kappa
-        couplings = _physical(EffectiveCouplings.from_theta_r, theta, r)
-        grid = spectrum.default_omega_grid(theta, kappa, 2001)
-        res = spectrum.squeezing_spectrum(couplings, _physical(DecayRates.cavities, kappa), grid)
-        row["min_s"] = float(np.min(res.s_plus))
-    if "n_thermal" in outputs:
-        row["n_thermal"] = _physical(feasibility.thermal_occupation, fixed["frequency_hz"], temp)
-    if "suppression" in outputs:
-        row["suppression"] = _physical(
-            feasibility.thermal_suppression, fixed["kappa_hz"], fixed["gamma_c_hz"]
-        )
-    return row
+def _t_pi(theta_hz):
+    if not theta_hz > 0:
+        raise ConfigError(f"t_pi_s needs a positive theta, got {theta_hz:g} Hz")
+    return 1.0 / (2.0 * theta_hz)
+
+
+def _min_s(p):
+    kappa = TWO_PI * p["kappa_hz"]
+    couplings = _couplings_from_config(p, "theta_over_kappa", kappa)
+    result, _ = _spectrum(couplings, _physical(DecayRates.cavities, kappa), kappa, 2001)
+    return float(np.min(result.s_plus))
+
+
+# output -> (keys of a sweep point it reads, its value at that point); a point
+# holds the fixed config keys, and each swept axis's value under the axis name
+_SWEEP_OUTPUTS = {
+    "epsilon": (("r",), _epsilon),
+    "t_pi_s": (("theta_hz",), lambda p: _t_pi(p["theta_hz"])),
+    "min_s": (("r", "theta_over_kappa", "kappa_hz"), _min_s),
+    "n_thermal": (("frequency_hz", "temperature_k"),
+                  lambda p: _physical(feasibility.thermal_occupation, p["frequency_hz"], p["temperature_k"])),
+    "suppression": (("kappa_hz", "gamma_c_hz"),
+                    lambda p: _physical(feasibility.thermal_suppression, p["kappa_hz"], p["gamma_c_hz"])),
+}
+# on the theta_over_kappa_values axis, t_pi_s follows the axis instead of theta_hz
+_SWEPT_RATIO_OUTPUTS = {
+    "t_pi_s": (("theta_over_kappa", "kappa_hz"),
+               lambda p: _t_pi(p["theta_over_kappa"] * p["kappa_hz"])),
+}
+_SWEEP_AXES = ("r", "theta_over_kappa", "temperature_k")
 
 
 def run_sweep(cfg: dict, outdir: Path) -> int:
     outputs = cfg.get("outputs")
     if not outputs:
         raise ConfigError("sweep needs a non-empty outputs list")
-    for o in outputs:
-        if o not in _SWEEP_OUTPUTS:
-            raise ConfigError(f"unknown sweep output {o!r}; known: {_SWEEP_OUTPUTS}")
-
-    axes = []
-    header = []
-    r_vals = cfg.get("r_values")
-    ratio_vals = cfg.get("theta_over_kappa_values")
-    temp_vals = cfg.get("temperature_k_values")
-    for name, vals in (("r", r_vals), ("theta_over_kappa", ratio_vals), ("temperature_k", temp_vals)):
-        if vals is not None:
-            if not vals:
-                raise ConfigError(f"{name}_values must not be empty")
-            axes.append([float(v) for v in vals])
-            header.append(name)
-        else:
-            axes.append([None])
-    if all(len(a) == 1 and a[0] is None for a in axes):
+    axes = {name: cfg[f"{name}_values"] for name in _SWEEP_AXES if f"{name}_values" in cfg}
+    if not axes:
         raise ConfigError("sweep needs at least one of r_values, theta_over_kappa_values, temperature_k_values")
-
-    fixed = {k: cfg[k] for k in ("r", "theta_hz", "theta_over_kappa", "kappa_hz", "frequency_hz", "gamma_c_hz") if k in cfg}
-    needs = {
-        "epsilon": [],
-        "t_pi_s": ["kappa_hz"] if ratio_vals is not None else ["theta_hz"],
-        "min_s": ["kappa_hz"],
-        "n_thermal": ["frequency_hz"],
-        "suppression": ["kappa_hz", "gamma_c_hz"],
-    }
+    for name, vals in axes.items():
+        if not vals:
+            raise ConfigError(f"{name}_values must not be empty")
+    table = {**_SWEEP_OUTPUTS, **(_SWEPT_RATIO_OUTPUTS if "theta_over_kappa" in axes else {})}
     for o in outputs:
-        for k in needs[o]:
-            if k not in fixed:
-                raise ConfigError(f"sweep output {o!r} needs config key {k!r}")
-    if ("epsilon" in outputs or "min_s" in outputs) and r_vals is None and "r" not in fixed:
-        raise ConfigError("outputs involving r need r_values or a fixed r")
-    if "min_s" in outputs and ratio_vals is None and "theta_over_kappa" not in fixed:
-        raise ConfigError("min_s needs theta_over_kappa_values or a fixed theta_over_kappa")
-    if "n_thermal" in outputs and temp_vals is None:
-        raise ConfigError("n_thermal needs temperature_k_values")
+        if o not in table:
+            raise ConfigError(f"unknown sweep output {o!r}; known: {tuple(table)}")
+        for k in table[o][0]:
+            if k not in cfg and k not in axes:
+                keys = " or ".join(repr(n) for n in (k, f"{k}_values") if n in _SCHEMAS["sweep"])
+                raise ConfigError(f"sweep output {o!r} needs config key {keys}")
 
     rows = []
-    for pt in product(*axes):
-        r, ratio, temp = pt
-        r_eff = r if r is not None else fixed.get("r")
-        row = _sweep_point(outputs, fixed, r_eff, ratio, temp)
-        vals = [v for v in pt if v is not None]
-        rows.append(tuple(vals) + tuple(row[o] for o in outputs))
-    write_csv(outdir / "sweep.csv", header + list(outputs), np.array(rows))
+    for values in product(*([float(v) for v in vals] for vals in axes.values())):
+        point = {**cfg, **dict(zip(axes, values))}
+        value = {o: evaluate(point) for o, (_, evaluate) in table.items() if o in outputs}
+        rows.append(values + tuple(value[o] for o in outputs))
+    write_csv(outdir / "sweep.csv", list(axes) + list(outputs), np.array(rows))
     return 0
 
 

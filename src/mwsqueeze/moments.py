@@ -153,6 +153,18 @@ def rightmost_eigenvalue(M) -> complex:
     return ev[np.argmax(ev.real)]
 
 
+def _require_stable(M) -> float:
+    """Stability abscissa of ``M``; ``StabilityError`` naming the rightmost eigenvalue unless it is < 0."""
+    worst = rightmost_eigenvalue(M)
+    abscissa = float(worst.real)
+    if abscissa >= 0:
+        raise StabilityError(
+            f"drift matrix unstable: eigenvalue {worst:.6g} has real part {abscissa:.3e} >= 0",
+            max_real_eigenvalue=abscissa,
+        )
+    return abscissa
+
+
 def _putzer(M, V0):
     """Map from a time array to the stack of ``E V0 E^dag``, ``E = exp(M t)``, when ``M^3 = -theta^2 M``, else None.
 
@@ -246,12 +258,7 @@ def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.n
 def steady_state_moments(M: np.ndarray, diffusion: np.ndarray) -> np.ndarray:
     """Solve ``M V + V M^dag + D = 0`` for the steady-state moment matrix."""
     M = np.asarray(M, dtype=complex)
-    abscissa = float(rightmost_eigenvalue(M).real)
-    if abscissa >= 0:
-        raise StabilityError(
-            f"drift matrix is not strictly stable (spectral abscissa {abscissa:.3e})",
-            max_real_eigenvalue=abscissa,
-        )
+    _require_stable(M)
     import scipy.linalg
 
     return scipy.linalg.solve_sylvester(M, M.conj().T, -np.asarray(diffusion, dtype=complex))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, StabilityError
-from .moments import _SECTORS, _SWAP, _rates, drift_matrix, rightmost_eigenvalue
+from .moments import _SECTORS, _SWAP, _rates, _require_stable, drift_matrix
 from .params import DecayRates, coupling_pair
 
 __all__ = [
@@ -52,8 +52,10 @@ def _input_coupling(d: DecayRates) -> np.ndarray:
 
 def stability_check(c, d: DecayRates):
     """Spectral abscissa of the drift matrix; stable iff all real parts < 0."""
-    abscissa = float(rightmost_eigenvalue(drift_matrix(c, d)).real)
-    return abscissa < 0.0, abscissa
+    try:
+        return True, _require_stable(drift_matrix(c, d))
+    except StabilityError as exc:
+        return False, exc.max_real_eigenvalue
 
 
 def default_omega_grid(theta: float, kappa: float, points: int = 2001) -> np.ndarray:
@@ -138,14 +140,7 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
         active += [4, 5]
 
     if coupled:
-        worst = rightmost_eigenvalue(M)
-        abscissa = float(worst.real)
-        if abscissa >= 0:
-            raise StabilityError(
-                f"drift matrix unstable: eigenvalue {worst:.6g} has real part "
-                f"{abscissa:.3e} >= 0",
-                max_real_eigenvalue=abscissa,
-            )
+        _require_stable(M)
 
     # scalar shot-noise calibration: same pipeline, couplings off, at w = 0
     M0 = drift_matrix(None, d)
@@ -235,12 +230,7 @@ def spectral_moment_integral(c, d: DecayRates, omega_max: float, points: int = 2
     window grows.
     """
     M = drift_matrix(coupling_pair(c), d)
-    abscissa = float(rightmost_eigenvalue(M).real)
-    if abscissa >= 0:
-        raise StabilityError(
-            "spectral integral needs a strictly stable drift",
-            max_real_eigenvalue=abscissa,
-        )
+    _require_stable(M)
     grid = np.linspace(-omega_max, omega_max, points)
     z = -1j * np.concatenate([grid, -grid])
     N = _input_coupling(d)

@@ -13,10 +13,12 @@ import pytest
 
 import mwsqueeze
 from mwsqueeze import closed_form as cf
+from mwsqueeze import feasibility as feas
 from mwsqueeze import moments as mom
+from mwsqueeze import spectrum as spec
 from mwsqueeze.cli import main, write_csv
 from mwsqueeze.errors import NumericalError
-from mwsqueeze.params import EffectiveCouplings
+from mwsqueeze.params import DecayRates, EffectiveCouplings
 
 
 def run(tmp_path, command, config, name="cfg.json", outdir="out"):
@@ -83,6 +85,23 @@ class TestEvolve:
         assert set(summary["routes"]) == {"analytic", "fock", "gaussian"}
         for pair in summary["discrepancies"].values():
             assert pair["max_occupation_discrepancy"] <= 1e-6
+
+    def test_route_all_uncoupled_fock(self, tmp_path):
+        # with both rates 0 the fock route stays in the vacuum
+        code, out = run(tmp_path, "evolve", {
+            "route": "all", "xi1_hz": 0.0, "xi2_hz": 0.0, "t_final_s": 1e-4, "num_samples": 21,
+        })
+        assert code == 0
+        header, cols = read_csv(out / "evolve_fock.csv")
+        assert header[-1] == "leakage"
+        for key in ("n1", "n2", "n3", "leakage"):
+            assert np.all(cols[key] == 0.0)
+        assert np.all(cols["zeta12"] == 1.0)
+        summary = json.loads((out / "evolve_summary.json").read_text())
+        assert summary["routes"] == ["analytic", "fock", "gaussian"]
+        for pair in summary["discrepancies"].values():
+            assert pair["max_occupation_discrepancy"] == 0.0
+            assert pair["max_zeta12_discrepancy"] == 0.0
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "evolve", {"route": "gaussian", "kappa": 7000.0})
@@ -195,6 +214,38 @@ class TestSweep:
         n = cols["n_thermal"]
         assert n[0] < n[1] < n[2]
 
+    def test_every_output_column_matches_the_library(self, tmp_path):
+        # theta_hz beside the ratio axis: t_pi_s must follow the axis instead
+        kappa_hz, frequency_hz, gamma_c_hz = 7e3, 6.83e9, 2e3
+        r_values, ratios, temps = [1.1, 2.5], [0.5, 3.0], [0.05, 0.2]
+        outputs = ["epsilon", "t_pi_s", "min_s", "n_thermal", "suppression"]
+        code, out = run(tmp_path, "sweep", {
+            "outputs": outputs, "r_values": r_values, "theta_over_kappa_values": ratios,
+            "temperature_k_values": temps, "theta_hz": 1e4, "kappa_hz": kappa_hz,
+            "frequency_hz": frequency_hz, "gamma_c_hz": gamma_c_hz,
+        })
+        assert code == 0
+        header, cols = read_csv(out / "sweep.csv")
+        assert header == ["r", "theta_over_kappa", "temperature_k"] + outputs
+        points = [(r, q, t) for r in r_values for q in ratios for t in temps]
+        assert list(zip(cols["r"], cols["theta_over_kappa"], cols["temperature_k"])) == points
+        kappa = 2.0 * math.pi * kappa_hz
+
+        def min_s(r, q):
+            c = EffectiveCouplings.from_theta_r(q * kappa, r)
+            grid = spec.default_omega_grid(q * kappa, kappa, 2001)
+            return float(np.min(spec.squeezing_spectrum(c, DecayRates.cavities(kappa), grid).s_plus))
+
+        expected = {
+            "epsilon": [cf.squeezing_parameter(r) for r, _, _ in points],
+            "t_pi_s": [1.0 / (2.0 * (q * kappa_hz)) for _, q, _ in points],
+            "min_s": [min_s(r, q) for r, q, _ in points],
+            "n_thermal": [feas.thermal_occupation(frequency_hz, t) for _, _, t in points],
+            "suppression": [feas.thermal_suppression(kappa_hz, gamma_c_hz)] * len(points),
+        }
+        for name, values in expected.items():
+            assert cols[name].tolist() == values, name
+
     def test_empty_grid_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", {"outputs": ["epsilon"], "r_values": []})
         assert code == 2
@@ -286,6 +337,15 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("evolve", {"r": 1.1, "theta_hz": 1e-300}),
     # a cavity cutoff of ~2e17 photons, where log(2r / (1 + r^2)) rounds to 0
     ("evolve", {"route": "fock", "r": 1.00000001, "theta_hz": 1e4}),
+    # one half of a coupling pair, or both pairs at once
+    ("spectrum", {"r": 1.1, "kappa_hz": 7e3}),
+    ("spectrum", {"theta_over_kappa": 1.0, "kappa_hz": 7e3}),
+    ("spectrum", {**_SPECTRUM_BASE, "xi1_hz": 1e3}),
+    ("evolve", {"r": 1.1}),
+    # a sweep output without a key it reads
+    ("sweep", {"outputs": ["t_pi_s"], "theta_over_kappa_values": [1.0], "theta_hz": 1e4}),
+    ("sweep", {"outputs": ["min_s"], "r_values": [1.1], "kappa_hz": 7e3}),
+    ("sweep", {"outputs": ["n_thermal"], "r_values": [1.1], "frequency_hz": 6.8e9}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-r-below-1", "spectrum-negative-gamma-s",
@@ -299,7 +359,10 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
         "spectrum-points-1e15", "spectrum-points-1e30",
         "spectrum-raw-xi-overflow", "spectrum-theta-overflow", "evolve-gaussian-xi-overflow",
         "evolve-analytic-xi-overflow", "evolve-theta-overflow", "sweep-theta-overflow",
-        "evolve-xi-underflow", "evolve-theta-underflow", "evolve-fock-r-near-1"])
+        "evolve-xi-underflow", "evolve-theta-underflow", "evolve-fock-r-near-1",
+        "spectrum-r-without-ratio", "spectrum-ratio-without-r", "spectrum-ratio-and-xi",
+        "evolve-r-without-theta", "sweep-t-pi-ratio-axis-no-kappa", "sweep-min-s-no-ratio",
+        "sweep-n-thermal-no-temperature"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     err = capsys.readouterr().err
