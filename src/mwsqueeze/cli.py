@@ -166,10 +166,9 @@ def _couplings_from_config(cfg, rate_key: str, unit: float, raw=False):
     """Couplings from ``(r, theta = cfg[rate_key] * unit)`` or ``(xi1_hz, xi2_hz)``; None if both rates are 0.
 
     ``raw`` keeps a rate pair as an unordered ``(xi1, xi2)`` tuple, so stability
-    studies (for example ``xi2 = 0`` parametric gain) are expressible; a raw
-    pair reads ``r`` only beside ``rate_key``.
+    studies (for example ``xi2 = 0`` parametric gain) are expressible.
     """
-    has_rt = rate_key in cfg or "r" in cfg and not raw
+    has_rt = rate_key in cfg or "r" in cfg
     has_xi = "xi1_hz" in cfg or "xi2_hz" in cfg
     if has_rt and has_xi:
         raise ConfigError(f"give either (r, {rate_key}) or (xi1_hz, xi2_hz), not both")
@@ -574,8 +573,8 @@ _SWEEP_OUTPUTS = {
     "suppression": (("kappa_hz", "gamma_c_hz"),
                     lambda p: _physical(feasibility.thermal_suppression, p["kappa_hz"], p["gamma_c_hz"])),
 }
-# on the theta_over_kappa_values axis, t_pi_s follows the axis instead of theta_hz
-_SWEPT_RATIO_OUTPUTS = {
+# wherever theta_over_kappa is given, fixed or swept, t_pi_s follows it (as min_s does) instead of theta_hz
+_RATIO_OUTPUTS = {
     "t_pi_s": (("theta_over_kappa", "kappa_hz"),
                lambda p: _t_pi(p["theta_over_kappa"] * p["kappa_hz"])),
 }
@@ -592,7 +591,8 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
     for name, vals in axes.items():
         if not vals:
             raise ConfigError(f"{name}_values must not be empty")
-    table = {**_SWEEP_OUTPUTS, **(_SWEPT_RATIO_OUTPUTS if "theta_over_kappa" in axes else {})}
+    ratio_given = "theta_over_kappa" in cfg or "theta_over_kappa" in axes
+    table = {**_SWEEP_OUTPUTS, **(_RATIO_OUTPUTS if ratio_given else {})}
     for o in outputs:
         if o not in table:
             raise ConfigError(f"unknown sweep output {o!r}; known: {tuple(table)}")

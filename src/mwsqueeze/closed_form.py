@@ -125,8 +125,9 @@ def evolved_amplitudes(
 
         amp(m, n) = exp_alpha4 * alpha1^m * alpha2^n * sqrt((m+n)! / (m! n!))
 
-    The square-root binomial factor is evaluated through log-gamma so the
-    table stays finite for ``m + n`` of several hundred.
+    The table is built up the spin axis, ``amp(m, n) = amp(m-1, n) alpha1
+    sqrt((m+n)/m)`` from ``amp(0, n) = exp_alpha4 alpha2^n``, so no factorial
+    is formed, and the signed ``alpha1`` carries the sign of each half period.
 
     Raises
     ------
@@ -136,22 +137,10 @@ def evolved_amplitudes(
     if m_max < 0 or n_max < 0:
         raise ValueError("cutoffs must be non-negative")
     pa = propagator_amplitudes(c, t)
-    m = np.arange(m_max + 1)[:, None]
-    n = np.arange(n_max + 1)[None, :]
-    from scipy.special import gammaln
-
-    log_binom = 0.5 * (gammaln(m + n + 1.0) - gammaln(m + 1.0) - gammaln(n + 1.0))
-    a1_mag = abs(pa.alpha1)
-    with np.errstate(divide="ignore"):
-        log_a1 = np.where(m > 0, m * np.log(a1_mag if a1_mag > 0 else 1.0), 0.0)
-        log_a2 = np.where(n > 0, n * np.log(pa.alpha2 if pa.alpha2 > 0 else 1.0), 0.0)
-    amps = pa.exp_alpha4 * np.exp(log_binom + log_a1 + log_a2)
-    if pa.alpha1 < 0.0:
-        amps[1::2, :] *= -1.0
-    if pa.alpha1 == 0.0:
-        amps[1:, :] = 0.0
-    if pa.alpha2 == 0.0:
-        amps[:, 1:] = 0.0
+    m = np.arange(1, m_max + 1)[:, None]
+    n = np.arange(n_max + 1)
+    steps = np.vstack([np.ones(n_max + 1), pa.alpha1 * np.sqrt((m + n) / m)])
+    amps = pa.exp_alpha4 * pa.alpha2**n * np.cumprod(steps, axis=0)
     retained = float(np.sum(amps**2))
     if retained < 1.0 - tail_tol:
         raise CutoffError(

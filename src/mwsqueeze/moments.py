@@ -12,20 +12,21 @@ propagator is an exact quadratic ``I + a M + b M^2`` in the drift matrix with
 real scalars ``a(t)``, ``b(t)``, so a closed trajectory is one fixed quadratic
 in ``(a, b)`` over six constant matrices, and ``zeta12``, a difference of
 O(n^2) Wick terms divided by O(n), is off at ``T_pi`` by no more than a few
-``n eps``: the rounding of the Wick subtraction itself.
+``n eps``: the rounding of the Wick subtraction itself.  Any other drift (a
+damped one) relaxes toward the fixed point ``X`` of ``M X + X M^dag + D = 0``,
+the steady state: ``V(t) = X + E (V0 - X) E^dag`` with ``E = exp(M t)`` from
+one batched matrix exponential per stack of samples.
 
 A moment matrix is a plain complex ``(6, 6)`` array, and a trajectory is the
 ``(n, 6, 6)`` stack of its samples.  Each observable is one function that takes
 one matrix or any stack ``(..., 6, 6)`` and returns ``(...)`` or ``(..., 3)``.
-Propagation, observables and ``|z|^2`` (a libm ufunc pair) are per-element
+Closed propagation, observables and ``|z|^2`` (a libm ufunc pair) are per-element
 arithmetic, which gives a sample the same bits in every stack; the PSD check
 is an LDL^dag factorisation vectorised over the samples, with no eigensolver
 unless a sample fails.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "vacuum_moments",
     "drift_matrix",
     "diffusion_matrix",
-    "rightmost_eigenvalue",
     "evolve_moments",
     "steady_state_moments",
     "occupations_from_moments",
@@ -147,15 +147,10 @@ def diffusion_matrix(d: DecayRates) -> np.ndarray:
     return D
 
 
-def rightmost_eigenvalue(M) -> complex:
-    """Eigenvalue of ``M`` with the largest real part (the stability abscissa)."""
-    ev = np.linalg.eigvals(M)
-    return ev[np.argmax(ev.real)]
-
-
 def _require_stable(M) -> float:
     """Stability abscissa of ``M``; ``StabilityError`` naming the rightmost eigenvalue unless it is < 0."""
-    worst = rightmost_eigenvalue(M)
+    ev = np.linalg.eigvals(M)
+    worst = ev[np.argmax(ev.real)]
     abscissa = float(worst.real)
     if abscissa >= 0:
         raise StabilityError(
@@ -201,25 +196,29 @@ def _putzer(M, V0):
     return propagate
 
 
-def _van_loan(M, D, t):
-    """``exp(M t)`` and ``Q = int_0^t e^{Ms} D e^{M^dag s} ds`` for one time (Van Loan).
+def _relaxation(M, D, V0):
+    """Map from a time array to the stack of ``X + E (V0 - X) E^dag``, ``E = exp(M t)``.
 
-    The block ``[[M, D], [0, -M^dag]]`` is exponentiated at ``t / 2^k``, where
-    its norm times the step is at most 1, and ``(F, Q)`` is doubled back:
-    unscaled, the anti-stable ``-M^dag`` block swamps ``F`` at long times.
+    ``X`` is the fixed point ``M X + X M^dag + D = 0``: 0 without diffusion,
+    else :func:`steady_state_moments` on the components that ``M`` or ``D``
+    touch (so it needs that block strictly stable) and 0 on the rest, where
+    ``E`` is the identity.  ``E`` is one batched exponential of the stack.
     """
     import scipy.linalg
 
-    block = np.block([[M, D], [np.zeros((6, 6)), -M.conj().T]])
-    span = np.abs(block).sum(axis=1).max() * t
-    k = math.ceil(math.log2(span)) if span > 1.0 else 0
-    E = scipy.linalg.expm(block * (t / 2.0**k))
-    F = E[:6, :6]
-    Q = E[:6, 6:] @ F.conj().T
-    for _ in range(k):
-        Q = Q + F @ Q @ F.conj().T
-        F = F @ F
-    return F, Q
+    X = np.zeros_like(M)
+    if D.any():
+        touched = (M != 0) | (D != 0)
+        idx = np.flatnonzero(touched.any(0) | touched.any(1))
+        active = np.ix_(idx, idx)
+        X[active] = steady_state_moments(M[active], D[active])
+    offset = V0 - X
+
+    def propagate(t):
+        E = scipy.linalg.expm(M * t[:, None, None])
+        return X + E @ offset @ E.conj().swapaxes(1, 2)
+
+    return propagate
 
 
 def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.ndarray:
@@ -229,7 +228,10 @@ def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.n
     undamped drift) is ``V(t) = E V0 E^dag`` with the exact quadratic
     ``E = exp(M t) = I + a M + b M^2`` of :func:`_putzer`, evaluated as a
     quadratic in the two real coefficients ``(a, b)`` over six constant
-    matrices; any other drift takes one Van Loan block exponential per sample.
+    matrices.  Any other drift relaxes toward its fixed point ``X``,
+    ``V(t) = X + E (V0 - X) E^dag`` (:func:`_relaxation`), with one batched
+    exponential per stack; a nonzero ``D`` whose touched block is not
+    strictly stable has no fixed point and raises ``StabilityError``.
     Samples are propagated and validated (:func:`_validate_stack`: finite,
     Hermitian and PSD within ``1e-8 max(1, max|V|)``) as stacks of ``_BLOCK``
     into the returned ``(n, 6, 6)`` array.
@@ -242,14 +244,11 @@ def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.n
 
     D = np.zeros_like(M) if diffusion is None else np.asarray(diffusion, dtype=complex)
     propagate = _putzer(M, V0) if not D.any() else None
+    if propagate is None:
+        propagate = _relaxation(M, D, V0)
     out = np.empty((len(times), 6, 6), dtype=complex)
     for lo in range(0, len(times), _BLOCK):
-        t = times[lo:lo + _BLOCK]
-        if propagate is not None:
-            block = propagate(t)
-        else:
-            pairs = [_van_loan(M, D, dt) for dt in t]
-            block = np.array([F @ V0 @ F.conj().T + Q for F, Q in pairs])
+        block = propagate(times[lo:lo + _BLOCK])
         _validate_stack(block, 1e-8 * np.maximum(1.0, np.abs(block).max(axis=(1, 2))))
         out[lo:lo + _BLOCK] = block
     return out

@@ -246,6 +246,21 @@ class TestSweep:
         for name, values in expected.items():
             assert cols[name].tolist() == values, name
 
+    def test_fixed_ratio_sets_theta_for_t_pi_and_min_s(self, tmp_path):
+        # theta_hz beside a fixed ratio: both outputs take theta = ratio * kappa
+        code, out = run(tmp_path, "sweep", {
+            "outputs": ["t_pi_s", "min_s"], "r_values": [1.2], "theta_over_kappa": 2.0,
+            "theta_hz": 9e3, "kappa_hz": 7e3,
+        })
+        assert code == 0
+        _, cols = read_csv(out / "sweep.csv")
+        kappa = 2.0 * math.pi * 7e3
+        c = EffectiveCouplings.from_theta_r(2.0 * kappa, 1.2)
+        grid = spec.default_omega_grid(2.0 * kappa, kappa, 2001)
+        min_s = float(np.min(spec.squeezing_spectrum(c, DecayRates.cavities(kappa), grid).s_plus))
+        assert cols["t_pi_s"].tolist() == [1.0 / (2.0 * 2.0 * 7000.0)]
+        assert cols["min_s"].tolist() == [min_s]
+
     def test_empty_grid_rejected(self, tmp_path):
         code, _ = run(tmp_path, "sweep", {"outputs": ["epsilon"], "r_values": []})
         assert code == 2
@@ -346,6 +361,9 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("sweep", {"outputs": ["t_pi_s"], "theta_over_kappa_values": [1.0], "theta_hz": 1e4}),
     ("sweep", {"outputs": ["min_s"], "r_values": [1.1], "kappa_hz": 7e3}),
     ("sweep", {"outputs": ["n_thermal"], "r_values": [1.1], "frequency_hz": 6.8e9}),
+    # r beside a raw pair; t_pi_s beside a fixed ratio, which it follows, without kappa_hz
+    ("spectrum", {"r": 1.1, "xi1_hz": 1e3, "xi2_hz": 3e3, "kappa_hz": 7e3, "num_points": 101}),
+    ("sweep", {"outputs": ["t_pi_s"], "r_values": [1.2], "theta_over_kappa": 2.0, "theta_hz": 9e3}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-r-below-1", "spectrum-negative-gamma-s",
@@ -362,7 +380,7 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
         "evolve-xi-underflow", "evolve-theta-underflow", "evolve-fock-r-near-1",
         "spectrum-r-without-ratio", "spectrum-ratio-without-r", "spectrum-ratio-and-xi",
         "evolve-r-without-theta", "sweep-t-pi-ratio-axis-no-kappa", "sweep-min-s-no-ratio",
-        "sweep-n-thermal-no-temperature"])
+        "sweep-n-thermal-no-temperature", "spectrum-r-and-xi", "sweep-t-pi-fixed-ratio-no-kappa"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     err = capsys.readouterr().err

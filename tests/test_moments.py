@@ -172,6 +172,36 @@ class TestEvolveMoments:
             mom.evolve_moments(mom.drift_matrix(couplings(1.5)), V0, [0.0, 1.0])
 
 
+    def test_damped_uncoupled_matches_van_loan_with_spin_untouched(self):
+        # the spin is neither coupled nor damped, so the fixed point is solved on
+        # the cavities alone and the spin moments stay as they started
+        d = DecayRates.cavities(0.5)
+        M = mom.drift_matrix(None, d)
+        D = mom.diffusion_matrix(d)
+        V0 = tmss_moments(1.3)
+        V0[4, 4], V0[5, 5] = 3.0, 2.0
+        block = np.block([[M, D], [np.zeros((6, 6)), -M.conj().T]])
+        times = [0.4, 3.0, 17.0]
+        for t, V in zip(times, mom.evolve_moments(M, V0, times, diffusion=D)):
+            E = sla.expm(block * t)
+            F, G = E[:6, :6], E[:6, 6:]
+            expect = F @ V0 @ F.conj().T + G @ F.conj().T
+            assert np.max(np.abs(V - expect)) <= 1e-10 * np.max(np.abs(expect))
+            assert V[4, 4] == pytest.approx(3.0, abs=1e-12) and V[5, 5] == pytest.approx(2.0, abs=1e-12)
+
+    def test_closed_drift_with_diffusion_has_no_fixed_point(self):
+        M = mom.drift_matrix(couplings(1.5))
+        D = mom.diffusion_matrix(DecayRates(1.0, 1.0, 1.0))
+        with pytest.raises(StabilityError):
+            mom.evolve_moments(M, mom.vacuum_moments(), [0.0, 1.0], diffusion=D)
+
+    def test_unstable_raw_pair_with_diffusion_names_its_eigenvalue(self):
+        d = DecayRates.cavities(0.2)
+        M = mom.drift_matrix((1.0, 0.3), d)
+        with pytest.raises(StabilityError, match=r"eigenvalue 0\.905"):
+            mom.evolve_moments(M, mom.vacuum_moments(), [0.0, 1.0], diffusion=mom.diffusion_matrix(d))
+
+
 def _pair_block(x):
     """Vacuum moments with ``V[0, 3] = V[3, 0] = x``: the sector ``[[1, x], [x, 0]]``, min eigenvalue ``(1 - sqrt(1 + 4x^2)) / 2``."""
     V = mom.vacuum_moments()
