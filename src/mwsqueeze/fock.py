@@ -16,6 +16,7 @@ caller's job via :func:`top_level_mask`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -99,34 +100,26 @@ class FockOperator:
             )
 
 
-def _ladder(dim):
-    # annihilation on a single mode: <n-1| a |n> = sqrt(n)
-    import scipy.sparse as sp
-
-    return sp.diags(np.sqrt(np.arange(1, dim)), 1, format="csr", dtype=complex)
-
-
-def _embed(layout, mode, factor):
-    """kron-embed the single-mode sparse ``factor`` on ``mode``, identities elsewhere."""
-    import scipy.sparse as sp
-
-    out = None
-    for m, d in enumerate(layout.dims):
-        mat = factor if m == mode else sp.identity(d, format="csr", dtype=complex)
-        out = mat if out is None else sp.kron(out, mat, format="csr")
-    return out.tocsr()
-
-
 def mode_annihilator(layout: ModeLayout, mode: int) -> sp.csr_matrix:
     """Annihilation operator of one mode, identity on the others.
 
     Matrix elements are the standard ``sqrt(n)`` on the first subdiagonal of
     the chosen mode's factor; the top truncation level has no outgoing
     element, so ``[a, a^dag] = 1 - (top-level projector)`` on that mode.
+    Built directly as CSR: row ``i`` holds ``sqrt(n_m(i) + 1)`` at column
+    ``i + stride_m`` unless mode ``m`` of state ``i`` is at its top level.
     """
+    import scipy.sparse as sp
+
     if not 0 <= mode < layout.n_modes:
         raise ValueError(f"mode index {mode} outside 0..{layout.n_modes - 1}")
-    return _embed(layout, mode, _ladder(layout.dims[mode]))
+    d = layout.dims[mode]
+    stride = math.prod(layout.dims[mode + 1 :])
+    n = np.arange(layout.dim) // stride % d
+    rows = n < d - 1
+    indptr = np.concatenate(([0], np.cumsum(rows)))
+    data = np.sqrt(n[rows] + 1.0).astype(complex)
+    return sp.csr_matrix((data, np.flatnonzero(rows) + stride, indptr), shape=(layout.dim,) * 2)
 
 
 def vacuum_state(layout: ModeLayout) -> np.ndarray:

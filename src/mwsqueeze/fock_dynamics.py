@@ -8,12 +8,17 @@ from the same table.  Starting from vacuum, pair creation and exchange only
 ever reach a small invariant block of the truncated space (the
 ``n2 - n1 + n3 = 0`` lattice, or one ``n_a + n_c`` parity sector for the
 degenerate variant).  Evolution finds the basis states that ``H`` connects
-to the initial state's support, diagonalizes ``H`` on that block once, and
-builds all samples as one stacked eigenbasis product.
-Nothing leaves the block, so the restriction is exact for any Hermitian
-``H``, whether or not it conserves a charge.  The same propagator,
-:func:`_propagate`, evolves the microscopic and effective models of
-:mod:`raman`; it is the package's only state-vector propagator.
+to the initial state's support, factorises ``H`` on that block once, and
+builds all samples as one stacked product.  There are two cases: every term
+of the table moves the spin exactly once and adds no diagonal, so on a
+bipartite block ``H = [[0, B], [B^dag, 0]]`` and one thin SVD of the
+even-to-odd coupling ``B`` gives ``exp(-i H t)`` exactly; any other block
+(raman's static-frame generator, whose diagonal joins a state to itself)
+takes one ``eigh`` of ``H``.  Nothing leaves the block, so the restriction
+is exact for any Hermitian ``H``, whether or not it conserves a charge.
+The same propagator, :func:`_propagate`, evolves the microscopic and
+effective models of :mod:`raman`; it is the package's only state-vector
+propagator.
 
 States are plain complex vectors of length ``layout.dim`` and ladder
 operators plain CSR matrices; a Hamiltonian travels as a
@@ -109,7 +114,9 @@ class Trajectory:
     """Sampled observables of a closed evolution, one array entry (or row) per sample.
 
     ``states`` embeds a sample into a full-layout amplitude vector only
-    when it is accessed; the trajectory itself keeps the reachable block.
+    when it is accessed; the trajectory itself keeps the reachable block,
+    as ``states.block`` (basis indices) and ``states.amps`` (the
+    ``(n, |block|)`` amplitude stack).
     """
 
     times: np.ndarray
@@ -142,28 +149,70 @@ def _hermiticity_check(H: sp.spmatrix):
         raise ValueError("Hamiltonian is not Hermitian")
 
 
-def _reachable(H: sp.spmatrix, psi: np.ndarray) -> np.ndarray:
-    """Indices of the basis states ``H`` connects, in any number of steps, to ``psi``'s support."""
-    links = abs(H)
-    reach = psi != 0
-    while True:
-        grown = reach | ((links @ reach.astype(float)) != 0)
-        if np.array_equal(grown, reach):
-            return np.flatnonzero(reach)
-        reach = grown
+def _reachable(H: sp.csr_matrix, psi: np.ndarray):
+    """The basis states ``H`` connects, in any number of steps, to ``psi``'s support.
+
+    One breadth-first walk over ``H``'s stored nonzeros, seeded at the first
+    unvisited support state of each connected component, colours every state
+    by the parity of its hop distance from that seed.  Returns the sorted
+    block indices and, per block state, whether its colour is odd; the
+    colours are ``None`` when some element of ``H`` (a diagonal one included)
+    joins two states of one colour, so that ``H`` is not bipartite there.
+    """
+    indptr, indices = H.indptr, H.indices
+    linked = H.data != 0
+    colour = np.full(H.shape[0], -1, dtype=np.int8)
+    bipartite = True
+    for seed in np.flatnonzero(psi):
+        if colour[seed] >= 0:
+            continue
+        colour[seed] = 0
+        frontier, c = np.array([seed]), 0
+        while frontier.size:
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            # stored positions of every frontier row, concatenated
+            pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+            nbrs = indices[pos[linked[pos]]]
+            bipartite &= not np.any(colour[nbrs] == c)
+            c ^= 1
+            frontier = np.unique(nbrs[colour[nbrs] < 0])
+            colour[frontier] = c
+    block = np.flatnonzero(colour >= 0)
+    return block, (colour[block] == 1 if bipartite else None)
 
 
 def _propagate(H: sp.spmatrix, psi0: np.ndarray, times: np.ndarray):
     """``exp(-i H t) psi0`` at every time, on the block of basis states reachable from ``psi0``.
 
     Returns the block's indices and the ``(len(times), |block|)`` amplitude
-    stack.  No matrix element of the Hermitian ``H`` leaves the block, so one
-    ``eigh`` there is exact; rows at ``t = 0`` are ``psi0`` itself.
+    stack; no matrix element of the Hermitian ``H`` leaves the block, and
+    rows at ``t = 0`` are ``psi0`` itself.  Two exact cases:
+
+    * bipartite block (every coupling Hamiltonian, whose terms each move the
+      spin once): ``H = [[0, B], [B^dag, 0]]`` between the even and odd
+      states of :func:`_reachable`'s colouring, and one thin SVD
+      ``B = U S V^dag`` gives ``even(t) = psi_e + U ((cos St - 1) U^dag psi_e
+      - i sin St V^dag psi_o)`` and the mirrored odd rows;
+    * otherwise (raman's static-frame generator, whose diagonal joins a
+      state to itself): one ``eigh`` of ``H`` on the block.
     """
-    block = _reachable(H, psi0)
-    w, P = np.linalg.eigh(H[block][:, block].toarray())
-    coeffs = P.conj().T @ psi0[block]
-    amps = (np.exp(-1j * np.outer(times, w)) * coeffs) @ P.T
+    H = H.tocsr()
+    block, odd = _reachable(H, psi0)
+    if odd is None:
+        w, P = np.linalg.eigh(H[block][:, block].toarray())
+        coeffs = P.conj().T @ psi0[block]
+        amps = (np.exp(-1j * np.outer(times, w)) * coeffs) @ P.T
+    else:
+        even_idx, odd_idx = block[~odd], block[odd]
+        U, s, Vh = np.linalg.svd(H[even_idx][:, odd_idx].toarray(), full_matrices=False)
+        psi_e, psi_o = psi0[even_idx], psi0[odd_idx]
+        ce, co = U.conj().T @ psi_e, Vh @ psi_o
+        ts = np.outer(times, s)
+        cos1, msin = np.cos(ts) - 1.0, -1j * np.sin(ts)
+        amps = np.empty((len(times), len(block)), dtype=complex)
+        amps[:, ~odd] = psi_e + (cos1 * ce + msin * co) @ U.T
+        amps[:, odd] = psi_o + (cos1 * co + msin * ce) @ Vh.conj()
     amps[times == 0.0] = psi0[block]
     return block, amps
 
@@ -185,13 +234,14 @@ def _zeta12(p: np.ndarray, occ) -> np.ndarray:
 def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
-    Every sample comes from one stacked eigenbasis product
-    (:func:`_propagate`): ``H`` is restricted to the basis states reachable
-    from the support of ``psi0``, diagonalized there once by ``eigh``, and
-    the samples are the rows of ``(exp(-i t w) * P^dag psi0) @ P^T``; sample 0
-    is ``psi0`` itself.  Occupations, zeta12, leakage and norms are array
-    reductions over the block's populations, and ``states`` embeds a sample
-    into a full-layout amplitude vector only when it is accessed.
+    Every sample comes from one stacked product (:func:`_propagate`): ``H``
+    is restricted to the basis states reachable from the support of
+    ``psi0`` and factorised there once, by one thin SVD of its even-to-odd
+    half-block ``B`` when ``H`` is bipartite on the block (every coupling
+    Hamiltonian), else by one ``eigh``; sample 0 is ``psi0`` itself.
+    Occupations, zeta12, leakage and norms are array reductions over the
+    block's populations, and ``states`` embeds a sample into a full-layout
+    amplitude vector only when it is accessed.
 
     Parameters
     ----------
@@ -316,8 +366,8 @@ def gauge_phase(psi: np.ndarray) -> np.ndarray:
 def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:
     """Minimum cavity quadrature variance of the degenerate evolution from vacuum, per sample.
 
-    Evolves the single-cavity variant (one ``eigh`` serves every time; the
-    times are checked as by :func:`evolve_state`) and returns, for each
+    Evolves the single-cavity variant (one SVD of its half-block serves every
+    time; the times are checked as by :func:`evolve_state`) and returns, for each
     sample, the exact minimum over phases ``phi`` of
     ``Var((a e^{-i phi} + a^dag e^{i phi}) / sqrt 2)``, which is
     ``1/2 + <a^dag a> - |<a a>|``.  No phase grid is needed: every term
@@ -331,5 +381,7 @@ def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:
     a, spin = (mode_annihilator(layout2, m) for m in range(2))
     H = FockOperator(_hamiltonian(c, (a, a, spin)), layout2)
     traj = evolve_state(H, vacuum_state(layout2), times)
-    aa = np.array([abs(np.vdot(psi, a @ (a @ psi))) for psi in traj.states])
-    return 0.5 + traj.occupations[:, 0] - aa
+    # every state is zero off the block, so <a a> needs a^2 on the block only
+    block, amps = traj.states.block, traj.states.amps
+    aa = np.einsum("ij,ji->i", amps.conj(), (a @ a)[block][:, block] @ amps.T)
+    return 0.5 + traj.occupations[:, 0] - np.abs(aa)

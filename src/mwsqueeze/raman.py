@@ -262,11 +262,12 @@ def adiabatic_error(
     absolute full-vs-effective difference, the latter the peak population of
     the intermediate levels e1, e2.
 
-    Both models evolve with ``fock_dynamics._propagate`` (one ``eigh``, norm
-    preserved to machine precision): the full model through its static-frame
-    generator, whose occupations are those of the interaction picture, and
-    the effective model directly, both from one ``|g...g>|0,0>`` on one
-    basis.  Both models' samples are ``(samples, dim)`` stacks, where the
+    Both models evolve with ``fock_dynamics._propagate`` (norm preserved to
+    machine precision): the full model through its static-frame generator,
+    whose occupations are those of the interaction picture and whose
+    diagonal ``A`` makes it take one ``eigh``, and the effective model
+    directly, bipartite in the parity of the number of atoms in ``h``, by
+    one SVD of its half-block; both start from one ``|g...g>|0,0>`` on one basis.  Both models' samples are ``(samples, dim)`` stacks, where the
     occupations and the e-level population are array reductions and
     ``<c^dag c>`` is ``|c psi|^2``.
     """

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mwsqueeze.fock import ModeLayout, mode_annihilator, top_level_mask
 
@@ -25,6 +26,25 @@ def test_annihilator_two_level_factor():
     assert np.array_equal(a, expected)
     with pytest.raises(ValueError):
         mode_annihilator(lay, 3)
+
+
+@pytest.mark.parametrize("dims", [(4, 3, 5), (17, 17, 10)])
+def test_annihilator_matches_kron_build(dims):
+    # the single-mode ladder kron-embedded between identities
+    lay = ModeLayout(dims)
+    for mode, d in enumerate(dims):
+        factors = [
+            sp.diags(np.sqrt(np.arange(1, k)), 1, format="csr", dtype=complex)
+            if m == mode else sp.identity(k, format="csr", dtype=complex)
+            for m, k in enumerate(dims)
+        ]
+        ref = factors[0]
+        for f in factors[1:]:
+            ref = sp.kron(ref, f, format="csr")
+        a = mode_annihilator(lay, mode)
+        assert np.array_equal(a.data, ref.data)
+        assert np.array_equal(a.indices, ref.indices)
+        assert np.array_equal(a.indptr, ref.indptr)
 
 
 def test_single_quantum_matrix_element():

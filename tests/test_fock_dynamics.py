@@ -7,17 +7,39 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import fixtures
 from mwsqueeze.errors import TruncationWarning
-from mwsqueeze.fock import ModeLayout, vacuum_state
+from mwsqueeze.fock import FockOperator, ModeLayout, mode_annihilator, vacuum_state
 from mwsqueeze.params import EffectiveCouplings
 
 
 def couplings(r, theta=1.0):
     return EffectiveCouplings.from_theta_r(theta, r)
+
+
+def _expm_case(model, c):
+    """Hamiltonian and layout of one ``test_matches_full_space_expm`` case."""
+    if model == "real":
+        lay = ModeLayout((10, 10, 8))
+        return fdyn.build_effective_hamiltonian(c, lay), lay
+    lay = ModeLayout((7, 7, 5))
+    if model == "real-small":
+        return fdyn.build_effective_hamiltonian(c, lay), lay
+    if model == "complex":
+        cc = EffectiveCouplings(0.6 * np.exp(0.3j), 1.2 * np.exp(-1.1j))
+        return fdyn.build_effective_hamiltonian(cc, lay), lay
+    if model == "degenerate":
+        # both cavities of the model are the one layout cavity
+        lay = ModeLayout((12, 12))
+        a, spin = (mode_annihilator(lay, m) for m in range(2))
+        return FockOperator(fdyn._hamiltonian(c, (a, a, spin)), lay), lay
+    # a spin-number diagonal joins every state to itself
+    H = fdyn.build_effective_hamiltonian(c, lay).matrix
+    return FockOperator((H + sp.diags(0.7 * lay.occupation_arrays()[2])).tocsr(), lay), lay
 
 
 def evolve_quiet(H, psi0, times, **kw):
@@ -96,18 +118,25 @@ class TestEvolution:
             assert abs(np.vdot(psi, N @ psi).real) <= 1e-8
             assert abs(np.vdot(psi, N @ (N @ psi)).real) <= 1e-8
 
-    @pytest.mark.parametrize("occupied", [
-        [(0, 0, 0)],
-        [(0, 0, 0), (0, 1, 0)],  # n2 - n1 + n3 = 0 and 1: two invariant blocks
-    ], ids=["vacuum", "two-blocks"])
-    def test_matches_full_space_expm(self, occupied):
+    @pytest.mark.parametrize("model,occupied,bipartite", [
+        pytest.param("real", [(0, 0, 0)], True, id="vacuum"),
+        # n2 - n1 + n3 = 0 and 1: two invariant blocks
+        pytest.param("real", [(0, 0, 0), (0, 1, 0)], True, id="two-blocks"),
+        pytest.param("complex", [(0, 0, 0)], True, id="complex-couplings"),
+        # |101> is one hop from |000>: the initial support holds both colours
+        pytest.param("real-small", [(0, 0, 0), (1, 0, 1)], True, id="both-colours"),
+        pytest.param("degenerate", [(0, 0)], True, id="degenerate"),
+        pytest.param("diagonal", [(0, 0, 0)], False, id="diagonal-takes-eigh"),
+    ])
+    def test_matches_full_space_expm(self, model, occupied, bipartite):
         c = couplings(1.8)
-        lay = ModeLayout((10, 10, 8))
-        H = fdyn.build_effective_hamiltonian(c, lay)
+        H, lay = _expm_case(model, c)
         psi0 = np.zeros(lay.dim, dtype=complex)
         for occ in occupied:
             psi0[lay.index(occ)] = 1.0
         psi0 /= np.linalg.norm(psi0)
+        # bipartite blocks take the half-block SVD, the rest eigh
+        assert (fdyn._reachable(H.matrix, psi0)[1] is not None) == bipartite
         times = np.linspace(0.0, cf.t_pi(c), 5)
         traj = evolve_quiet(H, psi0, times)
         dense = H.matrix.toarray()
@@ -243,6 +272,19 @@ class TestDegenerateMode:
         var = fdyn.degenerate_mode_evolve(c, ModeLayout(dims), [0.0, tpi / 2, tpi])
         assert var[1] == pytest.approx(half, abs=1e-9)
         assert var[2] == pytest.approx(fixtures.DEGENERATE_MIN_VAR_AT_T_PI, abs=1e-9)
+
+    def test_matches_per_state_loop(self):
+        # reference: <a a> of each embedded full-layout state by two sparse matvecs
+        c = couplings(2.0)
+        lay = ModeLayout((14, 14))
+        times = np.linspace(0.0, cf.t_pi(c), 7)
+        a, spin = (mode_annihilator(lay, m) for m in range(2))
+        traj = evolve_quiet(FockOperator(fdyn._hamiltonian(c, (a, a, spin)), lay), vacuum_state(lay), times)
+        ref = [0.5 + n - abs(np.vdot(psi, a @ (a @ psi))) for n, psi in zip(traj.occupations[:, 0], traj.states)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            got = fdyn.degenerate_mode_evolve(c, lay, times)
+        assert np.max(np.abs(got - ref)) < 1e-13
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
