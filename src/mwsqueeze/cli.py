@@ -10,8 +10,8 @@ goes to a sidecar ``run_manifest.json``.
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 numerical or stability error.
 
-Only numpy is imported up front: the modules that need scipy (the fock
-route, the validation suite) are imported by the commands that use them.
+Only numpy is imported up front: the fock route and the validation suite
+import their modules when they run, and only the validation suite loads scipy.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ from .params import DecayRates, EffectiveCouplings, oscillation_rate
 TWO_PI = 2.0 * math.pi
 
 _ROUTES = ("fock", "gaussian", "analytic", "all")
-_FOCK_DIM_CAP = 200_000
+# states of the charge lattice the fock route propagates.  Its one dense SVD
+# of the even-to-odd block costs time cubic and memory quadratic in the
+# lattice size: at r = 1.5 (3 915 states) a run takes 6 s on 2 cores and
+# peaks at 0.5 GiB, at r = 1.65 (2 052 states) 1 s and 0.17 GiB.  The cap
+# admits r >= 1.5 at the default cutoffs and refuses r = 1.4 (6 894 states).
+_FOCK_BLOCK_CAP = 4_000
 
 
 def write_csv(path: Path, header, rows):
@@ -244,17 +249,22 @@ def _fock_layout(cfg, couplings):
 
 
 def _route_fock(layout, couplings, times):
-    if layout.dim > _FOCK_DIM_CAP:
-        raise ConfigError(
-            f"fock route infeasible: requested truncation {layout.dims} has composite "
-            f"dimension {layout.dim} > {_FOCK_DIM_CAP}; use the gaussian route, whose "
-            "propagator is exact at any photon number (its zeta12 is off by a few "
-            "n * 2.2e-16 at n photons per mode, the rounding of the Wick subtraction)"
-        )
     from . import fock_dynamics as fdyn
 
-    H = fdyn.build_effective_hamiltonian(couplings, layout)
-    traj = fdyn.evolve_state(H, vacuum_state(layout), times)
+    size = fdyn.charge_lattice_size(layout.dims)
+    if size > _FOCK_BLOCK_CAP:
+        raise ConfigError(
+            f"fock route infeasible: requested truncation {layout.dims} holds {size} states "
+            f"on the charge lattice reachable from vacuum > {_FOCK_BLOCK_CAP}; use the gaussian "
+            "route, whose propagator is exact at any photon number (its zeta12 is off by a few "
+            "n * 2.2e-16 at n photons per mode, the rounding of the Wick subtraction)"
+        )
+    if layout.dim > np.iinfo(np.int64).max:
+        raise ConfigError(
+            f"fock route infeasible: requested truncation {layout.dims} has composite "
+            f"dimension {layout.dim}, beyond a 64-bit basis index"
+        )
+    traj = fdyn.evolve_vacuum(couplings, layout, times)
     return _evolve_rows(traj.times, oscillation_rate(couplings) or 0.0, traj.occupations, traj.zeta12, traj.leakage)
 
 
@@ -445,16 +455,15 @@ def _validate_checks(cfg):
     record("conserved_number", np.abs(n_moments).max(), 1e-8)
     record("norm_preservation", max(abs(n - 1.0) for n in traj.norms), 1e-8)
 
-    # fock vs closed form at r = 3 (tail < 1e-10 truncation)
+    # fock vs closed form at r = 3 (tail < 1e-10 truncation), through the evolve
+    # command's fock route: vacuum on the charge lattice, with no composite build
     c3 = EffectiveCouplings.from_theta_r(1.0, 3.0)
     lay3 = ModeLayout((24, 24, 11))
     require_dim(lay3.dim)
     t3 = np.linspace(0.0, 2.0 * closed_form.t_pi(c3), 41)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        tr3 = fdyn.evolve_state(
-            fdyn.build_effective_hamiltonian(c3, lay3), vacuum_state(lay3), t3
-        )
+        tr3 = fdyn.evolve_vacuum(c3, lay3, t3)
     dev = np.abs(tr3.occupations - closed_form.occupations_closed_form(c3, tr3.times)).max()
     record("fock_vs_closed_form_occupations", dev, 1e-6)
 

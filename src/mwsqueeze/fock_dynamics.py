@@ -7,18 +7,25 @@ passes its one cavity for both, and :mod:`raman` builds its effective model
 from the same table.  Starting from vacuum, pair creation and exchange only
 ever reach a small invariant block of the truncated space (the
 ``n2 - n1 + n3 = 0`` lattice, or one ``n_a + n_c`` parity sector for the
-degenerate variant).  Evolution finds the basis states that ``H`` connects
-to the initial state's support, factorises ``H`` on that block once, and
-builds all samples as one stacked product.  There are two cases: every term
-of the table moves the spin exactly once and adds no diagonal, so on a
-bipartite block ``H = [[0, B], [B^dag, 0]]`` and one thin SVD of the
-even-to-odd coupling ``B`` gives ``exp(-i H t)`` exactly; any other block
-(raman's static-frame generator, whose diagonal joins a state to itself)
-takes one ``eigh`` of ``H``.  Nothing leaves the block, so the restriction
-is exact for any Hermitian ``H``, whether or not it conserves a charge.
-The same propagator, :func:`_propagate`, evolves the microscopic and
-effective models of :mod:`raman`; it is the package's only state-vector
-propagator.
+degenerate variant).  Every term of the table moves the spin exactly once
+and adds no diagonal, so on such a block ``H = [[0, B], [B^dag, 0]]``
+between even and odd spin parity, and one thin SVD of the even-to-odd
+coupling ``B`` gives ``exp(-i H t)`` for all samples as one stacked product.
+
+There are two entries.  :func:`evolve_vacuum` is the CLI's fock route: it
+enumerates the charge lattice ``(m + n, n, m)`` inside the truncation box
+(:func:`charge_lattice`, whose size :func:`charge_lattice_size` gives in
+closed form before anything is allocated) and fills ``B`` by index
+arithmetic over the term table, so no composite-space operator or vector is
+formed.  :func:`evolve_state` takes any Hermitian generator on the
+composite space (the validation suite's builds, the corrupt hook, the
+degenerate variant, :mod:`raman`'s models), finds the basis states it
+connects to the initial state's support by one walk, and propagates that
+block: by the same SVD when it is bipartite, else (raman's static-frame
+generator, whose diagonal joins a state to itself) by one ``eigh``.
+Nothing leaves the block, so the restriction is exact for any Hermitian
+``H``, whether or not it conserves a charge.  Both entries share one
+propagator and one observation tail.
 
 States are plain complex vectors of length ``layout.dim`` and ladder
 operators plain CSR matrices; a Hamiltonian travels as a
@@ -33,6 +40,7 @@ phase-faithful agreement therefore holds for real non-negative couplings.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,6 +64,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "build_effective_hamiltonian",
+    "charge_lattice",
+    "charge_lattice_size",
+    "evolve_vacuum",
     "conserved_number_operator",
     "Trajectory",
     "evolve_state",
@@ -182,6 +193,28 @@ def _reachable(H: sp.csr_matrix, psi: np.ndarray):
     return block, (colour[block] == 1 if bipartite else None)
 
 
+def _half_block_propagate(B: np.ndarray, psi0: np.ndarray, odd: np.ndarray, times: np.ndarray):
+    """``exp(-i H t) psi0`` at every time for ``H = [[0, B], [B^dag, 0]]`` on one block.
+
+    ``odd`` marks the block's odd states, ``B`` is the dense coupling from
+    its even states (rows) to its odd ones (columns), and ``psi0`` holds the
+    block's amplitudes.  One thin SVD ``B = U S V^dag`` gives ``even(t) =
+    psi_e + U ((cos St - 1) U^dag psi_e - i sin St V^dag psi_o)`` and the
+    mirrored odd rows; returns the ``(len(times), |block|)`` amplitude
+    stack, whose rows at ``t = 0`` are ``psi0`` itself.
+    """
+    U, s, Vh = np.linalg.svd(B, full_matrices=False)
+    psi_e, psi_o = psi0[~odd], psi0[odd]
+    ce, co = U.conj().T @ psi_e, Vh @ psi_o
+    ts = np.outer(times, s)
+    cos1, msin = np.cos(ts) - 1.0, -1j * np.sin(ts)
+    amps = np.empty((len(times), len(psi0)), dtype=complex)
+    amps[:, ~odd] = psi_e + (cos1 * ce + msin * co) @ U.T
+    amps[:, odd] = psi_o + (cos1 * co + msin * ce) @ Vh.conj()
+    amps[times == 0.0] = psi0
+    return amps
+
+
 def _propagate(H: sp.spmatrix, psi0: np.ndarray, times: np.ndarray):
     """``exp(-i H t) psi0`` at every time, on the block of basis states reachable from ``psi0``.
 
@@ -190,31 +223,96 @@ def _propagate(H: sp.spmatrix, psi0: np.ndarray, times: np.ndarray):
     rows at ``t = 0`` are ``psi0`` itself.  Two exact cases:
 
     * bipartite block (every coupling Hamiltonian, whose terms each move the
-      spin once): ``H = [[0, B], [B^dag, 0]]`` between the even and odd
-      states of :func:`_reachable`'s colouring, and one thin SVD
-      ``B = U S V^dag`` gives ``even(t) = psi_e + U ((cos St - 1) U^dag psi_e
-      - i sin St V^dag psi_o)`` and the mirrored odd rows;
+      spin once): :func:`_half_block_propagate` of the even-to-odd
+      restriction of ``H`` between the colours of :func:`_reachable`;
     * otherwise (raman's static-frame generator, whose diagonal joins a
       state to itself): one ``eigh`` of ``H`` on the block.
     """
     H = H.tocsr()
     block, odd = _reachable(H, psi0)
-    if odd is None:
-        w, P = np.linalg.eigh(H[block][:, block].toarray())
-        coeffs = P.conj().T @ psi0[block]
-        amps = (np.exp(-1j * np.outer(times, w)) * coeffs) @ P.T
-    else:
-        even_idx, odd_idx = block[~odd], block[odd]
-        U, s, Vh = np.linalg.svd(H[even_idx][:, odd_idx].toarray(), full_matrices=False)
-        psi_e, psi_o = psi0[even_idx], psi0[odd_idx]
-        ce, co = U.conj().T @ psi_e, Vh @ psi_o
-        ts = np.outer(times, s)
-        cos1, msin = np.cos(ts) - 1.0, -1j * np.sin(ts)
-        amps = np.empty((len(times), len(block)), dtype=complex)
-        amps[:, ~odd] = psi_e + (cos1 * ce + msin * co) @ U.T
-        amps[:, odd] = psi_o + (cos1 * co + msin * ce) @ Vh.conj()
+    if odd is not None:
+        B = H[block[~odd]][:, block[odd]].toarray()
+        return block, _half_block_propagate(B, psi0[block], odd, times)
+    w, P = np.linalg.eigh(H[block][:, block].toarray())
+    coeffs = P.conj().T @ psi0[block]
+    amps = (np.exp(-1j * np.outer(times, w)) * coeffs) @ P.T
     amps[times == 0.0] = psi0[block]
     return block, amps
+
+
+def charge_lattice_size(dims) -> int:
+    """Number of charge-lattice states ``(m + n, n, m)`` in a ``(d1, d2, d3)`` box.
+
+    ``sum over m < min(d3, d1) of min(d2, d1 - m)`` in closed form over
+    Python ints: rows ``m <= d1 - d2`` hold all ``d2`` values of ``n`` and
+    the rest ``d1 - m``.  Nothing is allocated, so a truncation of any size
+    can be checked before it is built.
+    """
+    d1, d2, d3 = (int(d) for d in dims)
+    rows = min(d3, d1)
+    full = max(0, min(rows, d1 - d2 + 1))
+    return full * d2 + (rows - full) * d1 - (rows - 1 + full) * (rows - full) // 2
+
+
+def charge_lattice(layout: ModeLayout):
+    """The ``n2 - n1 + n3 = 0`` states ``(m + n, n, m)`` of a three-mode layout.
+
+    Returns their composite indices ``((m + n) d2 + n) d3 + m`` in ascending
+    order, the :class:`~mwsqueeze.fock.ModeLayout` convention, and each
+    state's ``m`` and ``n``.  These are the basis states every coupling
+    Hamiltonian reaches from vacuum; the arrays are of the lattice's size,
+    not the layout's.
+    """
+    if layout.n_modes != 3:
+        raise ValueError("the charge lattice needs a three-mode layout")
+    d1, d2, d3 = layout.dims
+    m, n = np.meshgrid(np.arange(min(d3, d1), dtype=np.int64),
+                       np.arange(min(d2, d1), dtype=np.int64), indexing="ij")
+    inside = m + n < d1
+    m, n = m[inside], n[inside]
+    index = ((m + n) * d2 + n) * d3 + m
+    order = np.argsort(index)
+    return index[order], m[order], n[order]
+
+
+def _lattice_half_block(c, layout: ModeLayout, block: np.ndarray, occ, odd: np.ndarray) -> np.ndarray:
+    """The even-to-odd block ``B`` of ``build_effective_hamiltonian(c, layout)`` on the charge lattice.
+
+    ``block`` and ``occ`` (per-mode occupations) are the lattice of
+    :func:`charge_lattice` and ``odd`` its spin parity.  A term ``(kind, j,
+    k)`` of ``COUPLING_TERMS`` moves a state by ``e_j + e_k`` (pair) or
+    ``e_j - e_k`` (exchange); a move that conserves ``CONSERVED_CHARGE`` and
+    moves the spin once lands on a lattice state of the other parity, found
+    by its composite index.  The elements of ``i xi T - i xi* T^dag`` are
+    formed as the sparse build forms them, ``0 + (i xi)(sqrt a sqrt b)`` and
+    ``0 - (i xi*)(sqrt a sqrt b)``, so ``B`` holds the same bits as that
+    build's restriction ``H[even][:, odd]``.
+    """
+    dims = layout.dims
+    strides = [math.prod(dims[i + 1:]) for i in range(3)]
+    rows, cols, vals = [], [], []
+    for (kind, j, k), xi in zip(COUPLING_TERMS, coupling_pair(c)):
+        step = [0, 0, 0]
+        step[j] += 1
+        step[k] += 1 if kind == "pair" else -1
+        if sum(q * s for q, s in zip(CONSERVED_CHARGE, step)) != 0 or abs(step[2]) != 1:
+            raise ValueError(f"coupling term {(kind, j, k)} does not hop between spin parities on the charge lattice")
+        to = [o + s for o, s in zip(occ, step)]
+        src = np.flatnonzero(np.logical_and.reduce([(t >= 0) & (t < d) for t, d in zip(to, dims)]))
+        dst = np.searchsorted(block, block[src] + sum(s * st for s, st in zip(step, strides)))
+        # <dst| T |src>: a ladder step between n and n' carries sqrt(max(n, n'))
+        f = np.sqrt(np.maximum(occ[j], to[j])[src]) * np.sqrt(np.maximum(occ[k], to[k])[src])
+        rows += [dst, src]
+        cols += [src, dst]
+        vals += [0 + 1j * xi * f, 0 - 1j * np.conj(xi) * f]
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    rank = np.empty(len(block), dtype=np.int64)
+    rank[~odd] = np.arange(np.count_nonzero(~odd))
+    rank[odd] = np.arange(np.count_nonzero(odd))
+    keep = ~odd[rows]
+    B = np.zeros((np.count_nonzero(~odd), np.count_nonzero(odd)), dtype=complex)
+    B[rank[rows[keep]], rank[cols[keep]]] = vals[keep]
+    return B
 
 
 def _zeta12(p: np.ndarray, occ) -> np.ndarray:
@@ -231,6 +329,52 @@ def _zeta12(p: np.ndarray, occ) -> np.ndarray:
     return np.where(vacuum, 1.0, var / np.where(vacuum, 1.0, den))
 
 
+def _sample_times(times) -> np.ndarray:
+    times = np.asarray(times, dtype=float)
+    if not times.size or times[0] != 0.0:
+        raise ValueError("sample times must start at 0")
+    if np.any(times[1:] <= times[:-1]):
+        raise ValueError("sample times must be strictly ascending")
+    return times
+
+
+def _observe(states: _BlockStates, times: np.ndarray, occ, top: np.ndarray, norm0: float) -> Trajectory:
+    """The trajectory of an amplitude stack, as array reductions over its populations.
+
+    ``occ`` holds each mode's occupation of the block's states and ``top``
+    marks those with any mode at its top level; ``norm0`` is the initial
+    state's norm.  Raises :class:`IntegrationError` when the norm drifts by
+    more than 1e-8 between consecutive samples, and warns
+    (:class:`TruncationWarning`) when the top-level population exceeds 1e-6.
+    """
+    p = np.abs(states.amps) ** 2
+    norms = np.sqrt(p.sum(axis=1))
+    drift = np.abs(np.diff(norms, prepend=norm0))
+    first = np.argmax(drift > _NORM_DRIFT_PER_STEP)
+    if drift[first] > _NORM_DRIFT_PER_STEP:
+        raise IntegrationError(
+            f"norm drifted by {drift[first]:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
+        )
+    leakage = p[:, top].sum(axis=1)
+    traj = Trajectory(
+        times,
+        states,
+        np.column_stack([p @ o for o in occ]),
+        _zeta12(p, occ) if len(occ) == 3 else np.full(len(times), np.nan),
+        leakage,
+        norms,
+    )
+    over = np.flatnonzero(leakage > _LEAKAGE_THRESHOLD)
+    if over.size:
+        warnings.warn(
+            f"top-level population {leakage[over[0]]:.3e} exceeded {_LEAKAGE_THRESHOLD:g} "
+            f"at t={times[over[0]]:.6g}; truncation may bias observables",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return traj
+
+
 def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
@@ -241,7 +385,9 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     Hamiltonian), else by one ``eigh``; sample 0 is ``psi0`` itself.
     Occupations, zeta12, leakage and norms are array reductions over the
     block's populations, and ``states`` embeds a sample into a full-layout
-    amplitude vector only when it is accessed.
+    amplitude vector only when it is accessed.  From vacuum under the
+    effective Hamiltonian, :func:`evolve_vacuum` gives the same trajectory
+    without building ``H``.
 
     Parameters
     ----------
@@ -263,42 +409,54 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (H.layout.dim,):
         raise ValueError(f"state shape {psi0.shape} does not match layout dimension {H.layout.dim}")
-    times = np.asarray(times, dtype=float)
-    if not times.size or times[0] != 0.0:
-        raise ValueError("sample times must start at 0")
-    if np.any(times[1:] <= times[:-1]):
-        raise ValueError("sample times must be strictly ascending")
+    times = _sample_times(times)
     _hermiticity_check(H.matrix)
 
     layout = H.layout
     block, amps = _propagate(H.matrix, psi0, times)
     occ = [o[block] for o in layout.occupation_arrays()]
-    p = np.abs(amps) ** 2
-    norms = np.sqrt(p.sum(axis=1))
-    drift = np.abs(np.diff(norms, prepend=np.linalg.norm(psi0)))
-    first = np.argmax(drift > _NORM_DRIFT_PER_STEP)
-    if drift[first] > _NORM_DRIFT_PER_STEP:
-        raise IntegrationError(
-            f"norm drifted by {drift[first]:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
-        )
-    leakage = p[:, top_level_mask(layout)[block]].sum(axis=1)
-    traj = Trajectory(
-        times,
-        _BlockStates(block, amps, layout),
-        np.column_stack([p @ o for o in occ]),
-        _zeta12(p, occ) if layout.n_modes == 3 else np.full(len(times), np.nan),
-        leakage,
-        norms,
-    )
-    over = np.flatnonzero(leakage > _LEAKAGE_THRESHOLD)
-    if over.size:
-        warnings.warn(
-            f"top-level population {leakage[over[0]]:.3e} exceeded {_LEAKAGE_THRESHOLD:g} "
-            f"at t={times[over[0]]:.6g}; truncation may bias observables",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    return traj
+    top = top_level_mask(layout)[block]
+    return _observe(_BlockStates(block, amps, layout), times, occ, top, np.linalg.norm(psi0))
+
+
+def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
+    """:func:`evolve_state` of vacuum under ``build_effective_hamiltonian(c, layout)``, on the charge lattice alone.
+
+    The block is the lattice of :func:`charge_lattice`, coloured by spin
+    parity, and ``B`` is filled from the term table
+    (:func:`_lattice_half_block`); propagation and observation are
+    :func:`evolve_state`'s.  No composite-space operator or vector is formed
+    (``states`` embeds a sample only when it is accessed), so the cost
+    follows :func:`charge_lattice_size`, not ``layout.dim``.
+
+    With both rates nonzero the lattice is the block :func:`_reachable`
+    finds, with the same colours and the same ``B``, so the trajectory holds
+    the same bits as :func:`evolve_state`'s.  A rate of 0 drops its links from
+    that walk but not from the lattice, which then also holds chains of
+    states that vacuum never reaches.  The SVD mixes those decoupled chains,
+    so they carry amplitudes at rounding level (below 1e-15 at ``(12, 10,
+    6)``) and the observables agree with the walk's to a few 1e-15 rather
+    than bit for bit.  With both rates 0, ``B`` is zero and every sample is
+    exactly vacuum.
+
+    Raises
+    ------
+    ValueError
+        If the layout does not have three modes, or the times do not start
+        at 0 and ascend strictly.
+    IntegrationError
+        If the norm drifts by more than 1e-8 between consecutive samples.
+    """
+    block, m, n = charge_lattice(layout)
+    times = _sample_times(times)
+    d1, d2, d3 = layout.dims
+    occ = [m + n, n, m]
+    odd = m % 2 == 1
+    psi0 = np.zeros(len(block), dtype=complex)
+    psi0[0] = 1.0  # vacuum, composite index 0, is the lattice's first state
+    amps = _half_block_propagate(_lattice_half_block(c, layout, block, occ, odd), psi0, odd, times)
+    top = (occ[0] == d1 - 1) | (n == d2 - 1) | (m == d3 - 1)
+    return _observe(_BlockStates(block, amps, layout), times, occ, top, 1.0)
 
 
 def relative_number_squeezing(psi: np.ndarray, layout: ModeLayout) -> float:
@@ -319,9 +477,10 @@ def target_state(layout: ModeLayout, r: float) -> np.ndarray:
         raise ValueError("target state expects a three-mode layout")
     n_max = min(layout.dims[0], layout.dims[1]) - 1
     amps = closed_form.tmss_amplitudes(r, n_max)
+    index, m, n = charge_lattice(layout)
     psi = np.zeros(layout.dim, dtype=complex)
-    for n in range(n_max + 1):
-        psi[layout.index((n, n, 0))] = amps[n]
+    # the spin-vacuum row of the lattice is |n, n, 0> for n <= n_max
+    psi[index[m == 0]] = amps[n[m == 0]]
     return psi
 
 
@@ -343,13 +502,11 @@ def analytic_state(
     """
     if layout.n_modes != 3:
         raise ValueError("analytic state expects a three-mode layout")
-    d1, d2, d3 = layout.dims
+    _, d2, d3 = layout.dims
     table = closed_form.evolved_amplitudes(c, t, m_max=d3 - 1, n_max=d2 - 1, tail_tol=tail_tol)
+    index, m, n = charge_lattice(layout)
     psi = np.zeros(layout.dim, dtype=complex)
-    for m in range(d3):
-        for n in range(d2):
-            if m + n < d1:
-                psi[layout.index((m + n, n, m))] = table[m, n]
+    psi[index] = table[m, n]
     nrm = np.linalg.norm(psi)
     if nrm == 0:
         raise ValueError("layout retains none of the analytic state")

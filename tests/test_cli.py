@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from mwsqueeze import feasibility as feas
 from mwsqueeze import moments as mom
 from mwsqueeze import spectrum as spec
 from mwsqueeze.cli import main, write_csv
-from mwsqueeze.errors import NumericalError
+from mwsqueeze.errors import NumericalError, TruncationWarning
 from mwsqueeze.params import DecayRates, EffectiveCouplings
 
 
@@ -102,6 +103,72 @@ class TestEvolve:
         for pair in summary["discrepancies"].values():
             assert pair["max_occupation_discrepancy"] == 0.0
             assert pair["max_zeta12_discrepancy"] == 0.0
+
+    def test_fock_refusal_names_the_block_size(self, tmp_path, capsys):
+        # the default cutoffs at r = 1.1, (2540, 2540, 122), hold 302 499 lattice states
+        code, _ = run(tmp_path, "evolve", {"route": "fock", "r": 1.1, "theta_hz": 10e3})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "302499 states" in err and "> 4000" in err and "gaussian route" in err
+
+    def test_huge_dims_refused_before_allocation(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"route": "fock", "r": 3.0, "theta_hz": 1e4, "dims": [10**9] * 3}))
+        tracemalloc.start()
+        try:
+            code = main(["evolve", str(cfg_path), "--output-dir", str(tmp_path / "out")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "500000000500000000 states" in capsys.readouterr().err
+        assert peak < 1e6
+
+    def test_small_lattice_beyond_the_composite_cap(self, tmp_path):
+        # 270 000 composite states but a lattice of 897: the cap is on the lattice
+        with pytest.warns(TruncationWarning):
+            code, out = run(tmp_path, "evolve", {
+                "route": "fock", "r": 3.0, "theta_hz": 10e3, "dims": [300, 300, 3], "num_samples": 21,
+            })
+        assert code == 0
+        header, cols = read_csv(out / "evolve_fock.csv")
+        assert header[-1] == "leakage" and len(cols["n1"]) == 21
+
+    def test_route_fock_reaches_r_1_65(self, tmp_path):
+        # default cutoffs (97, 97, 24): 225 816 composite states, 2 052 on the lattice
+        code, out = run(tmp_path, "evolve", {
+            "route": "all", "r": 1.65, "theta_hz": 10e3, "num_samples": 41,
+        })
+        assert code == 0
+        summary = json.loads((out / "evolve_summary.json").read_text())
+        assert summary["routes"] == ["analytic", "fock", "gaussian"]
+        assert summary["discrepancies"]["analytic_vs_fock"]["max_occupation_discrepancy"] <= 1e-6
+
+    def test_route_all_keeps_fock_skipped_at_r_1_01(self, tmp_path):
+        code, out = run(tmp_path, "evolve", {
+            "route": "all", "r": 1.01, "theta_hz": 10e3, "num_samples": 41,
+        })
+        assert code == 0
+        summary = json.loads((out / "evolve_summary.json").read_text())
+        assert summary["routes"] == ["analytic", "gaussian"]
+        assert "fock_skipped" in summary
+
+    def test_route_fock_builds_no_composite_operator(self, tmp_path, monkeypatch):
+        # the route works on the charge lattice: no ladder operator, Hamiltonian
+        # or full-layout array is built
+        from mwsqueeze import fock
+        from mwsqueeze import fock_dynamics as fdyn
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("composite-space build")
+
+        monkeypatch.setattr(fock, "mode_annihilator", refuse)
+        for name in ("mode_annihilator", "build_effective_hamiltonian", "top_level_mask", "vacuum_state"):
+            monkeypatch.setattr(fdyn, name, refuse)
+        monkeypatch.setattr(fock.ModeLayout, "occupation_arrays", refuse)
+        code, out = run(tmp_path, "evolve", {"route": "fock", "r": 3.0, "theta_hz": 10e3, "num_samples": 41})
+        assert code == 0
+        assert len(read_csv(out / "evolve_fock.csv")[1]["n1"]) == 41
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "evolve", {"route": "gaussian", "kappa": 7000.0})
@@ -352,6 +419,10 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("evolve", {"r": 1.1, "theta_hz": 1e-300}),
     # a cavity cutoff of ~2e17 photons, where log(2r / (1 + r^2)) rounds to 0
     ("evolve", {"route": "fock", "r": 1.00000001, "theta_hz": 1e4}),
+    # a charge lattice of 5e17 states, refused from its closed-form size; and a
+    # six-state lattice whose composite indices would overflow 64 bits
+    ("evolve", {"route": "fock", "r": 3.0, "theta_hz": 1e4, "dims": [10**9] * 3}),
+    ("evolve", {"route": "fock", "r": 3.0, "theta_hz": 1e4, "dims": [3, 3, 10**19]}),
     # one half of a coupling pair, or both pairs at once
     ("spectrum", {"r": 1.1, "kappa_hz": 7e3}),
     ("spectrum", {"theta_over_kappa": 1.0, "kappa_hz": 7e3}),
@@ -378,6 +449,7 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
         "spectrum-raw-xi-overflow", "spectrum-theta-overflow", "evolve-gaussian-xi-overflow",
         "evolve-analytic-xi-overflow", "evolve-theta-overflow", "sweep-theta-overflow",
         "evolve-xi-underflow", "evolve-theta-underflow", "evolve-fock-r-near-1",
+        "evolve-fock-dims-1e9", "evolve-fock-index-overflow",
         "spectrum-r-without-ratio", "spectrum-ratio-without-r", "spectrum-ratio-and-xi",
         "evolve-r-without-theta", "sweep-t-pi-ratio-axis-no-kappa", "sweep-min-s-no-ratio",
         "sweep-n-thermal-no-temperature", "spectrum-r-and-xi", "sweep-t-pi-fixed-ratio-no-kappa"])
@@ -418,6 +490,21 @@ def test_gaussian_and_spectrum_runs_load_no_scipy(tmp_path):
         "import sys; from mwsqueeze.cli import main; "
         "assert main(['evolve', 'e.json', '--output-dir', 'o']) == 0; "
         "assert main(['spectrum', 's.json', '--output-dir', 'o']) == 0; "
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_fock_route_loads_no_scipy(tmp_path):
+    # the charge-lattice build and its SVD are numpy only
+    src = Path(mwsqueeze.__file__).resolve().parent.parent
+    (tmp_path / "e.json").write_text(json.dumps({"route": "fock", "r": 3.0, "theta_hz": 1e4, "num_samples": 41}))
+    probe = (
+        "import sys; from mwsqueeze.cli import main; "
+        "assert main(['evolve', 'e.json', '--output-dir', 'o']) == 0; "
         "print([m for m in sys.modules if m.startswith('scipy')])"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}

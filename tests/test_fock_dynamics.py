@@ -14,7 +14,7 @@ from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import fixtures
 from mwsqueeze.errors import TruncationWarning
 from mwsqueeze.fock import FockOperator, ModeLayout, mode_annihilator, vacuum_state
-from mwsqueeze.params import EffectiveCouplings
+from mwsqueeze.params import CONSERVED_CHARGE, EffectiveCouplings
 
 
 def couplings(r, theta=1.0):
@@ -46,6 +46,12 @@ def evolve_quiet(H, psi0, times, **kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         return fdyn.evolve_state(H, psi0, times, **kw)
+
+
+def evolve_quiet_vacuum(c, lay, times):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        return fdyn.evolve_vacuum(c, lay, times)
 
 
 class TestHamiltonian:
@@ -293,3 +299,122 @@ class TestDegenerateMode:
     def test_three_mode_layout_rejected(self):
         with pytest.raises(ValueError, match="two-mode"):
             fdyn.degenerate_mode_evolve(couplings(2.0), ModeLayout((4, 4, 4)), [0.0, 0.1])
+
+
+class TestChargeLattice:
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (4, 3, 5), (5, 9, 4), (9, 5, 7), (6, 6, 11), (3, 8, 2)])
+    def test_lattice_is_the_zero_charge_states(self, dims):
+        lay = ModeLayout(dims)
+        charge = np.dot(CONSERVED_CHARGE, lay.occupation_arrays())
+        index, m, n = fdyn.charge_lattice(lay)
+        assert np.array_equal(index, np.flatnonzero(charge == 0))
+        assert np.array_equal(index, [lay.index((a + b, b, a)) for a, b in zip(m, n)])
+        assert fdyn.charge_lattice_size(dims) == len(index)
+
+    @pytest.mark.parametrize("dims,size", [
+        ((300, 300, 3), 897),
+        # 200 000 composite states, 2 310 of them on the lattice
+        ((80, 50, 50), 2310),
+        # the default cutoffs at r = 1.5, 1.4 and 1.1
+        ((145, 145, 30), 3915),
+        ((209, 209, 36), 6894),
+        ((2540, 2540, 122), 302499),
+    ])
+    def test_size_in_closed_form(self, dims, size):
+        assert fdyn.charge_lattice_size(dims) == size
+        assert fdyn.charge_lattice_size(dims) == sum(min(dims[1], dims[0] - m) for m in range(min(dims[2], dims[0])))
+
+    @pytest.mark.parametrize("dims,c", [
+        ((17, 17, 10), couplings(4.0)),
+        ((24, 24, 12), couplings(3.0)),
+        ((24, 24, 11), couplings(3.0)),
+        ((5, 9, 4), couplings(2.0)),
+        ((12, 10, 6), EffectiveCouplings(0.6 * np.exp(0.3j), 1.2 * np.exp(-1.1j))),
+    ], ids=["r4-default", "r3-default", "validate-r3", "asymmetric", "complex-couplings"])
+    def test_lattice_path_matches_the_walk(self, dims, c):
+        lay = ModeLayout(dims)
+        H = fdyn.build_effective_hamiltonian(c, lay)
+        walk_block, walk_odd = fdyn._reachable(H.matrix, vacuum_state(lay))
+        block, m, n = fdyn.charge_lattice(lay)
+        odd = m % 2 == 1
+        assert np.array_equal(block, walk_block)
+        assert np.array_equal(odd, walk_odd)
+        B = fdyn._lattice_half_block(c, lay, block, [m + n, n, m], odd)
+        assert np.array_equal(B, H.matrix[block[~odd]][:, block[odd]].toarray())
+
+        times = np.linspace(0.0, 2 * cf.t_pi(c), 41)
+        got = evolve_quiet_vacuum(c, lay, times)
+        ref = evolve_quiet(H, vacuum_state(lay), times)
+        for field in ("occupations", "zeta12", "leakage", "norms"):
+            assert np.array_equal(getattr(got, field), getattr(ref, field)), field
+        assert np.array_equal(got.states.block, ref.states.block)
+
+    @pytest.mark.parametrize("pair", [(0.0, 1.3), (0.9, 0.0)], ids=["xi1-zero", "xi2-zero"])
+    def test_one_zero_rate(self, pair):
+        # the walk drops the zero rate's links, the lattice keeps its states:
+        # those stay at rounding level and the observables agree to rounding
+        lay = ModeLayout((12, 10, 6))
+        H = fdyn.build_effective_hamiltonian(pair, lay)
+        walk_block, _ = fdyn._reachable(H.matrix, vacuum_state(lay))
+        times = np.linspace(0.0, 3.0, 41)
+        got = evolve_quiet_vacuum(pair, lay, times)
+        ref = evolve_quiet(H, vacuum_state(lay), times)
+        assert len(walk_block) < len(got.states.block)
+        off = ~np.isin(got.states.block, walk_block)
+        assert np.abs(got.states.amps[:, off]).max() < 1e-14
+        for field in ("occupations", "zeta12", "leakage", "norms"):
+            assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) < 1e-13, field
+
+    def test_both_rates_zero_stay_in_vacuum_exactly(self):
+        lay = ModeLayout((4, 4, 4))
+        traj = fdyn.evolve_vacuum(None, lay, np.linspace(0.0, 1e-4, 21))
+        assert np.array_equal(traj.states.amps[:, 0], np.ones(21))
+        assert not traj.states.amps[:, 1:].any()
+        assert not traj.occupations.any() and not traj.leakage.any()
+        assert np.all(traj.zeta12 == 1.0) and np.all(traj.norms == 1.0)
+
+    def test_leakage_warning_and_time_grid(self):
+        c = couplings(2.0)
+        with pytest.warns(TruncationWarning):
+            fdyn.evolve_vacuum(c, ModeLayout((3, 3, 3)), [0.0, cf.t_pi(c)])
+        with pytest.raises(ValueError):
+            fdyn.evolve_vacuum(c, ModeLayout((4, 4, 4)), [0.5, 1.0])
+        with pytest.raises(ValueError, match="three-mode"):
+            fdyn.evolve_vacuum(c, ModeLayout((4, 4)), [0.0, 1.0])
+
+
+def _analytic_state_loop(c, t, lay, tail_tol):
+    """Reference: the per-amplitude loop over ``ModeLayout.index``."""
+    d1, d2, d3 = lay.dims
+    table = cf.evolved_amplitudes(c, t, m_max=d3 - 1, n_max=d2 - 1, tail_tol=tail_tol)
+    psi = np.zeros(lay.dim, dtype=complex)
+    for m in range(d3):
+        for n in range(d2):
+            if m + n < d1:
+                psi[lay.index((m + n, n, m))] = table[m, n]
+    return psi / np.linalg.norm(psi)
+
+
+def _target_state_loop(lay, r):
+    n_max = min(lay.dims[0], lay.dims[1]) - 1
+    amps = cf.tmss_amplitudes(r, n_max)
+    psi = np.zeros(lay.dim, dtype=complex)
+    for n in range(n_max + 1):
+        psi[lay.index((n, n, 0))] = amps[n]
+    return psi
+
+
+class TestLatticeStates:
+    @pytest.mark.parametrize("dims", [(64, 64, 8), (5, 9, 4), (9, 5, 7), (20, 12, 30)])
+    def test_analytic_state_matches_loop(self, dims):
+        c = couplings(3.0)
+        lay = ModeLayout(dims)
+        for frac in (0.0, 0.3, 1.0, 1.7):
+            t = frac * cf.t_pi(c)
+            assert np.array_equal(fdyn.analytic_state(c, t, lay, tail_tol=1.0),
+                                  _analytic_state_loop(c, t, lay, tail_tol=1.0))
+
+    @pytest.mark.parametrize("dims", [(60, 60, 2), (7, 5, 3), (5, 9, 4)])
+    def test_target_state_matches_loop(self, dims):
+        lay = ModeLayout(dims)
+        assert np.array_equal(fdyn.target_state(lay, 2.0), _target_state_loop(lay, 2.0))
