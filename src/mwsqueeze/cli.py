@@ -437,8 +437,7 @@ def _validate_checks(cfg):
     if corrupt:
         # test-harness hook: turn the exchange term into pair creation,
         # which stays Hermitian but breaks the conserved combination
-        ops = [mode_annihilator(small, m) for m in range(3)]
-        H = FockOperator(fdyn._hamiltonian(c2, ops, (("pair", 0, 2), ("pair", 1, 2))), small)
+        H = FockOperator(fdyn._box_matrix(c2, small, terms=(("pair", 0, 2), ("pair", 1, 2))), small)
     else:
         H = fdyn.build_effective_hamiltonian(c2, small)
     elem = H.matrix[small.index((1, 0, 1)), small.index((0, 0, 0))]

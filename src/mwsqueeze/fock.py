@@ -6,11 +6,12 @@ slowest: the composite index of ``(n_0, n_1, ..., n_{k-1})`` is
 amplitude dumps are comparable across computational routes.
 
 The only operators built here are the per-mode ladder operators of
-:func:`mode_annihilator`, plain CSR matrices; Hamiltonians are assembled
-from them by :mod:`fock_dynamics`, which pairs one with its layout in a
-:class:`FockOperator`.  A state is a plain dense complex vector of length
-``layout.dim``.  Truncation is silent: a ladder operator simply has no
-matrix element out of the top level.  Monitoring boundary population is the
+:func:`mode_annihilator`, plain CSR matrices, used for observables and
+checks.  Hamiltonians are built by :mod:`fock_dynamics` by index arithmetic
+on these composite indices, not from the ladder operators, and paired with
+their layout in a :class:`FockOperator`.  A state is a plain dense complex
+vector of length ``layout.dim``.  Truncation is silent: a ladder operator
+simply has no matrix element out of the top level.  Monitoring boundary population is the
 caller's job via :func:`top_level_mask`.
 """
 

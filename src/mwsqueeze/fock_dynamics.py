@@ -1,13 +1,16 @@
 """Exact truncated-Fock-space evolution under the effective Hamiltonian.
 
 The Hamiltonian ``H = i xi1 a1^dag c^dag - i xi1* a1 c + i xi2 a2^dag c -
-i xi2* a2 c^dag`` is built from ``params.COUPLING_TERMS`` over the ladder
-operators of a (cavity1, cavity2, spin) layout; the degenerate variant
-passes its one cavity for both, and :mod:`raman` builds its effective model
-from the same table.  Starting from vacuum, pair creation and exchange only
-ever reach a small invariant block of the truncated space (the
-``n2 - n1 + n3 = 0`` lattice, or one ``n_a + n_c`` parity sector for the
-degenerate variant).  Every term of the table moves the spin exactly once
+i xi2* a2 c^dag`` is built from ``params.COUPLING_TERMS`` by index
+arithmetic on the composite indices of a (cavity1, cavity2, spin) layout:
+each term moves a state by a fixed step, found by its composite index, with
+the ladder factors ``sqrt(n)`` of its occupations (:func:`_box_entries`).
+That one builder gives the whole box as CSR (:func:`build_effective_hamiltonian`,
+validate's corrupt hook with its own term table, and the degenerate variant,
+which maps both cavities to its one) and the charge lattice's elements.
+Starting from vacuum, pair creation and exchange only ever reach a small
+invariant block of the truncated space (the ``n2 - n1 + n3 = 0`` lattice,
+or one ``n_a + n_c`` parity sector for the degenerate variant).  Every term of the table moves the spin exactly once
 and adds no diagonal, so on such a block ``H = [[0, B], [B^dag, 0]]``
 between even and odd spin parity, and one thin SVD of the even-to-odd
 coupling ``B`` gives ``exp(-i H t)`` for all samples as one stacked product.
@@ -15,9 +18,9 @@ coupling ``B`` gives ``exp(-i H t)`` for all samples as one stacked product.
 There are two entries.  :func:`evolve_vacuum` is the CLI's fock route: it
 enumerates the charge lattice ``(m + n, n, m)`` inside the truncation box
 (:func:`charge_lattice`, whose size :func:`charge_lattice_size` gives in
-closed form before anything is allocated) and fills ``B`` by index
-arithmetic over the term table, so no composite-space operator or vector is
-formed.  :func:`evolve_state` takes any Hermitian generator on the
+closed form before anything is allocated) and fills ``B`` from the
+builder's entries on that lattice, so no composite-space operator or vector
+is formed.  :func:`evolve_state` takes any Hermitian generator on the
 composite space (the validation suite's builds, the corrupt hook, the
 degenerate variant, :mod:`raman`'s models), finds the basis states it
 connects to the initial state's support by one walk, and propagates that
@@ -27,10 +30,9 @@ Nothing leaves the block, so the restriction is exact for any Hermitian
 ``H``, whether or not it conserves a charge.  Both entries share one
 propagator and one observation tail.
 
-States are plain complex vectors of length ``layout.dim`` and ladder
-operators plain CSR matrices; a Hamiltonian travels as a
-:class:`~mwsqueeze.fock.FockOperator` only because :func:`evolve_state`
-needs its layout.
+States are plain complex vectors of length ``layout.dim``; a Hamiltonian
+travels as a :class:`~mwsqueeze.fock.FockOperator` only because
+:func:`evolve_state` needs its layout.
 
 State comparisons across routes are gauged by the phase of the
 largest-magnitude amplitude, since the closed-form amplitude table fixes
@@ -82,19 +84,52 @@ _NORM_DRIFT_PER_STEP = 1e-8
 _LEAKAGE_THRESHOLD = 1e-6
 
 
-def _hamiltonian(c, ops, terms=COUPLING_TERMS) -> sp.csr_matrix:
-    """Sum of ``i xi T - i xi* T^dag`` over ``terms`` (see ``COUPLING_TERMS``), rates from ``c``.
+def _box_entries(c, layout: ModeLayout, states: np.ndarray, modes=(0, 1, 2), terms=COUPLING_TERMS):
+    """Rows, columns and values of ``sum i xi T - i xi* T^dag`` on ``states``, by index arithmetic.
 
-    ``ops`` are the sparse annihilators of the model modes (cavity 1, cavity 2,
-    spin) on one basis.  ``T`` applies its lowering factor, if any, first and
-    ``T^dag`` is its conjugate transpose, so no product passes through a
-    state above the basis's truncation.
+    ``states`` are ascending composite indices of ``layout`` closed under the
+    terms, and rows and columns are positions in it.  A term ``(kind, j,
+    k)`` of ``terms`` (see ``COUPLING_TERMS``), rates from ``c``, acts on the
+    layout modes ``modes[j]`` and ``modes[k]``: ``T`` moves a state by ``e_j
+    + e_k`` (pair) or ``e_j - e_k`` (exchange), a move that leaves the box
+    has no element, and one that lands inside the box but outside
+    ``states`` raises.  A ladder step between ``n`` and ``n'`` carries
+    ``sqrt(max(n, n'))``, and the elements are formed as a sparse sum of
+    ladder-operator products forms them, ``0 + (i xi)(sqrt a sqrt b)`` and
+    ``0 - (i xi*)(sqrt a sqrt b)``, so they hold the same bits.
     """
-    H = 0
+    dims = layout.dims
+    occ = np.unravel_index(states, dims)
+    strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+    rows, cols, vals = [], [], []
     for (kind, j, k), xi in zip(terms, coupling_pair(c)):
-        T = ops[j].conj().T @ (ops[k].conj().T if kind == "pair" else ops[k])
-        H = H + 1j * xi * T - 1j * np.conj(xi) * T.conj().T
-    return H.tocsr()
+        j, k = modes[j], modes[k]
+        if j == k:
+            raise ValueError(f"coupling term {(kind, j, k)} acts twice on one mode")
+        step = [0] * len(dims)
+        step[j] += 1
+        step[k] += 1 if kind == "pair" else -1
+        to = [o + s for o, s in zip(occ, step)]
+        src = np.flatnonzero(np.logical_and.reduce([(t >= 0) & (t < d) for t, d in zip(to, dims)]))
+        target = states[src] + sum(s * st for s, st in zip(step, strides))
+        dst = np.searchsorted(states, target)
+        if np.any(states[np.minimum(dst, len(states) - 1)] != target):
+            raise ValueError(f"coupling term {(kind, j, k)} leaves the given states")
+        f = np.sqrt(np.maximum(occ[j], to[j])[src]) * np.sqrt(np.maximum(occ[k], to[k])[src])
+        rows += [dst, src]
+        cols += [src, dst]
+        vals += [0 + 1j * xi * f, 0 - 1j * np.conj(xi) * f]
+    return tuple(np.concatenate(a) for a in (rows, cols, vals))
+
+
+def _box_matrix(c, layout: ModeLayout, modes=(0, 1, 2), terms=COUPLING_TERMS) -> sp.csr_matrix:
+    """:func:`_box_entries` over the whole layout, as a canonical CSR matrix with no stored zeros."""
+    import scipy.sparse as sp
+
+    rows, cols, vals = _box_entries(c, layout, np.arange(layout.dim), modes, terms)
+    H = sp.csr_matrix((vals, (rows, cols)), shape=(layout.dim,) * 2)
+    H.eliminate_zeros()
+    return H
 
 
 def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
@@ -108,8 +143,7 @@ def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
     """
     if layout.n_modes != 3:
         raise ValueError("effective Hamiltonian needs a three-mode layout")
-    ops = [mode_annihilator(layout, m) for m in range(3)]
-    return FockOperator(_hamiltonian(c, ops), layout)
+    return FockOperator(_box_matrix(c, layout), layout)
 
 
 def conserved_number_operator(layout: ModeLayout) -> sp.csr_matrix:
@@ -275,46 +309,6 @@ def charge_lattice(layout: ModeLayout):
     return index[order], m[order], n[order]
 
 
-def _lattice_half_block(c, layout: ModeLayout, block: np.ndarray, occ, odd: np.ndarray) -> np.ndarray:
-    """The even-to-odd block ``B`` of ``build_effective_hamiltonian(c, layout)`` on the charge lattice.
-
-    ``block`` and ``occ`` (per-mode occupations) are the lattice of
-    :func:`charge_lattice` and ``odd`` its spin parity.  A term ``(kind, j,
-    k)`` of ``COUPLING_TERMS`` moves a state by ``e_j + e_k`` (pair) or
-    ``e_j - e_k`` (exchange); a move that conserves ``CONSERVED_CHARGE`` and
-    moves the spin once lands on a lattice state of the other parity, found
-    by its composite index.  The elements of ``i xi T - i xi* T^dag`` are
-    formed as the sparse build forms them, ``0 + (i xi)(sqrt a sqrt b)`` and
-    ``0 - (i xi*)(sqrt a sqrt b)``, so ``B`` holds the same bits as that
-    build's restriction ``H[even][:, odd]``.
-    """
-    dims = layout.dims
-    strides = [math.prod(dims[i + 1:]) for i in range(3)]
-    rows, cols, vals = [], [], []
-    for (kind, j, k), xi in zip(COUPLING_TERMS, coupling_pair(c)):
-        step = [0, 0, 0]
-        step[j] += 1
-        step[k] += 1 if kind == "pair" else -1
-        if sum(q * s for q, s in zip(CONSERVED_CHARGE, step)) != 0 or abs(step[2]) != 1:
-            raise ValueError(f"coupling term {(kind, j, k)} does not hop between spin parities on the charge lattice")
-        to = [o + s for o, s in zip(occ, step)]
-        src = np.flatnonzero(np.logical_and.reduce([(t >= 0) & (t < d) for t, d in zip(to, dims)]))
-        dst = np.searchsorted(block, block[src] + sum(s * st for s, st in zip(step, strides)))
-        # <dst| T |src>: a ladder step between n and n' carries sqrt(max(n, n'))
-        f = np.sqrt(np.maximum(occ[j], to[j])[src]) * np.sqrt(np.maximum(occ[k], to[k])[src])
-        rows += [dst, src]
-        cols += [src, dst]
-        vals += [0 + 1j * xi * f, 0 - 1j * np.conj(xi) * f]
-    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
-    rank = np.empty(len(block), dtype=np.int64)
-    rank[~odd] = np.arange(np.count_nonzero(~odd))
-    rank[odd] = np.arange(np.count_nonzero(odd))
-    keep = ~odd[rows]
-    B = np.zeros((np.count_nonzero(~odd), np.count_nonzero(odd)), dtype=complex)
-    B[rank[rows[keep]], rank[cols[keep]]] = vals[keep]
-    return B
-
-
 def _zeta12(p: np.ndarray, occ) -> np.ndarray:
     """``Var(n1 - n2) / (n1 + n2)`` from basis populations ``p`` and their occupations.
 
@@ -338,15 +332,18 @@ def _sample_times(times) -> np.ndarray:
     return times
 
 
-def _observe(states: _BlockStates, times: np.ndarray, occ, top: np.ndarray, norm0: float) -> Trajectory:
+def _observe(states: _BlockStates, times: np.ndarray, norm0: float) -> Trajectory:
     """The trajectory of an amplitude stack, as array reductions over its populations.
 
-    ``occ`` holds each mode's occupation of the block's states and ``top``
-    marks those with any mode at its top level; ``norm0`` is the initial
-    state's norm.  Raises :class:`IntegrationError` when the norm drifts by
-    more than 1e-8 between consecutive samples, and warns
+    Each mode's occupation of the block's states, and whether any mode is at
+    its top level, are read off their composite indices; ``norm0`` is the
+    initial state's norm.  Raises :class:`IntegrationError` when the norm
+    drifts by more than 1e-8 between consecutive samples, and warns
     (:class:`TruncationWarning`) when the top-level population exceeds 1e-6.
     """
+    dims = states.layout.dims
+    occ = np.unravel_index(states.block, dims)
+    top = np.logical_or.reduce([o == d - 1 for o, d in zip(occ, dims)])
     p = np.abs(states.amps) ** 2
     norms = np.sqrt(p.sum(axis=1))
     drift = np.abs(np.diff(norms, prepend=norm0))
@@ -412,20 +409,17 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     times = _sample_times(times)
     _hermiticity_check(H.matrix)
 
-    layout = H.layout
     block, amps = _propagate(H.matrix, psi0, times)
-    occ = [o[block] for o in layout.occupation_arrays()]
-    top = top_level_mask(layout)[block]
-    return _observe(_BlockStates(block, amps, layout), times, occ, top, np.linalg.norm(psi0))
+    return _observe(_BlockStates(block, amps, H.layout), times, np.linalg.norm(psi0))
 
 
 def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     """:func:`evolve_state` of vacuum under ``build_effective_hamiltonian(c, layout)``, on the charge lattice alone.
 
     The block is the lattice of :func:`charge_lattice`, coloured by spin
-    parity, and ``B`` is filled from the term table
-    (:func:`_lattice_half_block`); propagation and observation are
-    :func:`evolve_state`'s.  No composite-space operator or vector is formed
+    parity, and ``B`` is filled from :func:`_box_entries` on it, whose
+    elements hold the same bits as the composite build's; propagation and
+    observation are :func:`evolve_state`'s.  No composite-space operator or vector is formed
     (``states`` embeds a sample only when it is accessed), so the cost
     follows :func:`charge_lattice_size`, not ``layout.dim``.
 
@@ -447,16 +441,19 @@ def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     IntegrationError
         If the norm drifts by more than 1e-8 between consecutive samples.
     """
-    block, m, n = charge_lattice(layout)
+    block, m, _ = charge_lattice(layout)
     times = _sample_times(times)
-    d1, d2, d3 = layout.dims
-    occ = [m + n, n, m]
     odd = m % 2 == 1
+    rows, cols, vals = _box_entries(c, layout, block)
+    # every term moves the spin once: keep the even-to-odd elements, at their rank within each parity
+    rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
+    keep = ~odd[rows]
+    B = np.zeros((np.count_nonzero(~odd), np.count_nonzero(odd)), dtype=complex)
+    B[rank[rows[keep]], rank[cols[keep]]] = vals[keep]
     psi0 = np.zeros(len(block), dtype=complex)
     psi0[0] = 1.0  # vacuum, composite index 0, is the lattice's first state
-    amps = _half_block_propagate(_lattice_half_block(c, layout, block, occ, odd), psi0, odd, times)
-    top = (occ[0] == d1 - 1) | (n == d2 - 1) | (m == d3 - 1)
-    return _observe(_BlockStates(block, amps, layout), times, occ, top, 1.0)
+    amps = _half_block_propagate(B, psi0, odd, times)
+    return _observe(_BlockStates(block, amps, layout), times, 1.0)
 
 
 def relative_number_squeezing(psi: np.ndarray, layout: ModeLayout) -> float:
@@ -535,10 +532,10 @@ def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:
     if layout2.n_modes != 2:
         raise ValueError("degenerate evolution needs a two-mode (cavity, spin) layout")
     # both cavities of the model are the one layout cavity
-    a, spin = (mode_annihilator(layout2, m) for m in range(2))
-    H = FockOperator(_hamiltonian(c, (a, a, spin)), layout2)
+    H = FockOperator(_box_matrix(c, layout2, modes=(0, 0, 1)), layout2)
     traj = evolve_state(H, vacuum_state(layout2), times)
     # every state is zero off the block, so <a a> needs a^2 on the block only
     block, amps = traj.states.block, traj.states.amps
+    a = mode_annihilator(layout2, 0)
     aa = np.einsum("ij,ji->i", amps.conj(), (a @ a)[block][:, block] @ amps.T)
     return 0.5 + traj.occupations[:, 0] - np.abs(aa)

@@ -11,23 +11,24 @@ time-dependent model a single eigendecomposition of the static generator.
 The validator compares the full model against the bosonized effective
 coupling ``(beta2 a2 + beta1 a1^dag) c^dag + H.c.`` with
 ``beta_i = sqrt(N) Omega_i^* g_i / Delta_i``, built from
-``params.COUPLING_TERMS`` over the cavity operators and the collective
-``c`` of the same excitation-capped basis, so both models evolve from one
-state on one basis.  The effective form assumes the two-photon resonance
-condition; the ``delta_two_photon`` knob of the full model realizes or
-detunes it.
+``params.COUPLING_TERMS`` as products of the cavity operators and the
+collective ``c`` of the same excitation-capped basis, so both models evolve
+from one state on one basis.  Every basis operator is a shift of the
+states' composite indices (see :class:`AtomicBasis`).  The effective form
+assumes the two-photon resonance condition; the ``delta_two_photon`` knob of
+the full model realizes or detunes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fock_dynamics import _hamiltonian, _propagate
+from .fock_dynamics import _propagate
+from .params import COUPLING_TERMS, coupling_pair
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
@@ -78,29 +79,17 @@ def _csr(dim: int, data=(), rows=(), cols=()) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=complex)
 
 
-def _hop_operator(index: dict, hops) -> sp.csr_matrix:
-    """Operator with ``<target|op|s> = amp`` for each ``(target, amp)`` of ``hops(s)``.
-
-    Walks the states of ``index`` in basis order; hops landing outside the
-    basis are dropped.
-    """
-    rows, cols, data = [], [], []
-    for s, i in index.items():
-        for target, amp in hops(s):
-            j = index.get(target)
-            if j is not None:
-                rows.append(j)
-                cols.append(i)
-                data.append(amp)
-    return _csr(len(index), data, rows, cols)
-
-
 class AtomicBasis:
     """Distinguishable atoms with levels {g, h, e1, e2} times two cavity modes.
 
     States are kept when ``n1 + n2 + (#atoms not in g) <= excitation_cap``,
     which contains everything reachable from ``|g...g>|0,0>`` up to that
-    excitation number.
+    excitation number.  Each is stored as its composite index in
+    ``ModeLayout((4,) * n_atoms + (cap + 1, cap + 1))`` (atom 0 slowest,
+    cavity 2 fastest), and the basis is those indices in ascending order, so
+    ``|g...g>|0,0>`` is state 0.  An operator is a shift of that index on
+    the states it acts on, located by ``searchsorted``; ``states`` (tuples
+    ``(levels, n1, n2)``) and ``index`` (their positions) name the same basis.
     """
 
     def __init__(self, n_atoms: int, excitation_cap: int):
@@ -108,58 +97,57 @@ class AtomicBasis:
             raise ValueError("excitation cap must be at least 2 for any squeezing-relevant run")
         self.n_atoms = int(n_atoms)
         self.excitation_cap = int(excitation_cap)
-        states = []
-        for levels in product(range(4), repeat=self.n_atoms):
-            atomic_exc = sum(1 for l in levels if l != _G)
-            if atomic_exc > excitation_cap:
-                continue
-            budget = excitation_cap - atomic_exc
-            for n1 in range(budget + 1):
-                for n2 in range(budget - n1 + 1):
-                    states.append((levels, n1, n2))
-        self.states = states
-        self.index = {s: i for i, s in enumerate(states)}
-        self.dim = len(states)
+        dims = (4,) * self.n_atoms + (excitation_cap + 1,) * 2
+        occ = np.unravel_index(np.arange(math.prod(dims)), dims)
+        kept = (np.count_nonzero(occ[:-2], axis=0) + occ[-2] + occ[-1]) <= excitation_cap
+        self._codes = np.flatnonzero(kept)
+        self._occ = np.stack(occ)[:, kept]
+        self._strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
+        self.states = [(tuple(s[:-2]), s[-2], s[-1]) for s in self._occ.T.tolist()]
+        self.index = {s: i for i, s in enumerate(self.states)}
+        self.dim = len(self.states)
 
     def ground_index(self) -> int:
-        return self.index[((_G,) * self.n_atoms, 0, 0)]
+        """Position of ``|g...g>|0,0>``: composite index 0, so the first state."""
+        return 0
+
+    def _shift(self, mode, by, cols: np.ndarray, amps=1.0) -> sp.csr_matrix:
+        """The operator ``<s + by e_mode| op |s> = amps`` from each basis position ``s`` in ``cols``.
+
+        ``mode`` and ``by`` may be arrays, one entry per position; hops
+        leaving the basis are dropped.
+        """
+        target = self._codes[cols] + np.multiply(by, np.take(self._strides, mode))
+        rows = np.minimum(np.searchsorted(self._codes, target), self.dim - 1)
+        hit = self._codes[rows] == target
+        return _csr(self.dim, np.broadcast_to(amps, hit.shape)[hit], rows[hit], cols[hit])
 
     def flip(self, atom: int, src: int, dst: int) -> sp.csr_matrix:
         """Single-atom operator |dst><src| on the composite basis."""
+        return self._shift(atom, dst - src, np.flatnonzero(self._occ[atom] == src))
 
-        def hops(s):
-            levels, n1, n2 = s
-            if levels[atom] == src:
-                yield (levels[:atom] + (dst,) + levels[atom + 1 :], n1, n2), 1.0
-
-        return _hop_operator(self.index, hops)
+    def _flip_sum(self, src: int, dst: int) -> sp.csr_matrix:
+        """``sum_j |dst_j><src_j|`` over every atom, as one shift."""
+        atoms, cols = np.nonzero(self._occ[: self.n_atoms] == src)
+        return self._shift(atoms, dst - src, cols)
 
     def annihilator(self, mode: int) -> sp.csr_matrix:
         """Photon annihilation on cavity mode 1 or 2."""
         if mode not in (1, 2):
             raise ValueError("cavity mode index must be 1 or 2")
-
-        def hops(s):
-            levels, n1, n2 = s
-            n = n1 if mode == 1 else n2
-            if n > 0:
-                yield ((levels, n1 - 1, n2) if mode == 1 else (levels, n1, n2 - 1)), math.sqrt(n)
-
-        return _hop_operator(self.index, hops)
+        n = self._occ[self.n_atoms + mode - 1]
+        cols = np.flatnonzero(n > 0)
+        return self._shift(self.n_atoms + mode - 1, -1, cols, np.sqrt(n[cols].astype(float)))
 
     def level_population_diagonal(self, level: int) -> np.ndarray:
-        return np.array([sum(1 for l in s[0] if l == level) for s in self.states], dtype=float)
+        return np.count_nonzero(self._occ[: self.n_atoms] == level, axis=0).astype(float)
 
     def photon_diagonal(self, mode: int) -> np.ndarray:
-        k = 1 if mode == 1 else 2
-        return np.array([s[k] for s in self.states], dtype=float)
+        return self._occ[self.n_atoms + (0 if mode == 1 else 1)].astype(float)
 
     def collective_flip(self) -> sp.csr_matrix:
         """The bosonized lowering operator ``c = (1/sqrt N) sum_j |g_j><h_j|``."""
-        out = _csr(self.dim)
-        for atom in range(self.n_atoms):
-            out = out + self.flip(atom, _H, _G)
-        return (out / math.sqrt(self.n_atoms)).tocsr()
+        return (self._flip_sum(_H, _G) / math.sqrt(self.n_atoms)).tocsr()
 
     def conserved_combination_diagonal(self) -> np.ndarray:
         """Diagonal of ``n2 - n1 + N_h + N_e2``, conserved by every drive term.
@@ -179,15 +167,11 @@ def _coupling_blocks(r: RamanConfig, basis: AtomicBasis):
     """The four non-Hermitian blocks of the interaction Hamiltonian and their phases."""
     a1 = basis.annihilator(1)
     a2 = basis.annihilator(2)
-    sum_e1g = sum(basis.flip(atom, _G, _E1) for atom in range(basis.n_atoms))
-    sum_e2h = sum(basis.flip(atom, _H, _E2) for atom in range(basis.n_atoms))
-    sum_e1h = sum(basis.flip(atom, _H, _E1) for atom in range(basis.n_atoms))
-    sum_e2g = sum(basis.flip(atom, _G, _E2) for atom in range(basis.n_atoms))
     blocks = [
-        (complex(r.omega1_rabi) * sum_e1g).tocsr(),
-        (complex(r.omega2_rabi) * sum_e2h).tocsr(),
-        (complex(r.g1) * (sum_e1h @ a1)).tocsr(),
-        (complex(r.g2) * (sum_e2g @ a2)).tocsr(),
+        (complex(r.omega1_rabi) * basis._flip_sum(_G, _E1)).tocsr(),
+        (complex(r.omega2_rabi) * basis._flip_sum(_H, _E2)).tocsr(),
+        (complex(r.g1) * (basis._flip_sum(_H, _E1) @ a1)).tocsr(),
+        (complex(r.g2) * (basis._flip_sum(_G, _E2) @ a2)).tocsr(),
     ]
     phases = [r.delta1, r.delta2, r.delta1, r.delta2 - r.delta_two_photon]
     return blocks, phases
@@ -238,15 +222,22 @@ def effective_couplings(r: RamanConfig):
 def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis) -> sp.csr_matrix:
     """Eq.-(2)-form effective Hamiltonian ``(beta2 a2 + beta1 a1^dag) c^dag + H.c.`` on ``basis``.
 
-    Built from ``params.COUPLING_TERMS`` over the basis's cavity annihilators
-    and the collective ``c`` of the same few atoms, at the rates
-    ``xi = (-i beta1, -i beta2*)``.  No hop passes through a state above the
-    excitation cap, and no element joins the two-level (g, h) states to a
-    state with an atom in e1 or e2.
+    Built from ``params.COUPLING_TERMS`` as products of the basis's cavity
+    annihilators and the collective ``c`` of the same few atoms, at the rates
+    ``xi = (-i beta1, -i beta2*)``: ``c`` is a sum over atoms, not one shift
+    of the composite index, so unlike the fock builds the terms are
+    operator products.  No hop passes through a state above the excitation
+    cap, and no element joins the two-level (g, h) states to a state with an
+    atom in e1 or e2.
     """
     beta1, beta2 = effective_couplings(r)
     ops = (basis.annihilator(1), basis.annihilator(2), basis.collective_flip())
-    return _hamiltonian((-1j * beta1, -1j * np.conj(beta2)), ops)
+    H = 0
+    for (kind, j, k), xi in zip(COUPLING_TERMS, coupling_pair((-1j * beta1, -1j * np.conj(beta2)))):
+        # T applies its lowering factor, if any, first, so no product passes above the cap
+        T = ops[j].conj().T @ (ops[k].conj().T if kind == "pair" else ops[k])
+        H = H + 1j * xi * T - 1j * np.conj(xi) * T.conj().T
+    return H.tocsr()
 
 
 def adiabatic_error(
@@ -262,14 +253,16 @@ def adiabatic_error(
     absolute full-vs-effective difference, the latter the peak population of
     the intermediate levels e1, e2.
 
-    Both models evolve with ``fock_dynamics._propagate`` (norm preserved to
+    Both models are built on one :class:`AtomicBasis`, whose operators are
+    shifts of its composite indices, and evolve from its state 0,
+    ``|g...g>|0,0>``, with ``fock_dynamics._propagate`` (norm preserved to
     machine precision): the full model through its static-frame generator,
     whose occupations are those of the interaction picture and whose
     diagonal ``A`` makes it take one ``eigh``, and the effective model
     directly, bipartite in the parity of the number of atoms in ``h``, by
-    one SVD of its half-block; both start from one ``|g...g>|0,0>`` on one basis.  Both models' samples are ``(samples, dim)`` stacks, where the
-    occupations and the e-level population are array reductions and
-    ``<c^dag c>`` is ``|c psi|^2``.
+    one SVD of its half-block.  Both models' samples are ``(samples, dim)``
+    stacks, where the occupations and the e-level population are array
+    reductions and ``<c^dag c>`` is ``|c psi|^2``.
     """
     if r.n_atoms > 4:
         raise ValueError("adiabatic validation is desk-scale: n_atoms <= 4")

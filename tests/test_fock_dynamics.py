@@ -13,12 +13,34 @@ from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import fixtures
 from mwsqueeze.errors import TruncationWarning
-from mwsqueeze.fock import FockOperator, ModeLayout, mode_annihilator, vacuum_state
-from mwsqueeze.params import CONSERVED_CHARGE, EffectiveCouplings
+from mwsqueeze.fock import FockOperator, ModeLayout, mode_annihilator, top_level_mask, vacuum_state
+from mwsqueeze.params import COUPLING_TERMS, CONSERVED_CHARGE, EffectiveCouplings, coupling_pair
 
 
 def couplings(r, theta=1.0):
     return EffectiveCouplings.from_theta_r(theta, r)
+
+
+def _ladder_hamiltonian(c, ops, terms=COUPLING_TERMS):
+    """Oracle: ``sum i xi T - i xi* T^dag`` over ``terms`` as products of the sparse annihilators ``ops``.
+
+    ``T`` applies its lowering factor, if any, first, so no product passes
+    through a state above the truncation.
+    """
+    H = 0
+    for (kind, j, k), xi in zip(terms, coupling_pair(c)):
+        T = ops[j].conj().T @ (ops[k].conj().T if kind == "pair" else ops[k])
+        H = H + 1j * xi * T - 1j * np.conj(xi) * T.conj().T
+    return H.tocsr()
+
+
+def _assert_same_csr(A, B):
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, field), getattr(B, field)), field
+
+
+_CORRUPT_TERMS = (("pair", 0, 2), ("pair", 1, 2))
+_COMPLEX = EffectiveCouplings(0.6 * np.exp(0.3j), 1.2 * np.exp(-1.1j))
 
 
 def _expm_case(model, c):
@@ -36,7 +58,7 @@ def _expm_case(model, c):
         # both cavities of the model are the one layout cavity
         lay = ModeLayout((12, 12))
         a, spin = (mode_annihilator(lay, m) for m in range(2))
-        return FockOperator(fdyn._hamiltonian(c, (a, a, spin)), lay), lay
+        return FockOperator(_ladder_hamiltonian(c, (a, a, spin)), lay), lay
     # a spin-number diagonal joins every state to itself
     H = fdyn.build_effective_hamiltonian(c, lay).matrix
     return FockOperator((H + sp.diags(0.7 * lay.occupation_arrays()[2])).tocsr(), lay), lay
@@ -149,6 +171,24 @@ class TestEvolution:
         for t, st in zip(traj.times, traj.states):
             ref = scipy.linalg.expm(-1j * t * dense) @ psi0
             assert np.max(np.abs(st - ref)) < 1e-9
+
+    def test_observables_match_the_full_layout_arrays(self):
+        # occupations and leakage are read off the block's composite indices; the
+        # full-layout occupation arrays and top-level mask give the same values
+        c = couplings(2.0)
+        times = np.linspace(0.0, cf.t_pi(c), 9)
+        lay, lay2 = ModeLayout((6, 5, 4)), ModeLayout((6, 4))
+        trajs = [
+            (evolve_quiet(fdyn.build_effective_hamiltonian(c, lay), vacuum_state(lay), times), lay),
+            (evolve_quiet_vacuum(c, lay, times), lay),
+            (evolve_quiet(FockOperator(fdyn._box_matrix(c, lay2, modes=(0, 0, 1)), lay2), vacuum_state(lay2), times), lay2),
+        ]
+        for traj, layout in trajs:
+            occ, top = layout.occupation_arrays(), top_level_mask(layout)
+            p = np.abs(np.array(list(traj.states))) ** 2
+            assert p[:, top].sum(axis=1).max() > 1e-3
+            assert np.max(np.abs(traj.occupations - np.column_stack([p @ o for o in occ]))) < 1e-14
+            assert np.max(np.abs(traj.leakage - p[:, top].sum(axis=1))) < 1e-15
 
     def test_leakage_warning_on_tight_truncation(self):
         c = couplings(2.0)
@@ -285,7 +325,7 @@ class TestDegenerateMode:
         lay = ModeLayout((14, 14))
         times = np.linspace(0.0, cf.t_pi(c), 7)
         a, spin = (mode_annihilator(lay, m) for m in range(2))
-        traj = evolve_quiet(FockOperator(fdyn._hamiltonian(c, (a, a, spin)), lay), vacuum_state(lay), times)
+        traj = evolve_quiet(FockOperator(_ladder_hamiltonian(c, (a, a, spin)), lay), vacuum_state(lay), times)
         ref = [0.5 + n - abs(np.vdot(psi, a @ (a @ psi))) for n, psi in zip(traj.occupations[:, 0], traj.states)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -299,6 +339,49 @@ class TestDegenerateMode:
     def test_three_mode_layout_rejected(self):
         with pytest.raises(ValueError, match="two-mode"):
             fdyn.degenerate_mode_evolve(couplings(2.0), ModeLayout((4, 4, 4)), [0.0, 0.1])
+
+
+class TestBoxBuilder:
+    @pytest.mark.parametrize("dims,c", [
+        ((17, 17, 10), couplings(4.0)),
+        ((24, 24, 12), couplings(3.0)),
+        ((16, 16, 10), couplings(2.0)),
+        ((4, 5, 3), _COMPLEX),
+        ((12, 10, 6), _COMPLEX),
+        ((5, 5, 4), (0.0, 1.3)),
+        ((3, 3, 3), (0.0, 0.0)),
+    ], ids=["r4-default", "r3-default", "validate-r2", "complex-small", "complex", "raw-pair", "zero-rates"])
+    def test_matches_ladder_products(self, dims, c):
+        lay = ModeLayout(dims)
+        ref = _ladder_hamiltonian(c, [mode_annihilator(lay, m) for m in range(3)])
+        H = fdyn.build_effective_hamiltonian(c, lay).matrix
+        _assert_same_csr(H, ref)
+        if c == (0.0, 0.0):
+            assert H.nnz == 0
+
+    def test_corrupt_terms_match_ladder_products(self):
+        c = couplings(2.0)
+        lay = ModeLayout((16, 16, 10))
+        ref = _ladder_hamiltonian(c, [mode_annihilator(lay, m) for m in range(3)], _CORRUPT_TERMS)
+        _assert_same_csr(fdyn._box_matrix(c, lay, terms=_CORRUPT_TERMS), ref)
+
+    @pytest.mark.parametrize("dims", [(12, 12), (56, 56)])
+    def test_degenerate_map_matches_ladder_products(self, dims):
+        c = couplings(2.0)
+        lay = ModeLayout(dims)
+        a, spin = (mode_annihilator(lay, m) for m in range(2))
+        _assert_same_csr(fdyn._box_matrix(c, lay, modes=(0, 0, 1)), _ladder_hamiltonian(c, (a, a, spin)))
+
+    def test_refuses_terms_that_leave_the_lattice(self):
+        lay = ModeLayout((8, 8, 5))
+        block = fdyn.charge_lattice(lay)[0]
+        with pytest.raises(ValueError, match="leaves the given states"):
+            fdyn._box_entries(couplings(2.0), lay, block, terms=_CORRUPT_TERMS)
+
+    def test_refuses_a_term_on_one_mode(self):
+        # the exchange term (1, 2) lands on layout mode 1 twice
+        with pytest.raises(ValueError, match="one mode"):
+            fdyn._box_matrix(couplings(2.0), ModeLayout((6, 6)), modes=(0, 1, 1))
 
 
 class TestChargeLattice:
@@ -329,7 +412,7 @@ class TestChargeLattice:
         ((24, 24, 12), couplings(3.0)),
         ((24, 24, 11), couplings(3.0)),
         ((5, 9, 4), couplings(2.0)),
-        ((12, 10, 6), EffectiveCouplings(0.6 * np.exp(0.3j), 1.2 * np.exp(-1.1j))),
+        ((12, 10, 6), _COMPLEX),
     ], ids=["r4-default", "r3-default", "validate-r3", "asymmetric", "complex-couplings"])
     def test_lattice_path_matches_the_walk(self, dims, c):
         lay = ModeLayout(dims)
@@ -339,8 +422,13 @@ class TestChargeLattice:
         odd = m % 2 == 1
         assert np.array_equal(block, walk_block)
         assert np.array_equal(odd, walk_odd)
-        B = fdyn._lattice_half_block(c, lay, block, [m + n, n, m], odd)
-        assert np.array_equal(B, H.matrix[block[~odd]][:, block[odd]].toarray())
+        # the builder's elements on the lattice, against the ladder products' restriction
+        rows, cols, vals = fdyn._box_entries(c, lay, block)
+        on_lattice = np.zeros((len(block),) * 2, dtype=complex)
+        on_lattice[rows, cols] = vals
+        B = on_lattice[np.ix_(~odd, odd)]
+        ref_H = _ladder_hamiltonian(c, [mode_annihilator(lay, k) for k in range(3)])
+        assert np.array_equal(B, ref_H[block[~odd]][:, block[odd]].toarray())
 
         times = np.linspace(0.0, 2 * cf.t_pi(c), 41)
         got = evolve_quiet_vacuum(c, lay, times)

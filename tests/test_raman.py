@@ -1,9 +1,11 @@
 """Microscopic four-level model and the adiabatic-elimination validator."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mwsqueeze import fixtures, fock_dynamics, raman
 
@@ -241,3 +243,72 @@ def test_operator_commutators_below_the_cap(n_atoms, cap):
     for mode in (1, 2):
         identity = np.eye(basis.dim)[:, below]
         assert np.max(np.abs(commutator(basis.annihilator(mode)) - identity)) < 1e-14
+
+
+def _product_loop_basis(n_atoms, cap):
+    """Reference: the basis as a product loop over levels and photon numbers, and its position dict."""
+    states = []
+    for levels in product(range(4), repeat=n_atoms):
+        budget = cap - sum(1 for l in levels if l != raman._G)
+        for n1 in range(budget + 1):
+            for n2 in range(budget - n1 + 1):
+                states.append((levels, n1, n2))
+    return states, {s: i for i, s in enumerate(states)}
+
+
+def _dict_walk(index, hops):
+    """Reference: ``<target|op|s> = amp`` for each ``(target, amp)`` of ``hops(s)``, walking ``index`` in basis order."""
+    rows, cols, data = [], [], []
+    for s, i in index.items():
+        for target, amp in hops(s):
+            j = index.get(target)
+            if j is not None:
+                rows.append(j)
+                cols.append(i)
+                data.append(amp)
+    return sp.csr_matrix((data, (rows, cols)), shape=(len(index),) * 2, dtype=complex)
+
+
+def _flip_walk(index, atom, src, dst):
+    def hops(s):
+        levels, n1, n2 = s
+        if levels[atom] == src:
+            yield (levels[:atom] + (dst,) + levels[atom + 1:], n1, n2), 1.0
+
+    return _dict_walk(index, hops)
+
+
+def _annihilator_walk(index, mode):
+    def hops(s):
+        levels, n1, n2 = s
+        n = n1 if mode == 1 else n2
+        if n > 0:
+            yield ((levels, n1 - 1, n2) if mode == 1 else (levels, n1, n2 - 1)), math.sqrt(n)
+
+    return _dict_walk(index, hops)
+
+
+def _assert_same_csr(A, B):
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, field), getattr(B, field)), field
+
+
+@pytest.mark.parametrize("n_atoms, cap", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
+def test_index_shifts_match_the_dict_walk(n_atoms, cap):
+    basis = raman.AtomicBasis(n_atoms, cap)
+    states, index = _product_loop_basis(n_atoms, cap)
+    assert basis.states == states
+    assert basis.index == index
+    assert basis.states[basis.ground_index()] == ((raman._G,) * n_atoms, 0, 0)
+    for atom in range(n_atoms):
+        for src in range(4):
+            for dst in range(4):
+                _assert_same_csr(basis.flip(atom, src, dst), _flip_walk(index, atom, src, dst))
+    for src, dst in ((raman._G, raman._E1), (raman._H, raman._E2), (raman._H, raman._E1), (raman._G, raman._E2)):
+        _assert_same_csr(basis._flip_sum(src, dst), sum(_flip_walk(index, a, src, dst) for a in range(n_atoms)))
+    for mode in (1, 2):
+        _assert_same_csr(basis.annihilator(mode), _annihilator_walk(index, mode))
+    c = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
+    for atom in range(n_atoms):
+        c = c + _flip_walk(index, atom, raman._H, raman._G)
+    _assert_same_csr(basis.collective_flip(), (c / math.sqrt(n_atoms)).tocsr())
