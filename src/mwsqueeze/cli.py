@@ -43,17 +43,128 @@ _ROUTES = ("fock", "gaussian", "analytic", "all")
 _FOCK_BLOCK_CAP = 4_000
 
 
-def write_csv(path: Path, header, rows):
-    """Write the 2-D float array ``rows`` under ``header``, 17 significant digits per value.
+# ---------------------------------------------------------------------------
+# CSV output: the bytes of format(x, ".17g"), a block of rows at a time
 
-    Nothing is written if any value is not finite.
+_CSV_BLOCK_ROWS = 2048
+
+
+def _veltkamp(a):
+    """Split doubles into two halves of at most 26 bits, whose products are exact."""
+    t = a * 134217729.0  # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**0 .. 10**22, all exact
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _scaled(ax, k):
+    """``ax * 10**(16 - k)`` exactly, as ``hi + lo`` (Dekker's product, no FMA needed)."""
+    p = 16 - k
+    hi = ax * _POW10[p]
+    a_hi, a_lo = _veltkamp(ax)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+# Every cell is laid out in fixed byte slots: the sign, the "0.000" of a
+# fixed-point value below 1, 17 digits each followed by a point, the exponent
+# "e-0d" and the separator.  A keep table indexed by (decimal exponent + 6,
+# significant digits) picks the slots "%.17g" prints; its last row keeps only
+# the separator, for the cells formatted one by one.
+_CELL = np.frombuffer(b"-0.000" + b"0." * 17 + b"e-00,", dtype=np.uint8)
+_DIGIT, _EXP, _SEP = 6, 40, 44
+# the four ASCII digits of 0 .. 9999, one uint32 word each
+_WORDS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).view(np.uint32).ravel()
+
+
+def _keep_table():
+    k = np.arange(-6, 16)[:, None, None]
+    sig = np.arange(18)[:, None]
+    slot = np.arange(_CELL.size)
+    i, point = np.divmod(slot - _DIGIT, 2)
+    digit = (slot >= _DIGIT) & (slot < _EXP)
+    sci = k < -4
+    keep = (
+        (-4 <= k) & (k < 0) & (slot >= 1) & (slot <= 1 - k)
+        | digit & (point == 0) & ((i < sig) | (i <= k))
+        | digit & (point == 1) & (i == np.where(sci, 0, k)) & (i + 1 < sig)
+        | sci & (slot >= _EXP) & (slot < _SEP)
+        | (slot == _SEP)
+    )
+    return np.concatenate([keep, np.broadcast_to(slot == _SEP, (1, 18, slot.size))])
+
+
+_KEEP = _keep_table()
+
+
+def _format_rows(block: np.ndarray) -> bytes:
+    """CSV lines of a 2-D block of finite floats, every value as ``format(x, ".17g")``.
+
+    A value of decimal exponent -6 to 15 gets its digits by exact arithmetic
+    (1e-6 rounds below 10**-6, hence the strict ``>``); the rest, zeros and
+    subnormals among them, go through ``"%.17g" %`` one by one and are spliced in.
+    """
+    x = block.ravel()
+    ax = np.abs(x)
+    exact = (ax > 1e-6) & (ax < 1e16)
+    ax[~exact] = 1.0
+    # the digits are ax * 10**(16 - k) rounded half to even, for the k that puts
+    # it in [1e16, 1e17); log10 guesses k and the exact product corrects a miss by one
+    k = np.clip(np.floor(np.log10(ax)), -6, 15).astype(np.int64)
+    hi, lo = _scaled(ax, k)
+    miss = ((hi > 1e17) | (hi == 1e17) & (lo >= 0)).astype(np.int64) - ((hi < 1e16) | (hi == 1e16) & (lo < 0))
+    if miss.any():
+        k += miss
+        hi, lo = _scaled(ax, k)
+    # hi >= 2**53 is an even integer, so adding rint(lo) rounds the exact sum half to even;
+    # it never carries to 10**17, since no double of the window lies within 5e-18
+    # relative below a power of ten (the nearest, below 1e-6, is 4.5e-17 away)
+    n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    lead, rest = np.divmod(n, 10**16)
+    words = np.stack(np.divmod(np.stack(np.divmod(rest, 10**8), axis=-1), 10**4), axis=-1)
+
+    cells = np.empty((x.size, _CELL.size), dtype=np.uint8)
+    cells[:] = _CELL
+    cells.reshape(block.shape + (-1,))[:, -1, _SEP] = ord("\n")
+    digits = cells[:, _DIGIT:_EXP:2]
+    digits[:, 0] = lead + 48
+    digits[:, 1:] = _WORDS[words.reshape(-1, 4)].view(np.uint8)
+    cells[:, _SEP - 1] = 48 - k  # the exponent's digit, kept for k = -6 and -5 only
+    sig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
+    keep = _KEEP[np.where(exact, k + 6, -1), sig]
+    keep[:, 0] = exact & np.signbit(x)
+    body = np.compress(keep.ravel(), cells.ravel()).tobytes()
+
+    one_by_one = np.flatnonzero(~exact)
+    if not one_by_one.size:
+        return body
+    # such a cell kept only its separator; its text goes in front of it
+    at = np.cumsum(keep.sum(axis=1))[one_by_one] - 1
+    pieces, pos = [], 0
+    for j, value in zip(at.tolist(), x[one_by_one].tolist()):
+        pieces += [body[pos:j], b"%.17g" % value]
+        pos = j
+    pieces.append(body[pos:])
+    return b"".join(pieces)
+
+
+def write_csv(path: Path, header, rows):
+    """Write the 2-D float array ``rows`` under ``header``, every value as ``format(x, ".17g")``.
+
+    Nothing is written if any value is not finite.  The body is formatted by
+    :func:`_format_rows` in blocks of a fixed ``_CSV_BLOCK_ROWS`` rows, which
+    keeps each block's byte buffers in cache and the memory independent of the
+    row count.
     """
     if not np.isfinite(rows).all():
         raise NumericalError("refusing to emit a non-finite value")
-    line = ",".join(["%.17g"] * len(header)) + "\n"
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write("".join([line % tuple(row) for row in rows.tolist()]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("ascii"))
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            fh.write(_format_rows(rows[start:start + _CSV_BLOCK_ROWS]))
 
 
 def write_json(path: Path, payload):

@@ -44,16 +44,20 @@ def occupations_closed_form(c: EffectiveCouplings, t) -> np.ndarray:
 
     Returns shape ``np.shape(t) + (3,)``.  The trigonometric factors are
     taken per element with :mod:`math`, so a sample's bits do not depend on
-    the grid it is evaluated on.
+    the grid it is evaluated on, and a scalar ``t`` takes the same path.
     """
     x1 = abs(complex(c.xi1))
     x2 = abs(complex(c.xi2))
     th = c.theta
+    a2 = (x1 * x2 / th**2) ** 2
+    a3 = (x1 / th) ** 2
     phase = th * np.asarray(t, dtype=float)
-    shape, p = np.shape(phase), np.ravel(phase).tolist()
-    n2 = (x1 * x2 / th**2) ** 2 * np.reshape([(math.cos(q) - 1.0) ** 2 for q in p], shape)
-    n3 = (x1 / th) ** 2 * np.reshape([math.sin(q) ** 2 for q in p], shape)
-    return np.stack([n2 + n3, n2, n3], axis=-1)
+    flat = []
+    for q in phase.ravel().tolist():
+        n2 = a2 * (math.cos(q) - 1.0) ** 2
+        n3 = a3 * math.sin(q) ** 2
+        flat += (n2 + n3, n2, n3)
+    return np.array(flat).reshape(phase.shape + (3,))
 
 
 def zeta12_closed_form_grid(occupations: np.ndarray) -> np.ndarray:
@@ -78,8 +82,9 @@ def zeta12_closed_form_grid(occupations: np.ndarray) -> np.ndarray:
 
 
 def zeta12_closed_form(c: EffectiveCouplings, t: float) -> float:
-    """``zeta12`` at one time; see :func:`zeta12_closed_form_grid`."""
-    return float(zeta12_closed_form_grid(occupations_closed_form(c, [t]))[0])
+    """``zeta12`` at one time, with the bits of :func:`zeta12_closed_form_grid`."""
+    n1, n2, n3 = occupations_closed_form(c, t).tolist()
+    return 1.0 if n1 + n2 < 1e-14 else n3 * (1.0 + n3) / (n1 + n2)
 
 
 @dataclass(frozen=True)

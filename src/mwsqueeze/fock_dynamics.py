@@ -534,8 +534,15 @@ def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:
     # both cavities of the model are the one layout cavity
     H = FockOperator(_box_matrix(c, layout2, modes=(0, 0, 1)), layout2)
     traj = evolve_state(H, vacuum_state(layout2), times)
-    # every state is zero off the block, so <a a> needs a^2 on the block only
+    # every state is zero off the block, so <a a> sums over the block states
+    # whose a^2 image, 2 d_spin indices down, is in the block too (with one
+    # rate 0 the block is a chain that misses some of them)
     block, amps = traj.states.block, traj.states.amps
-    a = mode_annihilator(layout2, 0)
-    aa = np.einsum("ij,ji->i", amps.conj(), (a @ a)[block][:, block] @ amps.T)
+    shift = 2 * layout2.dims[1]
+    n = block // layout2.dims[1]
+    src = np.flatnonzero(n >= 2)
+    dst = np.searchsorted(block, block[src] - shift)
+    hit = block[dst] == block[src] - shift
+    src, dst = src[hit], dst[hit]
+    aa = (amps[:, dst].conj() * amps[:, src]) @ np.sqrt(n[src] * (n[src] - 1.0))
     return 0.5 + traj.occupations[:, 0] - np.abs(aa)

@@ -522,6 +522,46 @@ class TestCsvWriter:
         lines = [",".join(format(x, ".17g") for x in values[i:i + 4]) for i in (0, 4)]
         assert path.read_bytes() == ("a,b,c,d\n" + "\n".join(lines) + "\n").encode("ascii")
 
+    @staticmethod
+    def _assert_per_value_bytes(tmp_path, rows):
+        rows = np.asarray(rows, dtype=float)
+        header = [f"c{j}" for j in range(rows.shape[1])]
+        path = tmp_path / "out.csv"
+        write_csv(path, header, rows)
+        lines = [",".join(header)] + [",".join(format(x, ".17g") for x in row) for row in rows.tolist()]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+
+    def test_random_bit_patterns(self, tmp_path):
+        values = np.random.default_rng(20).integers(0, 2**64, 201_000, dtype=np.uint64).view(np.float64)
+        self._assert_per_value_bytes(tmp_path, values[np.isfinite(values)][:200_000].reshape(-1, 8))
+
+    def test_powers_of_ten_and_window_edges(self, tmp_path):
+        # 1e-6 and 1e16 bound the cells formatted by exact arithmetic; the
+        # decimal exponent switches notation at 1e-5 and 1e-4
+        anchors = np.array([float(f"1e{j}") for j in range(-30, 31)] + [1e-6, 1e16, 1e-5, 1e-4])
+        values = np.concatenate([anchors, np.nextafter(anchors, 0.0), np.nextafter(anchors, np.inf)])
+        self._assert_per_value_bytes(tmp_path, np.concatenate([values, -values]).reshape(-1, 3))
+
+    def test_ties_round_half_to_even(self, tmp_path):
+        # for odd m > 2**17, m / 2**17 (1 to 3.05) has 18 significant digits, the
+        # last a 5: a tie at 17 digits
+        values = np.arange(1, 400_000, 2) / 2.0**17
+        self._assert_per_value_bytes(tmp_path, values.reshape(-1, 4))
+        assert "1.0000076293945312" in (tmp_path / "out.csv").read_text()
+
+    def test_integers(self, tmp_path):
+        self._assert_per_value_bytes(tmp_path, np.arange(100_001.0).reshape(-1, 1))
+
+    def test_blocks_and_one_by_one_cells(self, tmp_path):
+        # 5 000 rows cross two block boundaries; zeros and subnormals sit at a
+        # block's last and next block's first cell and at row ends
+        rows = np.random.default_rng(5).standard_normal((5000, 6)) * 10.0 ** np.arange(-8, 10, 3)
+        rows[2047, -1], rows[2048, 0], rows[4095, 5], rows[4999, -1] = 0.0, -0.0, 1e-310, 1e-7
+        rows[0, :] = 0.0
+        self._assert_per_value_bytes(tmp_path, rows)
+        self._assert_per_value_bytes(tmp_path, rows[:, :1])
+        self._assert_per_value_bytes(tmp_path, rows[2047:2048])
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_value_refuses_the_whole_array(self, tmp_path, bad):
         rows = np.ones((3, 2))

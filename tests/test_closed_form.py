@@ -200,3 +200,13 @@ class TestCutoffHelpers:
         c = couplings(2.0)
         assert cf.zeta12_closed_form(c, 0.0) == 1.0
         assert cf.zeta12_closed_form(c, cf.t_pi(c)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r", [1.01, 1.1, 3.0])
+    def test_scalar_zeta12_has_the_grid_bits(self, r):
+        c = couplings(r, theta=2.0 * math.pi * 1e4)
+        tpi = cf.t_pi(c)
+        times = [0.0, tpi / 2, tpi, *np.linspace(0.0, 2.0 * tpi, 101)]
+        grid = cf.zeta12_closed_form_grid(cf.occupations_closed_form(c, times))
+        assert [cf.zeta12_closed_form(c, t) for t in times] == grid.tolist()
+        assert cf.occupations_closed_form(c, np.reshape(times, (8, 13))).tobytes() == \
+            cf.occupations_closed_form(c, times).tobytes()

@@ -332,6 +332,25 @@ class TestDegenerateMode:
             got = fdyn.degenerate_mode_evolve(c, lay, times)
         assert np.max(np.abs(got - ref)) < 1e-13
 
+    @pytest.mark.parametrize("dims,c", [
+        ((12, 12), couplings(2.0)),
+        ((56, 56), couplings(2.0)),
+        ((12, 12), (0.4, 0.0)),
+    ], ids=["12", "56", "pair-chain"])
+    def test_pair_moment_matches_the_composite_product(self, dims, c):
+        # reference: <a a> from the composite product a @ a, restricted to the block;
+        # with xi2 = 0 the block is the chain |n, n>, which holds no a^2 image
+        lay = ModeLayout(dims)
+        times = np.linspace(0.0, 3.0, 9)
+        traj = evolve_quiet(FockOperator(fdyn._box_matrix(c, lay, modes=(0, 0, 1)), lay), vacuum_state(lay), times)
+        block, amps = traj.states.block, traj.states.amps
+        a = mode_annihilator(lay, 0)
+        aa = np.einsum("ij,ji->i", amps.conj(), (a @ a)[block][:, block] @ amps.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            got = fdyn.degenerate_mode_evolve(c, lay, times)
+        assert np.max(np.abs(got - (0.5 + traj.occupations[:, 0] - np.abs(aa)))) <= 1e-14
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             fdyn.degenerate_mode_evolve(couplings(2.0), ModeLayout((8, 8)), [0.0, -1.0])
