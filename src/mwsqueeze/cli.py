@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__, closed_form, feasibility, moments, spectrum
 from .errors import ConfigError, IntegrationError, NumericalError, StabilityError, TruncationWarning
 from .fock import FockOperator, ModeLayout, vacuum_state
-from .params import DecayRates, EffectiveCouplings, oscillation_rate
+from .params import CONSERVED_CHARGE, DecayRates, EffectiveCouplings, oscillation_rate
 
 TWO_PI = 2.0 * math.pi
 
@@ -168,9 +168,13 @@ def write_csv(path: Path, header, rows):
 
 
 def write_json(path: Path, payload):
+    """Write ``payload`` as sorted, indented JSON; nothing is written if any number is not finite."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise NumericalError("refusing to emit a non-finite value") from None
     with open(path, "w", newline="", encoding="ascii") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_manifest(outdir: Path, command: str, config: dict):
@@ -317,9 +321,12 @@ def _evolve_times(cfg, couplings):
         if couplings is None:
             raise ConfigError("t_final_over_t_pi needs nonzero couplings; give t_final_s")
         t_end = mult * closed_form.t_pi(couplings)
-    if t_end <= 0:
-        raise ConfigError("final time must be positive")
-    return _physical(np.linspace, 0.0, t_end, n)
+    if not (t_end > 0 and (couplings.theta if couplings else 0.0) * t_end < math.inf):
+        raise ConfigError(f"final time must be positive, with theta times it finite; got {t_end:g} s")
+    times = _physical(np.linspace, 0.0, t_end, n)
+    if np.any(np.diff(times) <= 0):
+        raise ConfigError(f"final time {t_end:g} s is too short for {n} distinct samples")
+    return times
 
 
 def _evolve_rows(times, theta, occupations, zeta12, *extra):
@@ -559,9 +566,8 @@ def _validate_checks(cfg):
         warnings.simplefilter("ignore", TruncationWarning)
         traj = fdyn.evolve_state(H, vacuum_state(small), times)
     # N is diagonal, so <N> and <N^2> of every sample are one reduction over the populations
-    block, amps = traj.states.block, traj.states.amps
-    charge = fdyn.conserved_number_operator(small).diagonal().real[block]
-    n_moments = np.abs(amps) ** 2 @ np.column_stack([charge, charge**2])
+    charge = np.dot(CONSERVED_CHARGE, np.unravel_index(traj.block, small.dims)).astype(float)
+    n_moments = np.abs(traj.states) ** 2 @ np.column_stack([charge, charge**2])
     record("conserved_number", np.abs(n_moments).max(), 1e-8)
     record("norm_preservation", max(abs(n - 1.0) for n in traj.norms), 1e-8)
 

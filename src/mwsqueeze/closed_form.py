@@ -10,7 +10,6 @@ and second-moment routes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +20,6 @@ __all__ = [
     "occupations_closed_form",
     "zeta12_closed_form",
     "zeta12_closed_form_grid",
-    "PropagatorAmplitudes",
     "propagator_amplitudes",
     "evolved_amplitudes",
     "tmss_amplitudes",
@@ -87,9 +85,8 @@ def zeta12_closed_form(c: EffectiveCouplings, t: float) -> float:
     return 1.0 if n1 + n2 < 1e-14 else n3 * (1.0 + n3) / (n1 + n2)
 
 
-@dataclass(frozen=True)
-class PropagatorAmplitudes:
-    """Scalar amplitudes of the factorized propagator acting on vacuum.
+def propagator_amplitudes(c: EffectiveCouplings, t: float) -> tuple[float, float, float]:
+    """Scalar amplitudes ``(alpha1, alpha2, exp_alpha4)`` of the factorized propagator acting on vacuum.
 
     ``exp_alpha4 = 1/sqrt(1+n1)``, ``|alpha1| = sqrt(n3/(1+n1))``,
     ``alpha2 = sqrt(n2/(1+n1))``.  The square roots fix only magnitudes;
@@ -99,20 +96,9 @@ class PropagatorAmplitudes:
     non-negative.  Without that sign the amplitude table disagrees with the
     evolved state beyond the first half period by a relative ``(-1)^m``.
     """
-
-    alpha1: float
-    alpha2: float
-    exp_alpha4: float
-
-
-def propagator_amplitudes(c: EffectiveCouplings, t: float) -> PropagatorAmplitudes:
     n1, n2, n3 = occupations_closed_form(c, t)
     sign = 1.0 if math.sin(c.theta * t) >= 0.0 else -1.0
-    return PropagatorAmplitudes(
-        alpha1=sign * math.sqrt(n3 / (1.0 + n1)),
-        alpha2=math.sqrt(n2 / (1.0 + n1)),
-        exp_alpha4=1.0 / math.sqrt(1.0 + n1),
-    )
+    return sign * math.sqrt(n3 / (1.0 + n1)), math.sqrt(n2 / (1.0 + n1)), 1.0 / math.sqrt(1.0 + n1)
 
 
 def evolved_amplitudes(
@@ -141,11 +127,11 @@ def evolved_amplitudes(
     """
     if m_max < 0 or n_max < 0:
         raise ValueError("cutoffs must be non-negative")
-    pa = propagator_amplitudes(c, t)
+    alpha1, alpha2, exp_alpha4 = propagator_amplitudes(c, t)
     m = np.arange(1, m_max + 1)[:, None]
     n = np.arange(n_max + 1)
-    steps = np.vstack([np.ones(n_max + 1), pa.alpha1 * np.sqrt((m + n) / m)])
-    amps = pa.exp_alpha4 * pa.alpha2**n * np.cumprod(steps, axis=0)
+    steps = np.vstack([np.ones(n_max + 1), alpha1 * np.sqrt((m + n) / m)])
+    amps = exp_alpha4 * alpha2**n * np.cumprod(steps, axis=0)
     retained = float(np.sum(amps**2))
     if retained < 1.0 - tail_tol:
         raise CutoffError(

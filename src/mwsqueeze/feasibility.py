@@ -35,13 +35,20 @@ TWO_PI = 2.0 * math.pi
 
 
 def thermal_occupation(frequency: float, temperature: float) -> float:
-    """Bose occupation ``1 / (exp(hbar omega / kB T) - 1)`` at frequency in Hz."""
+    """Bose occupation ``1 / expm1(x)``, ``x = hbar omega / kB T``, at frequency in Hz.
+
+    It is ``exp(-x)``, subnormal or 0, where ``expm1`` overflows, and 0 where ``kB T`` underflows.
+    """
     if frequency <= 0:
         raise ValueError("frequency must be positive")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    x = HBAR * TWO_PI * frequency / (KBOLTZ * temperature)
-    return 1.0 / math.expm1(x)
+    kt = KBOLTZ * temperature
+    x = HBAR * TWO_PI * frequency / kt if kt else math.inf
+    try:
+        return 1.0 / math.expm1(x) if x else math.inf
+    except OverflowError:
+        return math.exp(-x)
 
 
 def crossover_temperature(frequency: float) -> float:

@@ -30,9 +30,9 @@ Nothing leaves the block, so the restriction is exact for any Hermitian
 ``H``, whether or not it conserves a charge.  Both entries share one
 propagator and one observation tail.
 
-States are plain complex vectors of length ``layout.dim``; a Hamiltonian
-travels as a :class:`~mwsqueeze.fock.FockOperator` only because
-:func:`evolve_state` needs its layout.
+A state is a plain complex vector of length ``layout.dim``, a trajectory
+its block and amplitude stack; a Hamiltonian travels as a
+:class:`~mwsqueeze.fock.FockOperator` only because :func:`evolve_state` needs its layout.
 
 State comparisons across routes are gauged by the phase of the
 largest-magnitude amplitude, since the closed-form amplitude table fixes
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -52,13 +51,7 @@ import numpy as np
 
 from . import closed_form
 from .errors import IntegrationError, TruncationWarning
-from .fock import (
-    FockOperator,
-    ModeLayout,
-    mode_annihilator,
-    top_level_mask,
-    vacuum_state,
-)
+from .fock import FockOperator, ModeLayout, vacuum_state
 from .params import COUPLING_TERMS, CONSERVED_CHARGE, EffectiveCouplings, coupling_pair
 
 if TYPE_CHECKING:
@@ -158,40 +151,16 @@ def conserved_number_operator(layout: ModeLayout) -> sp.csr_matrix:
 class Trajectory:
     """Sampled observables of a closed evolution, one array entry (or row) per sample.
 
-    ``states`` embeds a sample into a full-layout amplitude vector only
-    when it is accessed; the trajectory itself keeps the reachable block,
-    as ``states.block`` (basis indices) and ``states.amps`` (the
-    ``(n, |block|)`` amplitude stack).
+    ``block`` holds the reached basis states' ascending composite indices, ``states`` their ``(n, |block|)`` amplitudes.
     """
 
     times: np.ndarray
-    states: Sequence
+    block: np.ndarray
+    states: np.ndarray
     occupations: np.ndarray  # (n, n_modes)
     zeta12: np.ndarray  # nan unless the layout has three modes
     leakage: np.ndarray  # total population with any mode at its top level
     norms: np.ndarray
-
-
-class _BlockStates(Sequence):
-    """Full-layout amplitude vectors of an ``(n, |block|)`` stack, embedded on access."""
-
-    def __init__(self, block, amps, layout):
-        self.block, self.amps, self.layout = block, amps, layout
-
-    def __len__(self):
-        return len(self.amps)
-
-    def __getitem__(self, i):
-        psi = np.zeros(self.layout.dim, dtype=complex)
-        psi[self.block] = self.amps[i]
-        return psi
-
-
-def _hermiticity_check(H: sp.spmatrix):
-    delta = abs(H - H.conj().T)
-    scale = max(1.0, abs(H).max())
-    if delta.nnz and delta.max() > 1e-12 * scale:
-        raise ValueError("Hamiltonian is not Hermitian")
 
 
 def _reachable(H: sp.csr_matrix, psi: np.ndarray):
@@ -332,19 +301,18 @@ def _sample_times(times) -> np.ndarray:
     return times
 
 
-def _observe(states: _BlockStates, times: np.ndarray, norm0: float) -> Trajectory:
-    """The trajectory of an amplitude stack, as array reductions over its populations.
+def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0: float) -> Trajectory:
+    """The trajectory of the amplitude stack ``amps`` on ``block``, as array reductions over its populations.
 
     Each mode's occupation of the block's states, and whether any mode is at
-    its top level, are read off their composite indices; ``norm0`` is the
-    initial state's norm.  Raises :class:`IntegrationError` when the norm
-    drifts by more than 1e-8 between consecutive samples, and warns
+    its top level, are read off their composite indices in the box ``dims``;
+    ``norm0`` is the initial state's norm.  Raises :class:`IntegrationError`
+    when the norm drifts by more than 1e-8 between consecutive samples, and warns
     (:class:`TruncationWarning`) when the top-level population exceeds 1e-6.
     """
-    dims = states.layout.dims
-    occ = np.unravel_index(states.block, dims)
+    occ = np.unravel_index(block, dims)
     top = np.logical_or.reduce([o == d - 1 for o, d in zip(occ, dims)])
-    p = np.abs(states.amps) ** 2
+    p = np.abs(amps) ** 2
     norms = np.sqrt(p.sum(axis=1))
     drift = np.abs(np.diff(norms, prepend=norm0))
     first = np.argmax(drift > _NORM_DRIFT_PER_STEP)
@@ -355,7 +323,8 @@ def _observe(states: _BlockStates, times: np.ndarray, norm0: float) -> Trajector
     leakage = p[:, top].sum(axis=1)
     traj = Trajectory(
         times,
-        states,
+        block,
+        amps,
         np.column_stack([p @ o for o in occ]),
         _zeta12(p, occ) if len(occ) == 3 else np.full(len(times), np.nan),
         leakage,
@@ -381,10 +350,8 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     half-block ``B`` when ``H`` is bipartite on the block (every coupling
     Hamiltonian), else by one ``eigh``; sample 0 is ``psi0`` itself.
     Occupations, zeta12, leakage and norms are array reductions over the
-    block's populations, and ``states`` embeds a sample into a full-layout
-    amplitude vector only when it is accessed.  From vacuum under the
-    effective Hamiltonian, :func:`evolve_vacuum` gives the same trajectory
-    without building ``H``.
+    block's populations.  From vacuum under the effective Hamiltonian,
+    :func:`evolve_vacuum` gives the same trajectory without building ``H``.
 
     Parameters
     ----------
@@ -407,10 +374,12 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     if psi0.shape != (H.layout.dim,):
         raise ValueError(f"state shape {psi0.shape} does not match layout dimension {H.layout.dim}")
     times = _sample_times(times)
-    _hermiticity_check(H.matrix)
+    delta = abs(H.matrix - H.matrix.conj().T)
+    if delta.nnz and delta.max() > 1e-12 * max(1.0, abs(H.matrix).max()):
+        raise ValueError("Hamiltonian is not Hermitian")
 
     block, amps = _propagate(H.matrix, psi0, times)
-    return _observe(_BlockStates(block, amps, H.layout), times, np.linalg.norm(psi0))
+    return _observe(block, amps, H.layout.dims, times, np.linalg.norm(psi0))
 
 
 def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
@@ -419,9 +388,9 @@ def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     The block is the lattice of :func:`charge_lattice`, coloured by spin
     parity, and ``B`` is filled from :func:`_box_entries` on it, whose
     elements hold the same bits as the composite build's; propagation and
-    observation are :func:`evolve_state`'s.  No composite-space operator or vector is formed
-    (``states`` embeds a sample only when it is accessed), so the cost
-    follows :func:`charge_lattice_size`, not ``layout.dim``.
+    observation are :func:`evolve_state`'s.  No composite-space operator or
+    vector is formed, so the cost follows :func:`charge_lattice_size`, not
+    ``layout.dim``.
 
     With both rates nonzero the lattice is the block :func:`_reachable`
     finds, with the same colours and the same ``B``, so the trajectory holds
@@ -453,7 +422,7 @@ def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     psi0 = np.zeros(len(block), dtype=complex)
     psi0[0] = 1.0  # vacuum, composite index 0, is the lattice's first state
     amps = _half_block_propagate(B, psi0, odd, times)
-    return _observe(_BlockStates(block, amps, layout), times, 1.0)
+    return _observe(block, amps, layout.dims, times, 1.0)
 
 
 def relative_number_squeezing(psi: np.ndarray, layout: ModeLayout) -> float:
@@ -537,7 +506,7 @@ def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:
     # every state is zero off the block, so <a a> sums over the block states
     # whose a^2 image, 2 d_spin indices down, is in the block too (with one
     # rate 0 the block is a chain that misses some of them)
-    block, amps = traj.states.block, traj.states.amps
+    block, amps = traj.block, traj.states
     shift = 2 * layout2.dims[1]
     n = block // layout2.dims[1]
     src = np.flatnonzero(n >= 2)

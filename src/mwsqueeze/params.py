@@ -117,8 +117,8 @@ class DecayRates:
 
     def __post_init__(self):
         for name in ("kappa1", "kappa2", "gamma_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name):g} rad/s")
 
     @classmethod
     def cavities(cls, kappa: float) -> "DecayRates":

@@ -35,6 +35,8 @@ from mwsqueeze.errors import TruncationWarning
 from mwsqueeze.fock import ModeLayout, vacuum_state
 from mwsqueeze.params import DecayRates, EffectiveCouplings
 
+from fock_embed import embedded
+
 TWO_PI = 2 * math.pi
 
 
@@ -61,12 +63,13 @@ def _fock_run(spin_dim):
 
     occ_dev = 0.0
     fid_min = 1.0
-    for t, occ, st in zip(traj.times, traj.occupations, traj.states):
+    for k, (t, occ, st) in enumerate(zip(traj.times, traj.occupations, embedded(traj, lay))):
         ref = cf.occupations_closed_form(c, t)
         occ_dev = max(occ_dev, max(abs(a - b) for a, b in zip(occ, ref)))
         ana = fdyn.analytic_state(c, t, lay, tail_tol=1.0)
         fid_min = min(fid_min, abs(np.vdot(ana, st)) ** 2)
-    st_pi = traj.states[80]
+        if k == 80:
+            st_pi = st
     return {
         "couplings": c,
         "layout": lay,
@@ -205,7 +208,7 @@ def test_criterion_06_conservation(r2_run_stated):
     traj = r2_run_stated["traj"]
     N = fdyn.conserved_number_operator(r2_run_stated["layout"])
     worst = 0.0
-    for psi in traj.states:
+    for psi in embedded(traj, r2_run_stated["layout"]):
         worst = max(
             worst,
             abs(np.vdot(psi, N @ psi).real),

@@ -162,8 +162,12 @@ class TestEvolve:
         def refuse(*args, **kwargs):
             raise AssertionError("composite-space build")
 
-        monkeypatch.setattr(fock, "mode_annihilator", refuse)
-        for name in ("mode_annihilator", "build_effective_hamiltonian", "top_level_mask", "vacuum_state"):
+        # fock_dynamics holds no name of the composite ladder operators or top-level mask
+        assert not hasattr(fdyn, "mode_annihilator")
+        assert not hasattr(fdyn, "top_level_mask")
+        for name in ("mode_annihilator", "top_level_mask"):
+            monkeypatch.setattr(fock, name, refuse)
+        for name in ("build_effective_hamiltonian", "FockOperator", "ModeLayout", "vacuum_state"):
             monkeypatch.setattr(fdyn, name, refuse)
         monkeypatch.setattr(fock.ModeLayout, "occupation_arrays", refuse)
         code, out = run(tmp_path, "evolve", {"route": "fock", "r": 3.0, "theta_hz": 10e3, "num_samples": 41})
@@ -348,6 +352,30 @@ class TestFeasibilityCommand:
         assert payload["thermal"]["n_thermal"] == pytest.approx(0.0392, abs=1e-4)
         assert 0 < payload["thermal"]["thermal_suppression"] < 1
 
+    @pytest.mark.parametrize("command,config,read", [
+        # hbar omega / kB T ~ 819, past expm1's overflow at ~709.78
+        ("feasibility", {"temperature_k": 0.0004},
+         lambda out: json.loads((out / "feasibility.json").read_text())["thermal"]["n_thermal"]),
+        # kB T underflows to 0
+        ("feasibility", {"temperature_k": 5e-324},
+         lambda out: json.loads((out / "feasibility.json").read_text())["thermal"]["n_thermal"]),
+        ("sweep", {"outputs": ["n_thermal"], "temperature_k_values": [1e-9], "frequency_hz": 6.83e9},
+         lambda out: read_csv(out / "sweep.csv")[1]["n_thermal"][0]),
+    ], ids=["feasibility-expm1-overflow", "feasibility-kt-underflow", "sweep-n-thermal-expm1-overflow"])
+    def test_cold_limit_has_no_thermal_photons(self, tmp_path, capsys, command, config, read):
+        code, out = run(tmp_path, command, config)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert read(out) == 0.0
+
+    def test_overflowing_absorption_rate_is_a_numerical_error(self, tmp_path, capsys):
+        # g^2 / gamma_a overflows for a subnormal gamma_a: no JSON with Infinity is written
+        code, out = run(tmp_path, "feasibility", {"temperature_k": 0.1, "gamma_a_hz": 5e-324})
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert not (out / "feasibility.json").exists()
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, tmp_path):
@@ -381,6 +409,12 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "dims": [0, 3, 3]}),
     ("evolve", {"route": "analytic", "r": 1.1, "theta_hz": 1e4, "dims": [0, 3, 3]}),
     ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "output_format": "parquet"}),
+    # 2 pi times a finite rate overflows to inf
+    ("spectrum", {"gamma_s_hz": 1.7976931348623157e+308, "kappa_hz": 1e-300, "xi2_hz": 1e-300}),
+    # theta t overflows, so the closed form's cos(theta t) is undefined
+    ("evolve", {"route": "analytic", "r": 3.0, "theta_hz": 1e4, "t_final_over_t_pi": 1.7976931348623157e+308}),
+    # 21 samples cannot be distinct below a final time of a few subnormals
+    ("evolve", {"route": "fock", "r": 3.0, "theta_hz": 1e4, "dims": [8, 8, 5], "num_samples": 21, "t_final_s": 5e-324}),
     ("spectrum", {**_SPECTRUM_BASE, "r": 0.9}),
     ("spectrum", {**_SPECTRUM_BASE, "gamma_s_hz": -5}),
     ("spectrum", {**_SPECTRUM_BASE, "output_format": "parquet"}),
@@ -437,7 +471,8 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     ("sweep", {"outputs": ["t_pi_s"], "r_values": [1.2], "theta_over_kappa": 2.0, "theta_hz": 9e3}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
-        "evolve-output-format", "spectrum-r-below-1", "spectrum-negative-gamma-s",
+        "evolve-output-format", "spectrum-gamma-s-overflow", "evolve-theta-t-overflow",
+        "evolve-t-final-subnormal", "spectrum-r-below-1", "spectrum-negative-gamma-s",
         "spectrum-output-format", "feasibility-output-format",
         "evolve-t-final-inf", "evolve-t-final-nan", "evolve-t-over-t-pi-nan", "evolve-r-1e300",
         "sweep-r-string", "sweep-r-below-1", "sweep-r-nan",

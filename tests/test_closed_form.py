@@ -74,14 +74,14 @@ class TestEvolvedAmplitudes:
         # log-gamma path against exact integer factorials at small indices
         c = couplings(1.8)
         t = 0.6 * cf.t_pi(c)
-        pa = cf.propagator_amplitudes(c, t)
+        alpha1, alpha2, exp_alpha4 = cf.propagator_amplitudes(c, t)
         table = cf.evolved_amplitudes(c, t, 6, 6, tail_tol=1.0)
         for m in range(7):
             for n in range(7):
                 binom = math.sqrt(
                     math.factorial(m + n) / (math.factorial(m) * math.factorial(n))
                 )
-                expect = pa.exp_alpha4 * pa.alpha1**m * pa.alpha2**n * binom
+                expect = exp_alpha4 * alpha1**m * alpha2**n * binom
                 assert complex(table[m, n]) == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
     def test_t_pi_column_reproduces_target(self):
@@ -104,18 +104,18 @@ class TestPropagatorAmplitudes:
             c = couplings(float(r))
             for phase in np.linspace(0.0, 2 * np.pi, 20):
                 t = phase / c.theta
-                pa = cf.propagator_amplitudes(c, t)
+                alpha1, alpha2, exp_alpha4 = cf.propagator_amplitudes(c, t)
                 n1, n2, n3 = cf.occupations_closed_form(c, t)
-                assert pa.exp_alpha4 == pytest.approx(1 / math.sqrt(1 + n1), rel=1e-12)
-                assert pa.alpha1**2 == pytest.approx(n3 / (1 + n1), rel=1e-10, abs=1e-14)
-                assert pa.alpha2**2 == pytest.approx(n2 / (1 + n1), rel=1e-10, abs=1e-14)
-                assert pa.alpha1**2 + pa.alpha2**2 < 1.0
+                assert exp_alpha4 == pytest.approx(1 / math.sqrt(1 + n1), rel=1e-12)
+                assert alpha1**2 == pytest.approx(n3 / (1 + n1), rel=1e-10, abs=1e-14)
+                assert alpha2**2 == pytest.approx(n2 / (1 + n1), rel=1e-10, abs=1e-14)
+                assert alpha1**2 + alpha2**2 < 1.0
 
     def test_alpha1_sign_follows_pair_correlation(self):
         c = couplings(2.0)
         tpi = cf.t_pi(c)
-        assert cf.propagator_amplitudes(c, 0.5 * tpi).alpha1 > 0
-        assert cf.propagator_amplitudes(c, 1.5 * tpi).alpha1 < 0
+        assert cf.propagator_amplitudes(c, 0.5 * tpi)[0] > 0
+        assert cf.propagator_amplitudes(c, 1.5 * tpi)[0] < 0
 
 
 class TestTargetState:

@@ -36,6 +36,17 @@ class TestThermalOccupation:
         vals = [fz.thermal_occupation(f, 0.1) for f in np.linspace(1e9, 30e9, 12)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
+    def test_cold_limit_is_exp_minus_x(self):
+        # where 1 / expm1(x) is finite it is today's value; past expm1's overflow it is
+        # exp(-x), subnormal or 0, and 0 where kB T underflows
+        x_of = lambda T: fz.HBAR * 2 * math.pi * 6.83e9 / (fz.KBOLTZ * T)  # noqa: E731
+        T_edge = fz.HBAR * 2 * math.pi * 6.83e9 / (fz.KBOLTZ * 709.78)
+        assert fz.thermal_occupation(6.83e9, T_edge) == 1.0 / math.expm1(x_of(T_edge))
+        T_cold = 0.999 * T_edge * 709.78 / 709.79
+        assert fz.thermal_occupation(6.83e9, T_cold) == math.exp(-x_of(T_cold)) > 0.0
+        assert fz.thermal_occupation(6.83e9, 4e-4) == 0.0
+        assert fz.thermal_occupation(6.83e9, 5e-324) == 0.0
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fz.thermal_occupation(0.0, 0.1)

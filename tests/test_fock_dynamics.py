@@ -16,6 +16,8 @@ from mwsqueeze.errors import TruncationWarning
 from mwsqueeze.fock import FockOperator, ModeLayout, mode_annihilator, top_level_mask, vacuum_state
 from mwsqueeze.params import COUPLING_TERMS, CONSERVED_CHARGE, EffectiveCouplings, coupling_pair
 
+from fock_embed import embedded
+
 
 def couplings(r, theta=1.0):
     return EffectiveCouplings.from_theta_r(theta, r)
@@ -110,7 +112,7 @@ class TestEvolution:
         lay = ModeLayout((6, 6, 6))
         H = fdyn.build_effective_hamiltonian(c, lay)
         traj = fdyn.evolve_state(H, vacuum_state(lay), [0.0])
-        assert np.array_equal(traj.states[0], vacuum_state(lay))
+        assert np.array_equal(next(embedded(traj, lay)), vacuum_state(lay))
 
     def test_occupations_match_closed_form(self):
         c = couplings(2.0)
@@ -142,7 +144,7 @@ class TestEvolution:
         N = fdyn.conserved_number_operator(lay)
         times = np.linspace(0.0, 2 * cf.t_pi(c), 21)
         traj = evolve_quiet(H, vacuum_state(lay), times)
-        for psi in traj.states:
+        for psi in embedded(traj, lay):
             assert abs(np.vdot(psi, N @ psi).real) <= 1e-8
             assert abs(np.vdot(psi, N @ (N @ psi)).real) <= 1e-8
 
@@ -168,7 +170,7 @@ class TestEvolution:
         times = np.linspace(0.0, cf.t_pi(c), 5)
         traj = evolve_quiet(H, psi0, times)
         dense = H.matrix.toarray()
-        for t, st in zip(traj.times, traj.states):
+        for t, st in zip(traj.times, embedded(traj, lay)):
             ref = scipy.linalg.expm(-1j * t * dense) @ psi0
             assert np.max(np.abs(st - ref)) < 1e-9
 
@@ -185,7 +187,7 @@ class TestEvolution:
         ]
         for traj, layout in trajs:
             occ, top = layout.occupation_arrays(), top_level_mask(layout)
-            p = np.abs(np.array(list(traj.states))) ** 2
+            p = np.abs(np.array(list(embedded(traj, layout)))) ** 2
             assert p[:, top].sum(axis=1).max() > 1e-3
             assert np.max(np.abs(traj.occupations - np.column_stack([p @ o for o in occ]))) < 1e-14
             assert np.max(np.abs(traj.leakage - p[:, top].sum(axis=1))) < 1e-15
@@ -232,7 +234,7 @@ class TestEvolution:
         tpi = cf.t_pi(c)
         times = [0.0, 0.4 * tpi, 1.3 * tpi]
         traj = evolve_quiet(H, vacuum_state(lay), times)
-        for t, st in zip(traj.times, traj.states):
+        for t, st in zip(traj.times, embedded(traj, lay)):
             ref = fdyn.gauge_phase(fdyn.analytic_state(c, t, lay, tail_tol=1e-9))
             got = fdyn.gauge_phase(st)
             assert np.max(np.abs(ref - got)) < 1e-6
@@ -326,7 +328,7 @@ class TestDegenerateMode:
         times = np.linspace(0.0, cf.t_pi(c), 7)
         a, spin = (mode_annihilator(lay, m) for m in range(2))
         traj = evolve_quiet(FockOperator(_ladder_hamiltonian(c, (a, a, spin)), lay), vacuum_state(lay), times)
-        ref = [0.5 + n - abs(np.vdot(psi, a @ (a @ psi))) for n, psi in zip(traj.occupations[:, 0], traj.states)]
+        ref = [0.5 + n - abs(np.vdot(psi, a @ (a @ psi))) for n, psi in zip(traj.occupations[:, 0], embedded(traj, lay))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             got = fdyn.degenerate_mode_evolve(c, lay, times)
@@ -343,7 +345,7 @@ class TestDegenerateMode:
         lay = ModeLayout(dims)
         times = np.linspace(0.0, 3.0, 9)
         traj = evolve_quiet(FockOperator(fdyn._box_matrix(c, lay, modes=(0, 0, 1)), lay), vacuum_state(lay), times)
-        block, amps = traj.states.block, traj.states.amps
+        block, amps = traj.block, traj.states
         a = mode_annihilator(lay, 0)
         aa = np.einsum("ij,ji->i", amps.conj(), (a @ a)[block][:, block] @ amps.T)
         with warnings.catch_warnings():
@@ -454,7 +456,7 @@ class TestChargeLattice:
         ref = evolve_quiet(H, vacuum_state(lay), times)
         for field in ("occupations", "zeta12", "leakage", "norms"):
             assert np.array_equal(getattr(got, field), getattr(ref, field)), field
-        assert np.array_equal(got.states.block, ref.states.block)
+        assert np.array_equal(got.block, ref.block)
 
     @pytest.mark.parametrize("pair", [(0.0, 1.3), (0.9, 0.0)], ids=["xi1-zero", "xi2-zero"])
     def test_one_zero_rate(self, pair):
@@ -466,17 +468,17 @@ class TestChargeLattice:
         times = np.linspace(0.0, 3.0, 41)
         got = evolve_quiet_vacuum(pair, lay, times)
         ref = evolve_quiet(H, vacuum_state(lay), times)
-        assert len(walk_block) < len(got.states.block)
-        off = ~np.isin(got.states.block, walk_block)
-        assert np.abs(got.states.amps[:, off]).max() < 1e-14
+        assert len(walk_block) < len(got.block)
+        off = ~np.isin(got.block, walk_block)
+        assert np.abs(got.states[:, off]).max() < 1e-14
         for field in ("occupations", "zeta12", "leakage", "norms"):
             assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) < 1e-13, field
 
     def test_both_rates_zero_stay_in_vacuum_exactly(self):
         lay = ModeLayout((4, 4, 4))
         traj = fdyn.evolve_vacuum(None, lay, np.linspace(0.0, 1e-4, 21))
-        assert np.array_equal(traj.states.amps[:, 0], np.ones(21))
-        assert not traj.states.amps[:, 1:].any()
+        assert np.array_equal(traj.states[:, 0], np.ones(21))
+        assert not traj.states[:, 1:].any()
         assert not traj.occupations.any() and not traj.leakage.any()
         assert np.all(traj.zeta12 == 1.0) and np.all(traj.norms == 1.0)
 
