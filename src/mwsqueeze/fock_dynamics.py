@@ -10,10 +10,11 @@ validate's corrupt hook with its own term table, and the degenerate variant,
 which maps both cavities to its one) and the charge lattice's elements.
 Starting from vacuum, pair creation and exchange only ever reach a small
 invariant block of the truncated space (the ``n2 - n1 + n3 = 0`` lattice,
-or one ``n_a + n_c`` parity sector for the degenerate variant).  Every term of the table moves the spin exactly once
-and adds no diagonal, so on such a block ``H = [[0, B], [B^dag, 0]]``
-between even and odd spin parity, and one thin SVD of the even-to-odd
-coupling ``B`` gives ``exp(-i H t)`` for all samples as one stacked product.
+or one ``n_a + n_c`` parity sector for the degenerate variant).  Every term
+of the table moves the spin exactly once and adds no diagonal, so on any
+block ``H = [[0, B], [B^dag, 0]]`` between even and odd spin number, and one
+thin SVD of the even-to-odd coupling ``B`` gives ``exp(-i H t)`` for all
+samples as one stacked product (:func:`_half_block_propagate`).
 
 There are two entries.  :func:`evolve_vacuum` is the CLI's fock route: it
 enumerates the charge lattice ``(m + n, n, m)`` inside the truncation box
@@ -22,13 +23,12 @@ closed form before anything is allocated) and fills ``B`` from the
 builder's entries on that lattice, so no composite-space operator or vector
 is formed.  :func:`evolve_state` takes any Hermitian generator on the
 composite space (the validation suite's builds, the corrupt hook, the
-degenerate variant, :mod:`raman`'s models), finds the basis states it
-connects to the initial state's support by one walk, and propagates that
-block: by the same SVD when it is bipartite, else (raman's static-frame
-generator, whose diagonal joins a state to itself) by one ``eigh``.
-Nothing leaves the block, so the restriction is exact for any Hermitian
-``H``, whether or not it conserves a charge.  Both entries share one
-propagator and one observation tail.
+degenerate variant), finds the basis states it connects to the initial
+state's support (:func:`_reachable`), and passes its elements on that block
+to the same propagator.  Nothing leaves the block, so the restriction is
+exact whether or not ``H`` conserves a charge; a generator with an element
+that does not move the spin is refused.  Both entries share one propagator
+and one observation tail.
 
 A state is a plain complex vector of length ``layout.dim``, a trajectory
 its block and amplitude stack; a Hamiltonian travels as a
@@ -140,7 +140,7 @@ def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
 
 
 def conserved_number_operator(layout: ModeLayout) -> sp.csr_matrix:
-    """The constant of motion ``n2 - n1 + n3`` (diagonal), weighted by ``CONSERVED_CHARGE``."""
+    """The diagonal constant of motion ``n2 - n1 + n3``, with per-mode coefficients ``CONSERVED_CHARGE``."""
     import scipy.sparse as sp
 
     diag = np.dot(CONSERVED_CHARGE, layout.occupation_arrays())
@@ -163,49 +163,42 @@ class Trajectory:
     norms: np.ndarray
 
 
-def _reachable(H: sp.csr_matrix, psi: np.ndarray):
-    """The basis states ``H`` connects, in any number of steps, to ``psi``'s support.
-
-    One breadth-first walk over ``H``'s stored nonzeros, seeded at the first
-    unvisited support state of each connected component, colours every state
-    by the parity of its hop distance from that seed.  Returns the sorted
-    block indices and, per block state, whether its colour is odd; the
-    colours are ``None`` when some element of ``H`` (a diagonal one included)
-    joins two states of one colour, so that ``H`` is not bipartite there.
-    """
+def _reachable(H: sp.spmatrix, psi: np.ndarray) -> np.ndarray:
+    """The ascending basis states that ``H``'s nonzero elements join, in any number of steps, to ``psi``'s support."""
+    H = H.tocsr()
     indptr, indices = H.indptr, H.indices
     linked = H.data != 0
-    colour = np.full(H.shape[0], -1, dtype=np.int8)
-    bipartite = True
-    for seed in np.flatnonzero(psi):
-        if colour[seed] >= 0:
-            continue
-        colour[seed] = 0
-        frontier, c = np.array([seed]), 0
-        while frontier.size:
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            # stored positions of every frontier row, concatenated
-            pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-            nbrs = indices[pos[linked[pos]]]
-            bipartite &= not np.any(colour[nbrs] == c)
-            c ^= 1
-            frontier = np.unique(nbrs[colour[nbrs] < 0])
-            colour[frontier] = c
-    block = np.flatnonzero(colour >= 0)
-    return block, (colour[block] == 1 if bipartite else None)
+    seen = psi != 0
+    frontier = np.flatnonzero(seen)
+    while frontier.size:
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        # stored positions of every frontier row, concatenated
+        pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        nbrs = indices[pos[linked[pos]]]
+        frontier = np.unique(nbrs[~seen[nbrs]])
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
-def _half_block_propagate(B: np.ndarray, psi0: np.ndarray, odd: np.ndarray, times: np.ndarray):
-    """``exp(-i H t) psi0`` at every time for ``H = [[0, B], [B^dag, 0]]`` on one block.
+def _half_block_propagate(block, rows, cols, vals, dims, psi0: np.ndarray, times: np.ndarray):
+    """``exp(-i H t) psi0`` at every time for ``H`` with elements ``vals`` at ``(rows, cols)`` on ``block``.
 
-    ``odd`` marks the block's odd states, ``B`` is the dense coupling from
-    its even states (rows) to its odd ones (columns), and ``psi0`` holds the
-    block's amplitudes.  One thin SVD ``B = U S V^dag`` gives ``even(t) =
-    psi_e + U ((cos St - 1) U^dag psi_e - i sin St V^dag psi_o)`` and the
-    mirrored odd rows; returns the ``(len(times), |block|)`` amplitude
-    stack, whose rows at ``t = 0`` are ``psi0`` itself.
+    ``block`` holds ascending composite indices of the box ``dims``, rows and
+    columns are positions in it, and ``psi0`` holds its amplitudes.  Every
+    coupling term moves the spin, the last mode, once, so ``H = [[0, B],
+    [B^dag, 0]]`` between even and odd spin number (else ``ValueError``).
+    One thin SVD of the dense ``B = U S V^dag`` gives ``even(t) = psi_e + U
+    ((cos St - 1) U^dag psi_e - i sin St V^dag psi_o)`` and the mirrored odd
+    rows: the ``(len(times), |block|)`` amplitude stack, ``psi0`` at ``t = 0``.
     """
+    odd = block % dims[-1] % 2 == 1
+    if np.any((odd[rows] == odd[cols]) & (vals != 0)):
+        raise ValueError("an element of the generator does not move the spin: not bipartite in spin parity")
+    rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
+    keep = ~odd[rows]
+    B = np.zeros((np.count_nonzero(~odd), np.count_nonzero(odd)), dtype=complex)
+    B[rank[rows[keep]], rank[cols[keep]]] = vals[keep]
     U, s, Vh = np.linalg.svd(B, full_matrices=False)
     psi_e, psi_o = psi0[~odd], psi0[odd]
     ce, co = U.conj().T @ psi_e, Vh @ psi_o
@@ -216,31 +209,6 @@ def _half_block_propagate(B: np.ndarray, psi0: np.ndarray, odd: np.ndarray, time
     amps[:, odd] = psi_o + (cos1 * co + msin * ce) @ Vh.conj()
     amps[times == 0.0] = psi0
     return amps
-
-
-def _propagate(H: sp.spmatrix, psi0: np.ndarray, times: np.ndarray):
-    """``exp(-i H t) psi0`` at every time, on the block of basis states reachable from ``psi0``.
-
-    Returns the block's indices and the ``(len(times), |block|)`` amplitude
-    stack; no matrix element of the Hermitian ``H`` leaves the block, and
-    rows at ``t = 0`` are ``psi0`` itself.  Two exact cases:
-
-    * bipartite block (every coupling Hamiltonian, whose terms each move the
-      spin once): :func:`_half_block_propagate` of the even-to-odd
-      restriction of ``H`` between the colours of :func:`_reachable`;
-    * otherwise (raman's static-frame generator, whose diagonal joins a
-      state to itself): one ``eigh`` of ``H`` on the block.
-    """
-    H = H.tocsr()
-    block, odd = _reachable(H, psi0)
-    if odd is not None:
-        B = H[block[~odd]][:, block[odd]].toarray()
-        return block, _half_block_propagate(B, psi0[block], odd, times)
-    w, P = np.linalg.eigh(H[block][:, block].toarray())
-    coeffs = P.conj().T @ psi0[block]
-    amps = (np.exp(-1j * np.outer(times, w)) * coeffs) @ P.T
-    amps[times == 0.0] = psi0[block]
-    return block, amps
 
 
 def charge_lattice_size(dims) -> int:
@@ -344,11 +312,10 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
 def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
-    Every sample comes from one stacked product (:func:`_propagate`): ``H``
-    is restricted to the basis states reachable from the support of
-    ``psi0`` and factorised there once, by one thin SVD of its even-to-odd
-    half-block ``B`` when ``H`` is bipartite on the block (every coupling
-    Hamiltonian), else by one ``eigh``; sample 0 is ``psi0`` itself.
+    Every sample comes from one stacked product: ``H`` is restricted to the
+    basis states reachable from the support of ``psi0`` and factorised there
+    once, by one thin SVD of its half-block ``B`` between even and odd spin
+    number (:func:`_half_block_propagate`); sample 0 is ``psi0`` itself.
     Occupations, zeta12, leakage and norms are array reductions over the
     block's populations.  From vacuum under the effective Hamiltonian,
     :func:`evolve_vacuum` gives the same trajectory without building ``H``.
@@ -365,8 +332,10 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     Raises
     ------
     ValueError
-        If ``psi0`` is not a vector of length ``H.layout.dim``, or the
-        times do not start at 0 and ascend strictly.
+        If ``psi0`` is not a vector of length ``H.layout.dim``, the
+        times do not start at 0 and ascend strictly, or a nonzero element
+        of ``H`` on the block joins two states of one spin parity (a
+        diagonal, say).
     IntegrationError
         If the norm drifts by more than 1e-8 between consecutive samples.
     """
@@ -378,27 +347,28 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     if delta.nnz and delta.max() > 1e-12 * max(1.0, abs(H.matrix).max()):
         raise ValueError("Hamiltonian is not Hermitian")
 
-    block, amps = _propagate(H.matrix, psi0, times)
+    block = _reachable(H.matrix, psi0)
+    sub = H.matrix.tocsr()[block][:, block].tocoo()
+    amps = _half_block_propagate(block, sub.row, sub.col, sub.data, H.layout.dims, psi0[block], times)
     return _observe(block, amps, H.layout.dims, times, np.linalg.norm(psi0))
 
 
 def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     """:func:`evolve_state` of vacuum under ``build_effective_hamiltonian(c, layout)``, on the charge lattice alone.
 
-    The block is the lattice of :func:`charge_lattice`, coloured by spin
-    parity, and ``B`` is filled from :func:`_box_entries` on it, whose
-    elements hold the same bits as the composite build's; propagation and
-    observation are :func:`evolve_state`'s.  No composite-space operator or
-    vector is formed, so the cost follows :func:`charge_lattice_size`, not
-    ``layout.dim``.
+    The block is the lattice of :func:`charge_lattice`, and the elements
+    are :func:`_box_entries` on it, which hold the same bits as the
+    composite build's; propagation and observation are :func:`evolve_state`'s.
+    No composite-space operator or vector is formed, so the cost follows
+    :func:`charge_lattice_size`, not ``layout.dim``.
 
     With both rates nonzero the lattice is the block :func:`_reachable`
-    finds, with the same colours and the same ``B``, so the trajectory holds
-    the same bits as :func:`evolve_state`'s.  A rate of 0 drops its links from
-    that walk but not from the lattice, which then also holds chains of
-    states that vacuum never reaches.  The SVD mixes those decoupled chains,
-    so they carry amplitudes at rounding level (below 1e-15 at ``(12, 10,
-    6)``) and the observables agree with the walk's to a few 1e-15 rather
+    finds, with the same ``B``, so the trajectory holds the same bits as
+    :func:`evolve_state`'s.  A rate of 0 drops its links from that closure
+    but not from the lattice, which then also holds chains of states that
+    vacuum never reaches.  The SVD mixes those decoupled chains, so they
+    carry amplitudes at rounding level (below 1e-15 at ``(12, 10, 6)``) and
+    the observables agree with :func:`evolve_state`'s to a few 1e-15 rather
     than bit for bit.  With both rates 0, ``B`` is zero and every sample is
     exactly vacuum.
 
@@ -410,18 +380,11 @@ def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     IntegrationError
         If the norm drifts by more than 1e-8 between consecutive samples.
     """
-    block, m, _ = charge_lattice(layout)
+    block, _, _ = charge_lattice(layout)
     times = _sample_times(times)
-    odd = m % 2 == 1
-    rows, cols, vals = _box_entries(c, layout, block)
-    # every term moves the spin once: keep the even-to-odd elements, at their rank within each parity
-    rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
-    keep = ~odd[rows]
-    B = np.zeros((np.count_nonzero(~odd), np.count_nonzero(odd)), dtype=complex)
-    B[rank[rows[keep]], rank[cols[keep]]] = vals[keep]
     psi0 = np.zeros(len(block), dtype=complex)
     psi0[0] = 1.0  # vacuum, composite index 0, is the lattice's first state
-    amps = _half_block_propagate(B, psi0, odd, times)
+    amps = _half_block_propagate(block, *_box_entries(c, layout, block), layout.dims, psi0, times)
     return _observe(block, amps, layout.dims, times, 1.0)
 
 

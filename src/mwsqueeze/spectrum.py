@@ -142,13 +142,16 @@ def squeezing_spectrum(c, d: DecayRates, omega_grid) -> SpectrumResult:
     if coupled:
         _require_stable(M)
 
-    # scalar shot-noise calibration: same pipeline, couplings off, at w = 0
+    # scalar shot-noise calibration: same pipeline, couplings off, at w = 0; the raw
+    # rad/s sums may overflow at extreme rate scales, which is refused, not warned about
     M0 = drift_matrix(None, d)
-    shot = _densities(M0, N, np.zeros(1), [0, 1, 2, 3])[0, 0].real
+    with np.errstate(all="ignore"):
+        shot = _densities(M0, N, np.zeros(1), [0, 1, 2, 3])[0, 0].real
+        dens = _densities(M, N, omega, active)
     if not shot > 0:
         raise NumericalError("shot-noise calibration returned a non-positive density")
-
-    dens = _densities(M, N, omega, active)
+    if not (np.isfinite(dens).all() and np.isfinite(shot)):
+        raise NumericalError("spectrum density is not finite at this rate scale")
     not_real = np.abs(dens.imag).max(axis=0) > 1e-9 * shot
     if not_real.any():
         raise NumericalError(f"spectrum density not real at omega={omega[np.argmax(not_real)]:g}")

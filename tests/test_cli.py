@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,23 @@ class TestSpectrum:
         })
         assert code == 3
         assert "unstable" in capsys.readouterr().err
+
+    # the raw rad/s resolvent sums overflow or divide 0 by 0 at these rate
+    # scales; numpy's RuntimeWarnings would reach stderr before the refusal
+    @pytest.mark.parametrize("config", [
+        {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 1e150, "num_points": 101},
+        {"kappa_hz": 1e-310, "xi2_hz": 0.0},
+        {"r": 1.1, "gamma_s_hz": 1e300, "theta_over_kappa": 1.0, "kappa_hz": 7000.0, "num_points": 101},
+    ], ids=["kappa-1e150", "kappa-subnormal", "gamma-s-1e300"])
+    def test_extreme_rate_scale_is_a_one_line_numerical_error(self, tmp_path, capsys, config):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out = run(tmp_path, "spectrum", config)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("numerical error: ") and err.count("\n") == 1
+        assert not caught, [str(w.message) for w in caught]
+        assert not (out / "spectrum.csv").exists()
 
 
 class TestValidate:

@@ -1,13 +1,16 @@
 """Seeded config fuzzer: configs drawn from the CLI schemas keep the exit-code contract.
 
-Each command gets 500 configs from a fixed seed, half of them random key
-sets and half a runnable config with one to three keys mutated.  Numbers come
-from edge pools (signed zeros, 1 + eps, subnormals, +-1e300, the largest
-double, 2**63) and a few ordinary values; sizes stay small (``num_samples``
-<= 41, ``num_points`` <= 201, ``dims`` <= 8 per mode, lists of at most three
-values), so every config runs in milliseconds.  Every run must exit 0, 2 or 3,
-a refusal must print one stderr line with no traceback, and only a successful
-run writes ``run_manifest.json``.
+Each command gets 500 configs from a fixed seed (``validate``, which runs its
+whole suite, 24), half of them random key sets and half a runnable config
+with one to three keys mutated.  Numbers come from edge pools (signed zeros,
+1 + eps, subnormals, +-1e300, the largest double, 2**63) and a few ordinary
+values; sizes stay small (``num_samples`` <= 41, ``num_points`` <= 201,
+``dims`` <= 8 per mode, lists of at most three values, no adiabatic checks),
+so a config runs in milliseconds, a whole ``validate`` suite in a tenth of a
+second.  Every run must exit 0, 2 or 3 (or 1, a failed check, for
+``validate``), a refusal must print one stderr line with no traceback and
+raise no warning, which the CLI would print to stderr too, and only a run
+that gets through writes ``run_manifest.json``.
 """
 
 import json
@@ -21,7 +24,9 @@ from mwsqueeze.cli import _ROUTES, _SCHEMAS, _SWEEP_OUTPUTS, main
 
 _EDGES = [0.0, -0.0, 1.0 + 2**-52, 5e-324, 1e-310, 1e300, -1e300, sys.float_info.max, 2**63]
 _PLAIN = [1.1, 2.0, 3.0, 0.5, -1.0, 0.1, 7e3, 1e4, 6.83e9]
-_INTS = {"num_samples": [-1, 0, 1, 2, 3, 41], "num_points": [-1, 0, 10, 11, 12, 101, 201]}
+# validate's layouts hold 60, 2 560 and 6 336 composite states
+_INTS = {"num_samples": [-1, 0, 1, 2, 3, 41], "num_points": [-1, 0, 10, 11, 12, 101, 201],
+         "dimension_cap": [-1, 0, 59, 60, 2559, 2560, 6335, 6336, 20_000, 2**63]}
 _WRONG_TYPES = ["x", True, None, [], {}]
 
 _RUNNABLE = {
@@ -35,6 +40,7 @@ _RUNNABLE = {
         {"xi1_hz": 1e3, "xi2_hz": 3e3, "kappa_hz": 7e3, "gamma_s_hz": 7e3, "num_points": 101},
     ],
     "feasibility": [{"temperature_k": 0.1, "gamma_a_hz": 1e6}],
+    "validate": [{"include_adiabatic": False}, {"include_adiabatic": False, "corrupt_hamiltonian_sign": True}],
     "sweep": [
         {"outputs": list(_SWEEP_OUTPUTS), "r_values": [1.1, 2.0], "temperature_k_values": [0.05],
          "theta_over_kappa": 3.0, "theta_hz": 1e4, "kappa_hz": 7e3, "frequency_hz": 6.83e9, "gamma_c_hz": 2e3},
@@ -60,6 +66,8 @@ def _value(rng, key, expect):
         return rng.sample(list(_SWEEP_OUTPUTS) + ["bogus"], rng.randint(0, 3))
     if isinstance(expect, list):
         return [_number(rng) for _ in range(rng.randint(0, 3))]
+    if expect is bool:
+        return rng.random() < 0.5
     return rng.choice(_INTS[key]) if expect is int else _number(rng)
 
 
@@ -77,21 +85,24 @@ def _draw(rng, command):
     # the fock route's truncation stays small: without dims it would follow r
     if command == "evolve" and cfg.get("route") in ("fock", "all") and "dims" not in cfg:
         cfg["dims"] = _value(rng, "dims", [int])
+    # the adiabatic checks alone take seconds
+    if command == "validate":
+        cfg["include_adiabatic"] = False
     return cfg
 
 
-@pytest.mark.parametrize("seed,command", enumerate(["evolve", "spectrum", "feasibility", "sweep"]))
+@pytest.mark.parametrize("seed,command", enumerate(["evolve", "spectrum", "feasibility", "sweep", "validate"]))
 def test_drawn_configs_keep_the_exit_code_contract(tmp_path, capsys, seed, command):
     rng = random.Random(seed)
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
     manifest = out / "run_manifest.json"
     broken = []
-    for _ in range(500):
+    for _ in range(24 if command == "validate" else 500):
         cfg = _draw(rng, command)
         cfg_path.write_text(json.dumps(cfg))
         manifest.unlink(missing_ok=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             try:
                 code = main([command, str(cfg_path), "--output-dir", str(out)])
             except Exception as exc:  # noqa: BLE001 - any escape breaks the contract
@@ -99,10 +110,11 @@ def test_drawn_configs_keep_the_exit_code_contract(tmp_path, capsys, seed, comma
                 continue
         err = capsys.readouterr().err
         prefix = {2: "configuration error: ", 3: "numerical error: "}.get(code)
-        if code == 0:
+        if code == 0 or (code == 1 and command == "validate"):
             ok = manifest.exists() and "Traceback" not in err
         else:
-            ok = prefix is not None and err.startswith(prefix) and err.count("\n") == 1 and not manifest.exists()
+            ok = (prefix is not None and err.startswith(prefix) and err.count("\n") == 1
+                  and not caught and not manifest.exists())
         if not ok:
-            broken.append((cfg, code, err))
+            broken.append((cfg, code, err, [str(w.message) for w in caught]))
     assert not broken, broken[:10]

@@ -148,31 +148,34 @@ class TestEvolution:
             assert abs(np.vdot(psi, N @ psi).real) <= 1e-8
             assert abs(np.vdot(psi, N @ (N @ psi)).real) <= 1e-8
 
-    @pytest.mark.parametrize("model,occupied,bipartite", [
-        pytest.param("real", [(0, 0, 0)], True, id="vacuum"),
+    @pytest.mark.parametrize("model,occupied", [
+        pytest.param("real", [(0, 0, 0)], id="vacuum"),
         # n2 - n1 + n3 = 0 and 1: two invariant blocks
-        pytest.param("real", [(0, 0, 0), (0, 1, 0)], True, id="two-blocks"),
-        pytest.param("complex", [(0, 0, 0)], True, id="complex-couplings"),
-        # |101> is one hop from |000>: the initial support holds both colours
-        pytest.param("real-small", [(0, 0, 0), (1, 0, 1)], True, id="both-colours"),
-        pytest.param("degenerate", [(0, 0)], True, id="degenerate"),
-        pytest.param("diagonal", [(0, 0, 0)], False, id="diagonal-takes-eigh"),
+        pytest.param("real", [(0, 0, 0), (0, 1, 0)], id="two-blocks"),
+        pytest.param("complex", [(0, 0, 0)], id="complex-couplings"),
+        # |101> is one hop from |000>: the initial support holds both spin parities
+        pytest.param("real-small", [(0, 0, 0), (1, 0, 1)], id="both-colours"),
+        pytest.param("degenerate", [(0, 0)], id="degenerate"),
     ])
-    def test_matches_full_space_expm(self, model, occupied, bipartite):
+    def test_matches_full_space_expm(self, model, occupied):
         c = couplings(1.8)
         H, lay = _expm_case(model, c)
         psi0 = np.zeros(lay.dim, dtype=complex)
         for occ in occupied:
             psi0[lay.index(occ)] = 1.0
         psi0 /= np.linalg.norm(psi0)
-        # bipartite blocks take the half-block SVD, the rest eigh
-        assert (fdyn._reachable(H.matrix, psi0)[1] is not None) == bipartite
         times = np.linspace(0.0, cf.t_pi(c), 5)
         traj = evolve_quiet(H, psi0, times)
         dense = H.matrix.toarray()
         for t, st in zip(traj.times, embedded(traj, lay)):
             ref = scipy.linalg.expm(-1j * t * dense) @ psi0
             assert np.max(np.abs(st - ref)) < 1e-9
+
+    def test_diagonal_is_refused(self):
+        # a spin-number diagonal joins every state to itself: not bipartite in spin parity
+        H, lay = _expm_case("diagonal", couplings(1.8))
+        with pytest.raises(ValueError, match="spin"):
+            fdyn.evolve_state(H, vacuum_state(lay), [0.0, 1.0])
 
     def test_observables_match_the_full_layout_arrays(self):
         # occupations and leakage are read off the block's composite indices; the
@@ -438,11 +441,11 @@ class TestChargeLattice:
     def test_lattice_path_matches_the_walk(self, dims, c):
         lay = ModeLayout(dims)
         H = fdyn.build_effective_hamiltonian(c, lay)
-        walk_block, walk_odd = fdyn._reachable(H.matrix, vacuum_state(lay))
+        walk_block = fdyn._reachable(H.matrix, vacuum_state(lay))
         block, m, n = fdyn.charge_lattice(lay)
         odd = m % 2 == 1
         assert np.array_equal(block, walk_block)
-        assert np.array_equal(odd, walk_odd)
+        assert np.array_equal(odd, walk_block % dims[-1] % 2 == 1)
         # the builder's elements on the lattice, against the ladder products' restriction
         rows, cols, vals = fdyn._box_entries(c, lay, block)
         on_lattice = np.zeros((len(block),) * 2, dtype=complex)
@@ -464,11 +467,13 @@ class TestChargeLattice:
         # those stay at rounding level and the observables agree to rounding
         lay = ModeLayout((12, 10, 6))
         H = fdyn.build_effective_hamiltonian(pair, lay)
-        walk_block, _ = fdyn._reachable(H.matrix, vacuum_state(lay))
+        walk_block = fdyn._reachable(H.matrix, vacuum_state(lay))
         times = np.linspace(0.0, 3.0, 41)
         got = evolve_quiet_vacuum(pair, lay, times)
         ref = evolve_quiet(H, vacuum_state(lay), times)
         assert len(walk_block) < len(got.block)
+        _, m, _ = fdyn.charge_lattice(lay)
+        assert np.array_equal(m % 2, got.block % lay.dims[-1] % 2)
         off = ~np.isin(got.block, walk_block)
         assert np.abs(got.states[:, off]).max() < 1e-14
         for field in ("occupations", "zeta12", "leakage", "norms"):
