@@ -14,7 +14,8 @@ coupling ``(beta2 a2 + beta1 a1^dag) c^dag + H.c.`` with
 ``params.COUPLING_TERMS`` as products of the cavity operators and the
 collective ``c`` of the same excitation-capped basis, so both models evolve
 from one state on one basis.  Every basis operator is a shift of the
-states' composite indices (see :class:`AtomicBasis`).  The effective form
+states' composite indices (see :class:`AtomicBasis`), held as a dense
+array: the desk-scale basis has at most 352 states.  The effective form
 assumes the two-photon resonance condition; the ``delta_two_photon`` knob of
 the full model realizes or detunes it.
 """
@@ -23,15 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fock_dynamics import _reachable
 from .params import COUPLING_TERMS, coupling_pair
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "RamanConfig",
@@ -72,13 +68,6 @@ class RamanConfig:
         return num / den if den > 0 else math.inf
 
 
-def _csr(dim: int, data=(), rows=(), cols=()) -> sp.csr_matrix:
-    """Complex ``dim x dim`` CSR matrix with ``data`` at ``(rows, cols)``; empty by default."""
-    import scipy.sparse as sp
-
-    return sp.csr_matrix((data, (rows, cols)), shape=(dim, dim), dtype=complex)
-
-
 class AtomicBasis:
     """Distinguishable atoms with levels {g, h, e1, e2} times two cavity modes.
 
@@ -88,8 +77,9 @@ class AtomicBasis:
     ``ModeLayout((4,) * n_atoms + (cap + 1, cap + 1))`` (atom 0 slowest,
     cavity 2 fastest), and the basis is those indices in ascending order, so
     ``|g...g>|0,0>`` is state 0.  An operator is a shift of that index on
-    the states it acts on, located by ``searchsorted``; ``states`` (tuples
-    ``(levels, n1, n2)``) and ``index`` (their positions) name the same basis.
+    the states it acts on, located by ``searchsorted`` and returned as a
+    dense ``(dim, dim)`` array; ``states`` (tuples ``(levels, n1, n2)``)
+    and ``index`` (their positions) name the same basis.
     """
 
     def __init__(self, n_atoms: int, excitation_cap: int):
@@ -111,7 +101,7 @@ class AtomicBasis:
         """Position of ``|g...g>|0,0>``: composite index 0, so the first state."""
         return 0
 
-    def _shift(self, mode, by, cols: np.ndarray, amps=1.0) -> sp.csr_matrix:
+    def _shift(self, mode, by, cols: np.ndarray, amps=1.0) -> np.ndarray:
         """The operator ``<s + by e_mode| op |s> = amps`` from each basis position ``s`` in ``cols``.
 
         ``mode`` and ``by`` may be arrays, one entry per position; hops
@@ -120,30 +110,32 @@ class AtomicBasis:
         target = self._codes[cols] + np.multiply(by, np.take(self._strides, mode))
         rows = np.minimum(np.searchsorted(self._codes, target), self.dim - 1)
         hit = self._codes[rows] == target
-        return _csr(self.dim, np.broadcast_to(amps, hit.shape)[hit], rows[hit], cols[hit])
+        op = np.zeros((self.dim, self.dim), dtype=complex)
+        op[rows[hit], cols[hit]] = np.broadcast_to(amps, hit.shape)[hit]
+        return op
 
-    def _flip_sum(self, src: int, dst: int) -> sp.csr_matrix:
+    def _flip_sum(self, src: int, dst: int) -> np.ndarray:
         """``sum_j |dst_j><src_j|`` over every atom, as one shift."""
         atoms, cols = np.nonzero(self._occ[: self.n_atoms] == src)
         return self._shift(atoms, dst - src, cols)
 
-    def annihilator(self, mode: int) -> sp.csr_matrix:
+    def annihilator(self, mode: int) -> np.ndarray:
         """Photon annihilation on cavity mode 1 or 2."""
-        if mode not in (1, 2):
-            raise ValueError("cavity mode index must be 1 or 2")
-        n = self._occ[self.n_atoms + mode - 1]
-        cols = np.flatnonzero(n > 0)
-        return self._shift(self.n_atoms + mode - 1, -1, cols, np.sqrt(n[cols].astype(float)))
+        n = self.photon_diagonal(mode)
+        cols = np.flatnonzero(n)
+        return self._shift(self.n_atoms + mode - 1, -1, cols, np.sqrt(n[cols]))
 
     def level_population_diagonal(self, level: int) -> np.ndarray:
         return np.count_nonzero(self._occ[: self.n_atoms] == level, axis=0).astype(float)
 
     def photon_diagonal(self, mode: int) -> np.ndarray:
-        return self._occ[self.n_atoms + (0 if mode == 1 else 1)].astype(float)
+        if mode not in (1, 2):
+            raise ValueError("cavity mode index must be 1 or 2")
+        return self._occ[self.n_atoms + mode - 1].astype(float)
 
-    def collective_flip(self) -> sp.csr_matrix:
+    def collective_flip(self) -> np.ndarray:
         """The bosonized lowering operator ``c = (1/sqrt N) sum_j |g_j><h_j|``."""
-        return (self._flip_sum(_H, _G) / math.sqrt(self.n_atoms)).tocsr()
+        return self._flip_sum(_H, _G) / math.sqrt(self.n_atoms)
 
     def conserved_combination_diagonal(self) -> np.ndarray:
         """Diagonal of ``n2 - n1 + N_h + N_e2``, conserved by every drive term.
@@ -164,26 +156,26 @@ def _coupling_blocks(r: RamanConfig, basis: AtomicBasis):
     a1 = basis.annihilator(1)
     a2 = basis.annihilator(2)
     blocks = [
-        (complex(r.omega1_rabi) * basis._flip_sum(_G, _E1)).tocsr(),
-        (complex(r.omega2_rabi) * basis._flip_sum(_H, _E2)).tocsr(),
-        (complex(r.g1) * (basis._flip_sum(_H, _E1) @ a1)).tocsr(),
-        (complex(r.g2) * (basis._flip_sum(_G, _E2) @ a2)).tocsr(),
+        complex(r.omega1_rabi) * basis._flip_sum(_G, _E1),
+        complex(r.omega2_rabi) * basis._flip_sum(_H, _E2),
+        complex(r.g1) * (basis._flip_sum(_H, _E1) @ a1),
+        complex(r.g2) * (basis._flip_sum(_G, _E2) @ a2),
     ]
     phases = [r.delta1, r.delta2, r.delta1, r.delta2 - r.delta_two_photon]
     return blocks, phases
 
 
-def build_full_hamiltonian(r: RamanConfig, basis: AtomicBasis, t: float) -> sp.csr_matrix:
+def build_full_hamiltonian(r: RamanConfig, basis: AtomicBasis, t: float) -> np.ndarray:
     """Interaction-picture Hamiltonian at time ``t`` (Hermitian-completed)."""
     blocks, phases = _coupling_blocks(r, basis)
-    H = _csr(basis.dim)
+    H = np.zeros((basis.dim, basis.dim), dtype=complex)
     for B, ph in zip(blocks, phases):
         e = np.exp(1j * ph * t)
         H = H + e * B + np.conj(e) * B.conj().T
-    return H.tocsr()
+    return H
 
 
-def static_frame_hamiltonian(r: RamanConfig, basis: AtomicBasis):
+def static_frame_hamiltonian(r: RamanConfig, basis: AtomicBasis) -> np.ndarray:
     """Time-independent generator ``A + H0 + H0^dag`` equivalent to the full model.
 
     ``A`` assigns energy ``delta1`` to e1, ``delta2`` to e2 and
@@ -197,12 +189,10 @@ def static_frame_hamiltonian(r: RamanConfig, basis: AtomicBasis):
     pe2 = basis.level_population_diagonal(_E2)
     n2 = basis.photon_diagonal(2)
     a_diag = r.delta1 * pe1 + r.delta2 * pe2 + r.delta_two_photon * n2
-    import scipy.sparse as sp
-
-    H = sp.diags(a_diag.astype(complex), 0)
+    H = np.diag(a_diag.astype(complex))
     for B in blocks:
         H = H + B + B.conj().T
-    return H.tocsr()
+    return H
 
 
 def effective_couplings(r: RamanConfig):
@@ -215,7 +205,7 @@ def effective_couplings(r: RamanConfig):
     return beta1, beta2
 
 
-def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis) -> sp.csr_matrix:
+def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis) -> np.ndarray:
     """Eq.-(2)-form effective Hamiltonian ``(beta2 a2 + beta1 a1^dag) c^dag + H.c.`` on ``basis``.
 
     Built from ``params.COUPLING_TERMS`` as products of the basis's cavity
@@ -233,13 +223,21 @@ def effective_few_atom_hamiltonian(r: RamanConfig, basis: AtomicBasis) -> sp.csr
         # T applies its lowering factor, if any, first, so no product passes above the cap
         T = ops[j].conj().T @ (ops[k].conj().T if kind == "pair" else ops[k])
         H = H + 1j * xi * T - 1j * np.conj(xi) * T.conj().T
-    return H.tocsr()
+    return H
 
 
-def _evolve(H: sp.csr_matrix, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``exp(-i H t) psi0`` per time as a ``(len(times), dim)`` stack, by one ``eigh`` on ``psi0``'s block."""
-    block = _reachable(H, psi0)
-    w, P = np.linalg.eigh(H[block][:, block].toarray())
+def _evolve(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``exp(-i H t) psi0`` per time as a ``(len(times), dim)`` stack, by one ``eigh`` on ``psi0``'s block.
+
+    The block is the closure of ``psi0``'s support under ``H``'s nonzero
+    elements, in ascending order.
+    """
+    reach, size = psi0 != 0, 0
+    while reach.sum() > size:
+        size = reach.sum()
+        reach |= (H[:, reach] != 0).any(axis=1)
+    block = np.flatnonzero(reach)
+    w, P = np.linalg.eigh(H[np.ix_(block, block)])
     out = np.zeros((len(times), len(psi0)), dtype=complex)
     out[:, block] = (np.exp(-1j * np.outer(times, w)) * (P.conj().T @ psi0[block])) @ P.T
     out[times == 0.0] = psi0
@@ -260,10 +258,11 @@ def adiabatic_error(
     the intermediate levels e1, e2.
 
     Both models are built on one :class:`AtomicBasis`, whose operators are
-    shifts of its composite indices, and evolve from its state 0,
-    ``|g...g>|0,0>``, by :func:`_evolve` (3 to 15 block states at the validate
-    fixtures, where a whole-basis ``eigh`` costs far more under threaded
-    BLAS; norm preserved to machine precision): the full model through its
+    dense arrays of shifts of its composite indices (15 and 73 states at the
+    validate fixtures), and evolve from its state 0, ``|g...g>|0,0>``, by
+    :func:`_evolve` (3 to 15 block states at those fixtures, where a
+    whole-basis ``eigh`` costs far more under threaded BLAS; norm preserved
+    to machine precision): the full model through its
     static-frame generator, whose occupations are those of the interaction
     picture, and the effective model directly.  Both models' samples are
     ``(samples, dim)`` stacks, where the occupations and the e-level

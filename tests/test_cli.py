@@ -522,6 +522,27 @@ def test_oversized_r_is_named_in_the_message(tmp_path, capsys):
     assert "r = 1e+300 is too large" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,config,module,name", [
+    ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "num_samples": 41}, mom, "evolve_moments"),
+    ("spectrum", _SPECTRUM_BASE, spec, "squeezing_spectrum"),
+], ids=["evolve-moments", "spectrum-densities"])
+def test_grid_too_large_to_propagate_is_a_configuration_error(tmp_path, capsys, monkeypatch,
+                                                              command, config, module, name):
+    # numpy samples 20 000 001 times or 40 000 001 frequencies, then cannot allocate
+    # their propagation (10.7 and 14.3 GiB); raised here without allocating, since a
+    # machine that overcommits could grant the memory lazily and then kill the run
+    message = "Unable to allocate 10.7 GiB for an array with shape (20000001, 6, 6) and data type complex128"
+
+    def refuse(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(module, name, refuse)
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not (out / "run_manifest.json").exists()
+
+
 def test_cli_import_loads_no_scipy_submodule():
     src = Path(mwsqueeze.__file__).resolve().parent.parent
     probe = (

@@ -1,7 +1,11 @@
 """Microscopic four-level model and the adiabatic-elimination validator."""
 
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +24,7 @@ class TestFullHamiltonian:
         rc = raman.RamanConfig(0.0, 0.0, 0.0, 0.0, 10.0, 20.0, 0.0, 2)
         basis = raman.AtomicBasis(2, 2)
         for t in (0.0, 0.3, 1.7):
-            assert raman.build_full_hamiltonian(rc, basis, t).nnz == 0
+            assert not raman.build_full_hamiltonian(rc, basis, t).any()
 
     def test_drive_matrix_element(self):
         rc = preset_config()
@@ -46,11 +50,11 @@ class TestFullHamiltonian:
         rng = np.random.default_rng(11)
         rc = raman.RamanConfig(0.9 + 0.2j, 1.1, 0.8 - 0.1j, 1.0, 11.0, 23.0, 0.4, n_atoms)
         basis = raman.AtomicBasis(n_atoms, cap)
-        Hs = raman.static_frame_hamiltonian(rc, basis).toarray()
+        Hs = raman.static_frame_hamiltonian(rc, basis)
         a = np.diag(Hs).real
         for t in rng.uniform(0.0, 10.0, 20):
             rotated = np.exp(1j * np.subtract.outer(a, a) * t) * (Hs - np.diag(a))
-            H = raman.build_full_hamiltonian(rc, basis, t).toarray()
+            H = raman.build_full_hamiltonian(rc, basis, t)
             assert np.max(np.abs(H - rotated)) < 1e-12
 
     @pytest.mark.parametrize("horizon, samples", [(25, 11), (40, 5)])
@@ -62,7 +66,7 @@ class TestFullHamiltonian:
         rc = fixtures.adiabatic_fixture_config(10)
         basis = raman.AtomicBasis(1, 2)
         blocks, phases = raman._coupling_blocks(rc, basis)
-        dense = np.array([B.toarray() for B in blocks])
+        dense = np.array(blocks)
         stack = np.concatenate([dense, dense.conj().transpose(0, 2, 1)])
         rates = 1j * np.concatenate([phases, np.negative(phases)])
 
@@ -122,8 +126,8 @@ def test_effective_hamiltonian_phases(n_atoms, cap):
     cdag = basis.collective_flip().conj().T
     a1dag = basis.annihilator(1).conj().T
     half = beta1 * (a1dag @ cdag) + beta2 * (cdag @ basis.annihilator(2))
-    expected = (half + half.conj().T).toarray()
-    H = raman.effective_few_atom_hamiltonian(rc, basis).toarray()
+    expected = half + half.conj().T
+    H = raman.effective_few_atom_hamiltonian(rc, basis)
     assert np.max(np.abs(H - expected)) < 1e-15
 
 
@@ -216,11 +220,34 @@ def test_basis_cap_guard():
         raman.AtomicBasis(1, 1)
 
 
+@pytest.mark.parametrize("mode", [0, 3])
+def test_photon_diagonal_refuses_other_modes(mode):
+    basis = raman.AtomicBasis(1, 2)
+    with pytest.raises(ValueError):
+        basis.photon_diagonal(mode)
+    with pytest.raises(ValueError):
+        basis.annihilator(mode)
+
+
+def test_adiabatic_error_loads_no_scipy_and_no_fock_layer():
+    # the validator's operators are dense arrays on its desk-scale basis
+    src = Path(raman.__file__).resolve().parent.parent
+    probe = (
+        "import sys; from mwsqueeze import fixtures, raman; "
+        "raman.adiabatic_error(fixtures.adiabatic_fixture_config(10), 5.0, 11); "
+        "print([m for m in sys.modules if m.startswith('scipy') or m == 'mwsqueeze.fock_dynamics'])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_conserved_combination_commutes_with_full_model():
     rc = fixtures.adiabatic_fixture_config(10, n_atoms=2)
     basis = raman.AtomicBasis(2, 2)
     N = np.diag(basis.conserved_combination_diagonal())
-    H = raman.static_frame_hamiltonian(rc, basis).toarray()
+    H = raman.static_frame_hamiltonian(rc, basis)
     assert np.max(np.abs(H @ N - N @ H)) < 1e-12
 
 
@@ -232,7 +259,6 @@ def test_operator_commutators_below_the_cap(n_atoms, cap):
     below = [sum(l != raman._G for l in levels) + n1 + n2 < cap for levels, n1, n2 in basis.states]
 
     def commutator(op):
-        op = op.toarray()
         return (op @ op.conj().T - op.conj().T @ op)[:, below]
 
     ng_nh = basis.level_population_diagonal(raman._G) - basis.level_population_diagonal(raman._H)
@@ -286,11 +312,6 @@ def _annihilator_walk(index, mode):
     return _dict_walk(index, hops)
 
 
-def _assert_same_csr(A, B):
-    for field in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(A, field), getattr(B, field)), field
-
-
 @pytest.mark.parametrize("n_atoms, cap", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3), (4, 3)])
 def test_index_shifts_match_the_dict_walk(n_atoms, cap):
     basis = raman.AtomicBasis(n_atoms, cap)
@@ -299,10 +320,11 @@ def test_index_shifts_match_the_dict_walk(n_atoms, cap):
     assert basis.index == index
     assert basis.states[basis.ground_index()] == ((raman._G,) * n_atoms, 0, 0)
     for src, dst in ((raman._G, raman._E1), (raman._H, raman._E2), (raman._H, raman._E1), (raman._G, raman._E2)):
-        _assert_same_csr(basis._flip_sum(src, dst), sum(_flip_walk(index, a, src, dst) for a in range(n_atoms)))
+        walk = sum(_flip_walk(index, a, src, dst) for a in range(n_atoms))
+        assert np.array_equal(basis._flip_sum(src, dst), walk.toarray())
     for mode in (1, 2):
-        _assert_same_csr(basis.annihilator(mode), _annihilator_walk(index, mode))
+        assert np.array_equal(basis.annihilator(mode), _annihilator_walk(index, mode).toarray())
     c = sp.csr_matrix((basis.dim, basis.dim), dtype=complex)
     for atom in range(n_atoms):
         c = c + _flip_walk(index, atom, raman._H, raman._G)
-    _assert_same_csr(basis.collective_flip(), (c / math.sqrt(n_atoms)).tocsr())
+    assert np.array_equal(basis.collective_flip(), (c / math.sqrt(n_atoms)).toarray())
