@@ -23,7 +23,8 @@ one matrix or any stack ``(..., 6, 6)`` and returns ``(...)`` or ``(..., 3)``.
 Closed propagation, observables and ``|z|^2`` (a libm ufunc pair) are per-element
 arithmetic, which gives a sample the same bits in every stack; the PSD check
 is an LDL^dag factorisation vectorised over the samples, with no eigensolver
-unless a sample fails.
+unless a sample fails.  From vacuum a closed trajectory is computed and checked
+on the upper triangles of its two charge sectors, with the samples last.
 """
 
 from __future__ import annotations
@@ -52,55 +53,59 @@ _SWAP = (1, 0, 3, 2, 5, 4)
 # one row of component indices per sector
 _CHARGE = np.ravel([(-q, q) for q in CONSERVED_CHARGE])
 _SECTORS = np.array([np.flatnonzero(_CHARGE == q) for q in sorted(set(_CHARGE.tolist()))])
+_WHOLE = np.arange(6)[:, None], np.indices((6, 6)).reshape(2, -1)  # one block: its components, every entry
 # samples propagated and validated per stacked call, bounding the temporaries
 _BLOCK = 1024
 
 
 def _positive_definite(A):
-    """Whether each Hermitian matrix of a ``(..., k, k)`` stack is positive definite; overwrites ``A``.
+    """Whether each Hermitian matrix of a ``(k, k, ...)`` stack, samples last, is positive definite; overwrites ``A``.
 
     A right-looking LDL^dag, one column at a time and vectorised over the
     stack: a matrix fails at its first pivot that is not positive (or is NaN),
     and from then on divides by 1 so that its leftover arithmetic stays finite.
     """
-    ok = np.ones(A.shape[:-2], dtype=bool)
-    for j in range(A.shape[-1]):
-        d = A[..., j, j].real
+    ok = np.ones(A.shape[2:], dtype=bool)
+    for j in range(len(A)):
+        d = A[j, j].real
         ok &= d > 0
-        col = A[..., j + 1:, j] / np.where(ok, d, 1.0)[..., None]
-        A[..., j + 1:, j + 1:] -= col[..., :, None] * A[..., None, j, j + 1:]
+        col = A[j + 1:, j] / np.where(ok, d, 1.0)
+        A[j + 1:, j + 1:] -= col[:, None] * A[None, j, j + 1:]
     return ok
 
 
-def _validate_stack(V, tol):
-    """Finiteness, Hermiticity and PSD of a ``(n, 6, 6)`` stack within ``tol``; raises for the first bad sample.
+def _validate_blocks(B, tol, i, j):
+    """Finiteness, Hermiticity and PSD within ``tol`` of samples-last ``(k, k, s, n)`` blocks; raises for the first bad sample.
 
-    PSD within ``tol`` means ``H + tol I`` is positive definite, ``H`` the
-    Hermitian part, per charge sector when no entry joins two (as from vacuum)
-    and on the whole matrix otherwise.  Only the sample that fails gets an
-    eigensolver, for the minimum eigenvalue in the message.
+    Hermiticity is checked between each position ``(i, j)`` and ``(j, i)``,
+    and is exact by construction elsewhere.  PSD within ``tol`` means
+    ``H + tol I`` is positive definite in each of the ``s`` blocks, ``H`` the
+    Hermitian part.  Only the sample that fails gets an eigensolver, for the
+    minimum eigenvalue in the message.
     """
-    rows = np.arange(6)[None] if V[:, _CHARGE[:, None] != _CHARGE].any() else _SECTORS
-    diag = np.arange(rows.shape[1])
+    diag = np.arange(len(B))
     with np.errstate(all="ignore"):  # a non-finite sample fails below, whatever its arithmetic gives
-        VH = V.conj().swapaxes(1, 2)
-        herm = np.abs(V - VH).max(axis=(1, 2))
-        H = (V + VH) / 2.0
-        finite = np.isfinite(H).all(axis=(1, 2))
-        blocks = H[:, rows[:, :, None], rows[:, None, :]]  # (n, sectors, k, k)
-        shifted = blocks.copy()
-        shifted[..., diag, diag] += np.broadcast_to(tol, herm.shape)[:, None, None]
-        psd = _positive_definite(shifted).all(axis=1)
+        herm = np.abs(B[i, j] - B[j, i].conj()).max(axis=(0, 1))
+        H = B.copy()
+        H[i, j] = (B[i, j] + B[j, i].conj()) / 2.0
+        finite = np.isfinite(H).all(axis=(0, 1, 2))
+        H[diag, diag] += tol
+        psd = _positive_definite(H).all(axis=0)
     bad_herm = herm > tol
     bad = ~finite | bad_herm | ~psd
     if bad.any():
-        i = int(np.argmax(bad))
-        if not finite[i]:
+        first = int(np.argmax(bad))
+        if not finite[first]:
             raise NumericalError("moment matrix has a non-finite entry")
-        if bad_herm[i]:
-            raise NumericalError(f"moment matrix Hermiticity violated by {herm[i]:.3e}")
-        lo = np.linalg.eigvalsh(blocks[i]).min()
+        if bad_herm[first]:
+            raise NumericalError(f"moment matrix Hermiticity violated by {herm[first]:.3e}")
+        lo = np.linalg.eigvalsh(np.moveaxis(B[..., first] + B[..., first].conj().swapaxes(0, 1), -1, 0) / 2.0).min()
         raise NumericalError(f"moment matrix not PSD: min eigenvalue {lo:.3e}")
+
+
+def _validate_stack(V, tol):
+    """:func:`_validate_blocks` on each whole matrix of a ``(n, 6, 6)`` stack, Hermiticity at every entry."""
+    _validate_blocks(np.moveaxis(np.asarray(V), 0, -1)[:, :, None], tol, *_WHOLE[1])
 
 
 def vacuum_moments() -> np.ndarray:
@@ -161,15 +166,18 @@ def _require_stable(M) -> float:
 
 
 def _putzer(M, V0):
-    """Map from a time array to the stack of ``E V0 E^dag``, ``E = exp(M t)``, when ``M^3 = -theta^2 M``, else None.
+    """:func:`_relaxation`'s triple for ``E V0 E^dag``, ``E = exp(M t)``, when ``M^3 = -theta^2 M``; else None.
 
     By Cayley-Hamilton (Putzer), ``E = I + a M + b M^2`` with the real scalars
     ``a = sin(theta t)/theta`` and ``b = 2 sin^2(theta t/2)/theta^2``,
     ``theta^2 = -tr(M^2)/4``, also for ``theta^2 <= 0``; no eigenvectors, so
     nothing degrades as the eigenvalues 0 and ``+-i theta`` merge for
     ``r -> 1+``.  Hence ``E V0 E^dag = C0 + a C1 + b C2 + a^2 C3 + ab C4 + b^2 C5``
-    over six matrices fixed once, and each sample is elementwise real
-    multiply-adds on the float view, so it has the same bits in any stack.
+    over six matrices fixed once, and each entry is real multiply-adds in that
+    order, the same bits in any stack.  When no entry of ``M`` or ``V0`` joins
+    the two charge sectors and every ``C`` is Hermitian (as from vacuum), the
+    blocks are the sectors and only their upper triangles are computed, the
+    lower ones by conjugation; else the whole matrix, entry by entry.
     """
     M2 = M @ M
     theta2 = -M2.trace().real / 4.0
@@ -184,25 +192,40 @@ def _putzer(M, V0):
         M @ V0 @ Md,
         M @ V0 @ M2d + M2 @ V0 @ Md,
         M2 @ V0 @ M2d,
-    ]).view(float)  # (6, 6, 12): real and imaginary parts interleaved
+    ])
+    cross = _CHARGE[:, None] != _CHARGE
+    split = not (M[cross].any() or V0[cross].any()) and np.array_equal(C, C.conj().swapaxes(1, 2))
+    sectors, (i, j) = (_SECTORS.T, np.triu_indices(3)) if split else _WHOLE
+    mirrored = (i < j) & split  # entries whose conjugate is also at (j, i)
+    F = C[:, sectors[i], sectors[j]].reshape(6, -1)
+    F = np.concatenate([F.real, F.imag], axis=1)[:, :, None]  # (6, 2 entries s, 1)
+    k, s = sectors.shape
+    mi, mj = i[mirrored], j[mirrored]
 
     def propagate(t):
         a = np.real(np.sin(w * t) / w) if w else t
         b = np.real(2.0 * (np.sin(w * t / 2.0) / w) ** 2) if w else t * t / 2.0
-        a, b = a[:, None, None], b[:, None, None]
-        V = C[0] + a * C[1] + b * C[2] + (a * a) * C[3] + (a * b) * C[4] + (b * b) * C[5]
-        return V.view(complex)
+        X = F[0] + a * F[1]
+        for f, c in zip(F[2:], (b, a * a, a * b, b * b)):
+            X += c * f
+        re, im = X.reshape(2, len(i), s, len(t))
+        B = np.empty((k, k, s, len(t)), dtype=complex)
+        B.real[i, j], B.imag[i, j] = re, im
+        B.real[mj, mi], B.imag[mj, mi] = re[mirrored], -im[mirrored] + 0.0  # + 0.0: a zero stays +0
+        return B
 
-    return propagate
+    return sectors, (i[~mirrored], j[~mirrored]), propagate
 
 
 def _relaxation(M, D, V0):
-    """Map from a time array to the stack of ``X + E (V0 - X) E^dag``, ``E = exp(M t)``.
+    """``(components, checked, propagate)`` for ``X + E (V0 - X) E^dag``, ``E = exp(M t)``, the whole matrix one block.
 
-    ``X`` is the fixed point ``M X + X M^dag + D = 0``: 0 without diffusion,
-    else :func:`steady_state_moments` on the components that ``M`` or ``D``
-    touch (so it needs that block strictly stable) and 0 on the rest, where
-    ``E`` is the identity.  ``E`` is one batched exponential of the stack.
+    ``propagate`` maps a time array to the ``(k, k, s, n)`` samples-last blocks
+    on the ``(k, s)`` components, whose ``checked`` entries ``(i, j)`` get a
+    Hermiticity check.  ``X`` is the fixed point ``M X + X M^dag + D = 0``: 0
+    without diffusion, else :func:`steady_state_moments` on the components that
+    ``M`` or ``D`` touch (so it needs that block strictly stable) and 0 on the
+    rest, where ``E`` is the identity.  ``E`` is one batched exponential.
     """
     import scipy.linalg
 
@@ -216,9 +239,9 @@ def _relaxation(M, D, V0):
 
     def propagate(t):
         E = scipy.linalg.expm(M * t[:, None, None])
-        return X + E @ offset @ E.conj().swapaxes(1, 2)
+        return np.moveaxis(X + E @ offset @ E.conj().swapaxes(1, 2), 0, -1)[:, :, None]
 
-    return propagate
+    return *_WHOLE, propagate
 
 
 def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.ndarray:
@@ -228,13 +251,14 @@ def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.n
     undamped drift) is ``V(t) = E V0 E^dag`` with the exact quadratic
     ``E = exp(M t) = I + a M + b M^2`` of :func:`_putzer`, evaluated as a
     quadratic in the two real coefficients ``(a, b)`` over six constant
-    matrices.  Any other drift relaxes toward its fixed point ``X``,
+    matrices, from vacuum on the upper triangles of the two charge sectors
+    alone.  Any other drift relaxes toward its fixed point ``X``,
     ``V(t) = X + E (V0 - X) E^dag`` (:func:`_relaxation`), with one batched
     exponential per stack; a nonzero ``D`` whose touched block is not
     strictly stable has no fixed point and raises ``StabilityError``.
-    Samples are propagated and validated (:func:`_validate_stack`: finite,
-    Hermitian and PSD within ``1e-8 max(1, max|V|)``) as stacks of ``_BLOCK``
-    into the returned ``(n, 6, 6)`` array.
+    Samples are propagated and validated (:func:`_validate_blocks`: finite,
+    Hermitian and PSD within ``1e-8 max(1, max|V|)``) in blocks of ``_BLOCK``
+    into the returned ``(n, 6, 6)`` array, 0 at the entries outside every block.
     """
     M = np.asarray(M, dtype=complex)
     V0 = np.asarray(V0, dtype=complex)
@@ -243,14 +267,13 @@ def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.n
         raise ValueError("sample times must not be negative")
 
     D = np.zeros_like(M) if diffusion is None else np.asarray(diffusion, dtype=complex)
-    propagate = _putzer(M, V0) if not D.any() else None
-    if propagate is None:
-        propagate = _relaxation(M, D, V0)
-    out = np.empty((len(times), 6, 6), dtype=complex)
+    closed = None if D.any() else _putzer(M, V0)
+    sectors, checked, propagate = closed or _relaxation(M, D, V0)
+    out = np.zeros((len(times), 6, 6), dtype=complex)
     for lo in range(0, len(times), _BLOCK):
-        block = propagate(times[lo:lo + _BLOCK])
-        _validate_stack(block, 1e-8 * np.maximum(1.0, np.abs(block).max(axis=(1, 2))))
-        out[lo:lo + _BLOCK] = block
+        B = propagate(times[lo:lo + _BLOCK])
+        _validate_blocks(B, 1e-8 * np.maximum(1.0, np.abs(B).max(axis=(0, 1, 2))), *checked)
+        out[lo:lo + _BLOCK, sectors[:, None], sectors[None]] = np.moveaxis(B, -1, 0)
     return out
 
 

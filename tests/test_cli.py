@@ -268,10 +268,12 @@ class TestValidate:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "conserved_number" in failed
 
-    def test_dimension_cap_refusal(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "validate", {"dimension_cap": 100})
+    def test_unknown_key_refused_without_a_manifest(self, tmp_path, capsys):
+        code, out = run(tmp_path, "validate", {"dimension_cap": 100})
         assert code == 2
-        assert "cap" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'dimension_cap'" in err and "'validate'" in err
+        assert not (out / "run_manifest.json").exists()
 
 
 class TestSweep:

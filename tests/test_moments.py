@@ -262,6 +262,49 @@ class TestValidateStack:
             mom._validate_stack(V[None], 1e-8 * np.abs(V).max())
 
 
+class TestClosedPath:
+    """``evolve_moments`` on a closed drift: the failure paths and the bits of every entry."""
+
+    M = mom.drift_matrix(couplings(1.5))
+    PAIR_MIN = (1.0 - math.sqrt(10.0)) / 2.0  # min eigenvalue of [[1, 1.5], [1.5, 0]]
+
+    def test_non_hermitian_initial_moments(self):
+        V0 = mom.vacuum_moments()
+        V0[3, 0] = V0[0, 3] + 1e-3
+        with pytest.raises(NumericalError, match=r"Hermiticity violated by 1\.000e-03"):
+            mom.evolve_moments(self.M, V0, [0.0, 1.0])
+
+    def test_negative_sector_eigenvalue(self):
+        with pytest.raises(NumericalError, match=re.escape(f"not PSD: min eigenvalue {self.PAIR_MIN:.3e}")):
+            mom.evolve_moments(self.M, _pair_block(1.5), [0.0, 1.0])
+
+    def test_cross_sector_initial_moments_take_the_whole_matrix(self):
+        # V0[0, 1] joins the two charge sectors, and per sector V0 is the vacuum; at
+        # r = 3 the six Putzer matrices are Hermitian bit for bit, so only the
+        # joining entry keeps the sector blocks from being checked alone
+        V0 = mom.vacuum_moments()
+        V0[0, 1] = V0[1, 0] = 1.5
+        with pytest.raises(NumericalError, match=re.escape(f"not PSD: min eigenvalue {self.PAIR_MIN:.3e}")):
+            mom.evolve_moments(mom.drift_matrix(couplings(3.0)), V0, [0.0, 1.0])
+
+    @pytest.mark.parametrize("r", [1.001, 4.0])
+    def test_stack_has_the_bits_of_the_whole_quadratic(self, r):
+        # each sample against C0 + a C1 + b C2 + a^2 C3 + ab C4 + b^2 C5 on all 36 entries
+        c = couplings(r, theta=2 * math.pi * 1e4)
+        M, V0 = mom.drift_matrix(c), mom.vacuum_moments()
+        M2 = M @ M
+        Md, M2d = M.conj().T, M2.conj().T
+        C = np.array([V0, M @ V0 + V0 @ Md, M2 @ V0 + V0 @ M2d, M @ V0 @ Md,
+                      M @ V0 @ M2d + M2 @ V0 @ Md, M2 @ V0 @ M2d]).view(float)
+        w = np.sqrt(complex(-M2.trace().real / 4.0))
+        times = np.linspace(0.0, 2 * cf.t_pi(c), 2 * mom._BLOCK + 7)
+        a_all = np.real(np.sin(w * times) / w)
+        b_all = np.real(2.0 * (np.sin(w * times / 2.0) / w) ** 2)
+        for a, b, V in zip(a_all, b_all, mom.evolve_moments(M, V0, times)):
+            ref = C[0] + a * C[1] + b * C[2] + (a * a) * C[3] + (a * b) * C[4] + (b * b) * C[5]
+            assert V.tobytes() == ref.view(complex).tobytes()
+
+
 def test_abs2_has_the_bits_of_libm():
     rng = np.random.default_rng(11)
     z = 10.0 ** rng.uniform(-150.0, 150.0, 20_000) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, 20_000))
