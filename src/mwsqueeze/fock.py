@@ -5,26 +5,23 @@ slowest: the composite index of ``(n_0, n_1, ..., n_{k-1})`` is
 ``((n_0 * d_1 + n_1) * d_2 + n_2) * ...``.  This ordering is fixed so that
 amplitude dumps are comparable across computational routes.
 
-The only operators built here are the per-mode ladder operators of
-:func:`mode_annihilator`, plain CSR matrices, used for observables and
-checks.  Hamiltonians are built by :mod:`fock_dynamics` by index arithmetic
-on these composite indices, not from the ladder operators, and paired with
-their layout in a :class:`FockOperator`.  A state is a plain dense complex
-vector of length ``layout.dim``.  Truncation is silent: a ladder operator
-simply has no matrix element out of the top level.  Monitoring boundary population is the
-caller's job via :func:`top_level_mask`.
+No operator matrix is built here.  A ladder operator acts on amplitudes by
+:func:`mode_annihilator`, a slice of the reshaped vector along one mode's
+axis, for observables and checks.  Hamiltonians are built by
+:mod:`fock_dynamics` by index arithmetic on these composite indices and
+travel as a :class:`FockOperator`: their nonzero entries and the layout they
+index.  A state is a plain dense complex vector of length ``layout.dim``.
+Truncation is silent: a ladder operator simply has no matrix element out of
+the top level.  The evolution routines report the population on the top
+levels (:func:`top_level_mask`) as their leakage.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 __all__ = [
     "ModeLayout",
@@ -87,40 +84,55 @@ class ModeLayout:
         return [g.astype(np.int64) for g in grids]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FockOperator:
-    """A sparse Hamiltonian on the composite space together with its layout."""
+    """A Hamiltonian on the composite space: its nonzero entries and the layout they index.
 
-    matrix: sp.spmatrix
+    Entry ``k`` is the element ``vals[k]`` at row ``rows[k]`` and column
+    ``cols[k]``, composite indices of ``layout``; each position is given at
+    most once.  Zero values are dropped on construction, and an index
+    outside ``[0, layout.dim)`` is refused with ``ValueError``.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     layout: ModeLayout
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match layout dimension {self.layout.dim}"
-            )
+    def __init__(self, rows, cols, vals, layout: ModeLayout):
+        vals = np.asarray(vals)
+        nonzero = vals != 0
+        object.__setattr__(self, "rows", np.asarray(rows, dtype=np.int64)[nonzero])
+        object.__setattr__(self, "cols", np.asarray(cols, dtype=np.int64)[nonzero])
+        object.__setattr__(self, "vals", vals[nonzero])
+        object.__setattr__(self, "layout", layout)
+        if np.any((self.rows < 0) | (self.rows >= layout.dim) | (self.cols < 0) | (self.cols >= layout.dim)):
+            raise ValueError(f"an entry index is outside [0, {layout.dim}), the layout dimension")
 
 
-def mode_annihilator(layout: ModeLayout, mode: int) -> sp.csr_matrix:
-    """Annihilation operator of one mode, identity on the others.
+def mode_annihilator(layout: ModeLayout, mode: int, psi: np.ndarray, dagger: bool = False) -> np.ndarray:
+    """``a psi`` (or ``a^dag psi``) for the annihilator ``a`` of one mode, along the last axis of ``psi``.
 
-    Matrix elements are the standard ``sqrt(n)`` on the first subdiagonal of
-    the chosen mode's factor; the top truncation level has no outgoing
-    element, so ``[a, a^dag] = 1 - (top-level projector)`` on that mode.
-    Built directly as CSR: row ``i`` holds ``sqrt(n_m(i) + 1)`` at column
-    ``i + stride_m`` unless mode ``m`` of state ``i`` is at its top level.
+    ``psi`` is one vector of length ``layout.dim`` or a stack of them.  Its
+    last axis is split into the modes before, this mode and the modes after,
+    and shifted along this mode's axis: ``(a psi)[n] = sqrt(n + 1) psi[n +
+    1]`` and ``(a^dag psi)[n + 1] = sqrt(n + 1) psi[n]``, zero at the level
+    nothing maps to.
+    The top truncation level has no outgoing ``a^dag`` element, so ``[a,
+    a^dag] = 1 - d_mode (top-level projector)`` on that mode.
     """
-    import scipy.sparse as sp
-
     if not 0 <= mode < layout.n_modes:
         raise ValueError(f"mode index {mode} outside 0..{layout.n_modes - 1}")
     d = layout.dims[mode]
-    stride = math.prod(layout.dims[mode + 1 :])
-    n = np.arange(layout.dim) // stride % d
-    rows = n < d - 1
-    indptr = np.concatenate(([0], np.cumsum(rows)))
-    data = np.sqrt(n[rows] + 1.0).astype(complex)
-    return sp.csr_matrix((data, np.flatnonzero(rows) + stride, indptr), shape=(layout.dim,) * 2)
+    psi = np.asarray(psi)
+    x = psi.reshape(psi.shape[:-1] + (math.prod(layout.dims[:mode]), d, math.prod(layout.dims[mode + 1:])))
+    f = np.sqrt(np.arange(1.0, d))[:, None]
+    out = np.zeros_like(x)
+    if dagger:
+        out[..., 1:, :] = f * x[..., :-1, :]
+    else:
+        out[..., :-1, :] = f * x[..., 1:, :]
+    return out.reshape(psi.shape)
 
 
 def vacuum_state(layout: ModeLayout) -> np.ndarray:

@@ -5,9 +5,10 @@ i xi2* a2 c^dag`` is built from ``params.COUPLING_TERMS`` by index
 arithmetic on the composite indices of a (cavity1, cavity2, spin) layout:
 each term moves a state by a fixed step, found by its composite index, with
 the ladder factors ``sqrt(n)`` of its occupations (:func:`_box_entries`).
-That one builder gives the whole box as CSR (:func:`build_effective_hamiltonian`,
-validate's corrupt hook with its own term table, and the degenerate variant,
-which maps both cavities to its one) and the charge lattice's elements.
+That one builder gives the whole box's entries (:func:`_box_matrix`: the
+effective Hamiltonian, validate's corrupt hook with its own term table, and
+the degenerate variant, which maps both cavities to its one) and the charge
+lattice's elements.
 Starting from vacuum, pair creation and exchange only ever reach a small
 invariant block of the truncated space (the ``n2 - n1 + n3 = 0`` lattice,
 or one ``n_a + n_c`` parity sector for the degenerate variant).  Every term
@@ -22,17 +23,17 @@ enumerates the charge lattice ``(m + n, n, m)`` inside the truncation box
 closed form before anything is allocated) and fills ``B`` from the
 builder's entries on that lattice, so no composite-space operator or vector
 is formed.  :func:`evolve_state` takes any Hermitian generator on the
-composite space (the validation suite's builds, the corrupt hook, the
-degenerate variant), finds the basis states it connects to the initial
-state's support (:func:`_reachable`), and passes its elements on that block
-to the same propagator.  Nothing leaves the block, so the restriction is
-exact whether or not ``H`` conserves a charge; a generator with an element
-that does not move the spin is refused.  Both entries share one propagator
+composite space as its nonzero entries (the validation suite's builds, the
+corrupt hook, the degenerate variant), finds the basis states those entries
+join to the initial state's support (:func:`_reachable`), and passes its
+entries on that block to the same propagator.  Nothing leaves the block, so
+the restriction is exact whether or not ``H`` conserves a charge; a
+generator with an element that does not move the spin is refused.  Both entries share one propagator
 and one observation tail.
 
 A state is a plain complex vector of length ``layout.dim``, a trajectory
-its block and amplitude stack; a Hamiltonian travels as a
-:class:`~mwsqueeze.fock.FockOperator` only because :func:`evolve_state` needs its layout.
+its block and amplitude stack; a Hamiltonian on the whole box travels as a
+:class:`~mwsqueeze.fock.FockOperator`, its entries with its layout.
 
 State comparisons across routes are gauged by the phase of the
 largest-magnitude amplitude, since the closed-form amplitude table fixes
@@ -45,24 +46,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import closed_form
 from .errors import IntegrationError, TruncationWarning
 from .fock import FockOperator, ModeLayout, vacuum_state
-from .params import COUPLING_TERMS, CONSERVED_CHARGE, EffectiveCouplings, coupling_pair
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .params import COUPLING_TERMS, EffectiveCouplings, coupling_pair
 
 __all__ = [
     "build_effective_hamiltonian",
     "charge_lattice",
     "charge_lattice_size",
     "evolve_vacuum",
-    "conserved_number_operator",
     "Trajectory",
     "evolve_state",
     "relative_number_squeezing",
@@ -115,14 +111,9 @@ def _box_entries(c, layout: ModeLayout, states: np.ndarray, modes=(0, 1, 2), ter
     return tuple(np.concatenate(a) for a in (rows, cols, vals))
 
 
-def _box_matrix(c, layout: ModeLayout, modes=(0, 1, 2), terms=COUPLING_TERMS) -> sp.csr_matrix:
-    """:func:`_box_entries` over the whole layout, as a canonical CSR matrix with no stored zeros."""
-    import scipy.sparse as sp
-
-    rows, cols, vals = _box_entries(c, layout, np.arange(layout.dim), modes, terms)
-    H = sp.csr_matrix((vals, (rows, cols)), shape=(layout.dim,) * 2)
-    H.eliminate_zeros()
-    return H
+def _box_matrix(c, layout: ModeLayout, modes=(0, 1, 2), terms=COUPLING_TERMS) -> FockOperator:
+    """:func:`_box_entries` over the whole layout, its zero elements dropped."""
+    return FockOperator(*_box_entries(c, layout, np.arange(layout.dim), modes, terms), layout)
 
 
 def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
@@ -136,15 +127,7 @@ def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
     """
     if layout.n_modes != 3:
         raise ValueError("effective Hamiltonian needs a three-mode layout")
-    return FockOperator(_box_matrix(c, layout), layout)
-
-
-def conserved_number_operator(layout: ModeLayout) -> sp.csr_matrix:
-    """The diagonal constant of motion ``n2 - n1 + n3``, with per-mode coefficients ``CONSERVED_CHARGE``."""
-    import scipy.sparse as sp
-
-    diag = np.dot(CONSERVED_CHARGE, layout.occupation_arrays())
-    return sp.diags(diag.astype(complex), 0, format="csr")
+    return _box_matrix(c, layout)
 
 
 @dataclass
@@ -163,22 +146,14 @@ class Trajectory:
     norms: np.ndarray
 
 
-def _reachable(H: sp.spmatrix, psi: np.ndarray) -> np.ndarray:
-    """The ascending basis states that ``H``'s nonzero elements join, in any number of steps, to ``psi``'s support."""
-    H = H.tocsr()
-    indptr, indices = H.indptr, H.indices
-    linked = H.data != 0
+def _reachable(rows, cols, psi: np.ndarray) -> np.ndarray:
+    """The ascending basis states that the entries at ``(rows, cols)`` join, in any number of steps, to ``psi``'s support."""
     seen = psi != 0
-    frontier = np.flatnonzero(seen)
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        # stored positions of every frontier row, concatenated
-        pos = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        nbrs = indices[pos[linked[pos]]]
-        frontier = np.unique(nbrs[~seen[nbrs]])
-        seen[frontier] = True
-    return np.flatnonzero(seen)
+    while True:
+        count = np.count_nonzero(seen)
+        seen[cols[seen[rows]]] = True
+        if np.count_nonzero(seen) == count:
+            return np.flatnonzero(seen)
 
 
 def _half_block_propagate(block, rows, cols, vals, dims, psi0: np.ndarray, times: np.ndarray):
@@ -312,10 +287,11 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
 def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
-    Every sample comes from one stacked product: ``H`` is restricted to the
-    basis states reachable from the support of ``psi0`` and factorised there
-    once, by one thin SVD of its half-block ``B`` between even and odd spin
-    number (:func:`_half_block_propagate`); sample 0 is ``psi0`` itself.
+    Every sample comes from one stacked product: ``H``'s entries are
+    restricted to the basis states they join to the support of ``psi0``
+    (:func:`_reachable`) and factorised there once, by one thin SVD of its
+    half-block ``B`` between even and odd spin number
+    (:func:`_half_block_propagate`); sample 0 is ``psi0`` itself.
     Occupations, zeta12, leakage and norms are array reductions over the
     block's populations.  From vacuum under the effective Hamiltonian,
     :func:`evolve_vacuum` gives the same trajectory without building ``H``.
@@ -323,7 +299,7 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     Parameters
     ----------
     H : FockOperator
-        Hermitian generator and the layout it acts on.
+        Hermitian generator, as its nonzero entries, and the layout it acts on.
     psi0 : ndarray
         Initial amplitudes, a vector of length ``H.layout.dim``.
     times : sequence of float
@@ -333,9 +309,11 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     ------
     ValueError
         If ``psi0`` is not a vector of length ``H.layout.dim``, the
-        times do not start at 0 and ascend strictly, or a nonzero element
-        of ``H`` on the block joins two states of one spin parity (a
-        diagonal, say).
+        times do not start at 0 and ascend strictly, ``H`` is not Hermitian
+        (an entry differs from the conjugate of its mirror, or from 0 where
+        it has none, by more than ``1e-12 max(1, max|H|)``), or a nonzero
+        element of ``H`` on the block joins two states of one spin parity
+        (a diagonal, say).
     IntegrationError
         If the norm drifts by more than 1e-8 between consecutive samples.
     """
@@ -343,13 +321,22 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     if psi0.shape != (H.layout.dim,):
         raise ValueError(f"state shape {psi0.shape} does not match layout dimension {H.layout.dim}")
     times = _sample_times(times)
-    delta = abs(H.matrix - H.matrix.conj().T)
-    if delta.nnz and delta.max() > 1e-12 * max(1.0, abs(H.matrix).max()):
+    # each entry against the conjugate of its mirror entry, or 0 where it has none
+    dim = H.layout.dim
+    key, back = H.rows * dim + H.cols, H.cols * dim + H.rows
+    order = np.argsort(key)
+    mirror = order[np.minimum(np.searchsorted(key, back, sorter=order), len(key) - 1)]
+    conj = np.where(key[mirror] == back, H.vals[mirror].conj(), 0.0)
+    if np.max(np.abs(H.vals - conj), initial=0.0) > 1e-12 * np.max(np.abs(H.vals), initial=1.0):
         raise ValueError("Hamiltonian is not Hermitian")
 
-    block = _reachable(H.matrix, psi0)
-    sub = H.matrix.tocsr()[block][:, block].tocoo()
-    amps = _half_block_propagate(block, sub.row, sub.col, sub.data, H.layout.dims, psi0[block], times)
+    block = _reachable(H.rows, H.cols, psi0)
+    at = np.full(dim, -1)
+    at[block] = np.arange(len(block))
+    rows, cols = at[H.rows], at[H.cols]
+    inside = (rows >= 0) & (cols >= 0)
+    amps = _half_block_propagate(block, rows[inside], cols[inside], H.vals[inside], H.layout.dims,
+                                 psi0[block], times)
     return _observe(block, amps, H.layout.dims, times, np.linalg.norm(psi0))
 
 
@@ -464,8 +451,7 @@ def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:
     if layout2.n_modes != 2:
         raise ValueError("degenerate evolution needs a two-mode (cavity, spin) layout")
     # both cavities of the model are the one layout cavity
-    H = FockOperator(_box_matrix(c, layout2, modes=(0, 0, 1)), layout2)
-    traj = evolve_state(H, vacuum_state(layout2), times)
+    traj = evolve_state(_box_matrix(c, layout2, modes=(0, 0, 1)), vacuum_state(layout2), times)
     # every state is zero off the block, so <a a> sums over the block states
     # whose a^2 image, 2 d_spin indices down, is in the block too (with one
     # rate 0 the block is a chain that misses some of them)

@@ -345,19 +345,17 @@ def commutator_offsets(V) -> np.ndarray:
 def moments_from_fock_state(psi: np.ndarray, layout: ModeLayout) -> np.ndarray:
     """Extract the 6x6 moment matrix from a three-mode Fock-space state vector.
 
-    Brute-force expectation values of all ``v_j v_k^dag`` pairs; this is the
-    anti-hallucination oracle used to validate the Wick expansion.
+    Brute-force expectation values of all ``v_j v_k^dag`` pairs, each ladder
+    operator applied to ``psi`` by :func:`~mwsqueeze.fock.mode_annihilator`;
+    this is the anti-hallucination oracle used to validate the Wick expansion.
     """
     if layout.n_modes != 3:
         raise ValueError("moment extraction expects a three-mode layout")
     from .fock import mode_annihilator
 
-    ops = []
-    for m in range(3):
-        a = mode_annihilator(layout, m)
-        ops.extend([a, a.conj().T.tocsr()])
-    # <v_j v_k^dag> = (v_j^dag psi)^dag (v_k^dag psi), and v_j^dag = v_{swap(j)}
-    applied = [ops[_SWAP[j]] @ psi for j in range(6)]
+    # <v_j v_k^dag> = (v_j^dag psi)^dag (v_k^dag psi), and v_j^dag = v_{swap(j)}:
+    # a^dag of mode j // 2 for even j, a for odd
+    applied = [mode_annihilator(layout, j // 2, psi, dagger=j % 2 == 0) for j in range(6)]
     V = np.zeros((6, 6), dtype=complex)
     for j in range(6):
         for k in range(6):

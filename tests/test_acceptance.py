@@ -35,6 +35,7 @@ from mwsqueeze.errors import TruncationWarning
 from mwsqueeze.fock import ModeLayout, vacuum_state
 from mwsqueeze.params import DecayRates, EffectiveCouplings
 
+from fock_csr import conserved_number
 from fock_embed import embedded
 
 TWO_PI = 2 * math.pi
@@ -206,7 +207,7 @@ def test_criterion_05_diagnostic_conformant_truncation(r2_run_conformant):
 
 def test_criterion_06_conservation(r2_run_stated):
     traj = r2_run_stated["traj"]
-    N = fdyn.conserved_number_operator(r2_run_stated["layout"])
+    N = conserved_number(r2_run_stated["layout"])
     worst = 0.0
     for psi in embedded(traj, r2_run_stated["layout"]):
         worst = max(

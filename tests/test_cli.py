@@ -589,6 +589,23 @@ def test_fock_route_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_validate_loads_no_scipy(tmp_path):
+    # the fock layer's operators are index-arithmetic entries and slices of the amplitudes
+    src = Path(mwsqueeze.__file__).resolve().parent.parent
+    (tmp_path / "v.json").write_text(json.dumps({}))
+    (tmp_path / "c.json").write_text(json.dumps({"corrupt_hamiltonian_sign": True}))
+    probe = (
+        "import sys; from mwsqueeze.cli import main; "
+        "assert main(['validate', 'v.json', '--output-dir', 'v']) == 0; "
+        "assert main(['validate', 'c.json', '--output-dir', 'c']) == 1; "
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 class TestCsvWriter:
     def test_bytes_match_per_value_format(self, tmp_path):
         values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2,

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
-from mwsqueeze.fock import ModeLayout, mode_annihilator, top_level_mask
+from mwsqueeze.fock import ModeLayout, mode_annihilator, top_level_mask, vacuum_state
+
+from fock_csr import csr_annihilator
 
 
 def test_layout_validation():
@@ -16,42 +17,41 @@ def test_layout_validation():
     assert lay.index((0, 0, 0)) == 0
 
 
+def _applied_to_basis(lay, mode, dagger=False):
+    """The ladder operator's matrix: column i is its action on basis state i."""
+    return mode_annihilator(lay, mode, np.eye(lay.dim, dtype=complex), dagger).T
+
+
 def test_annihilator_two_level_factor():
     # dims (2,2,2): the mode-0 factor is the 2x2 matrix with the single
     # entry 1 connecting |1> -> |0>, kron-embedded to 8x8
     lay = ModeLayout((2, 2, 2))
-    a = mode_annihilator(lay, 0).toarray()
+    a = _applied_to_basis(lay, 0)
     assert a.shape == (8, 8)
     expected = np.kron(np.array([[0, 1], [0, 0]]), np.eye(4))
     assert np.array_equal(a, expected)
     with pytest.raises(ValueError):
-        mode_annihilator(lay, 3)
+        mode_annihilator(lay, 3, vacuum_state(lay))
 
 
 @pytest.mark.parametrize("dims", [(4, 3, 5), (17, 17, 10)])
 def test_annihilator_matches_kron_build(dims):
-    # the single-mode ladder kron-embedded between identities
+    # the single-mode ladder kron-embedded between identities, applied to a
+    # random stack by sparse products: the same bits as the slices
     lay = ModeLayout(dims)
-    for mode, d in enumerate(dims):
-        factors = [
-            sp.diags(np.sqrt(np.arange(1, k)), 1, format="csr", dtype=complex)
-            if m == mode else sp.identity(k, format="csr", dtype=complex)
-            for m, k in enumerate(dims)
-        ]
-        ref = factors[0]
-        for f in factors[1:]:
-            ref = sp.kron(ref, f, format="csr")
-        a = mode_annihilator(lay, mode)
-        assert np.array_equal(a.data, ref.data)
-        assert np.array_equal(a.indices, ref.indices)
-        assert np.array_equal(a.indptr, ref.indptr)
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=(4, lay.dim)) + 1j * rng.normal(size=(4, lay.dim))
+    for mode in range(len(dims)):
+        ref = csr_annihilator(lay, mode)
+        assert np.array_equal(mode_annihilator(lay, mode, psi), (ref @ psi.T).T)
+        assert np.array_equal(mode_annihilator(lay, mode, psi, dagger=True), (ref.conj().T @ psi.T).T)
+        assert np.array_equal(mode_annihilator(lay, mode, psi[0]), ref @ psi[0])
 
 
 def test_single_quantum_matrix_element():
     for dims in [(2, 2, 2), (5, 4, 3), (7, 7, 7)]:
         lay = ModeLayout(dims)
-        adag = mode_annihilator(lay, 0).conj().T
-        elem = adag[lay.index((1, 0, 0)), lay.index((0, 0, 0))]
+        elem = mode_annihilator(lay, 0, vacuum_state(lay), dagger=True)[lay.index((1, 0, 0))]
         assert elem == pytest.approx(1.0)
 
 
@@ -60,8 +60,8 @@ def test_commutator_identity_below_truncation(d):
     lay = ModeLayout((d, d, d))
     occ = lay.occupation_arrays()
     for m in range(3):
-        a = mode_annihilator(lay, m)
-        comm = (a @ a.conj().T - a.conj().T @ a).toarray()
+        a, adag = _applied_to_basis(lay, m), _applied_to_basis(lay, m, dagger=True)
+        comm = a @ adag - adag @ a
         off_diag = comm - np.diag(np.diag(comm))
         assert np.max(np.abs(off_diag)) == 0.0
         interior = occ[m] < d - 1
@@ -76,11 +76,10 @@ def test_cross_mode_commutators_vanish():
         for j in range(3):
             if i == j:
                 continue
-            ai = mode_annihilator(lay, i)
-            aj = mode_annihilator(lay, j)
-            comm = ai @ aj.conj().T - aj.conj().T @ ai
-            assert abs(comm).max() == 0.0 if comm.nnz else True
-            assert comm.nnz == 0 or abs(comm).max() == 0.0
+            ai = _applied_to_basis(lay, i)
+            ajdag = _applied_to_basis(lay, j, dagger=True)
+            comm = ai @ ajdag - ajdag @ ai
+            assert np.abs(comm).max() == 0.0
 
 
 def test_top_level_mask():

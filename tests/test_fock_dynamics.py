@@ -6,39 +6,22 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import fixtures
 from mwsqueeze.errors import TruncationWarning
-from mwsqueeze.fock import FockOperator, ModeLayout, mode_annihilator, top_level_mask, vacuum_state
-from mwsqueeze.params import COUPLING_TERMS, CONSERVED_CHARGE, EffectiveCouplings, coupling_pair
+from mwsqueeze.fock import FockOperator, ModeLayout, top_level_mask, vacuum_state
+from mwsqueeze.params import CONSERVED_CHARGE, EffectiveCouplings
 
+from fock_csr import assert_same_csr, conserved_number, csr, csr_annihilator, fock_operator, ladder_hamiltonian
 from fock_embed import embedded
 
 
 def couplings(r, theta=1.0):
     return EffectiveCouplings.from_theta_r(theta, r)
-
-
-def _ladder_hamiltonian(c, ops, terms=COUPLING_TERMS):
-    """Oracle: ``sum i xi T - i xi* T^dag`` over ``terms`` as products of the sparse annihilators ``ops``.
-
-    ``T`` applies its lowering factor, if any, first, so no product passes
-    through a state above the truncation.
-    """
-    H = 0
-    for (kind, j, k), xi in zip(terms, coupling_pair(c)):
-        T = ops[j].conj().T @ (ops[k].conj().T if kind == "pair" else ops[k])
-        H = H + 1j * xi * T - 1j * np.conj(xi) * T.conj().T
-    return H.tocsr()
-
-
-def _assert_same_csr(A, B):
-    for field in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(A, field), getattr(B, field)), field
 
 
 _CORRUPT_TERMS = (("pair", 0, 2), ("pair", 1, 2))
@@ -59,11 +42,11 @@ def _expm_case(model, c):
     if model == "degenerate":
         # both cavities of the model are the one layout cavity
         lay = ModeLayout((12, 12))
-        a, spin = (mode_annihilator(lay, m) for m in range(2))
-        return FockOperator(_ladder_hamiltonian(c, (a, a, spin)), lay), lay
+        a, spin = (csr_annihilator(lay, m) for m in range(2))
+        return fock_operator(ladder_hamiltonian(c, (a, a, spin)), lay), lay
     # a spin-number diagonal joins every state to itself
-    H = fdyn.build_effective_hamiltonian(c, lay).matrix
-    return FockOperator((H + sp.diags(0.7 * lay.occupation_arrays()[2])).tocsr(), lay), lay
+    H = csr(fdyn.build_effective_hamiltonian(c, lay))
+    return fock_operator(H + sp.diags(0.7 * lay.occupation_arrays()[2]), lay), lay
 
 
 def evolve_quiet(H, psi0, times, **kw):
@@ -81,18 +64,18 @@ def evolve_quiet_vacuum(c, lay, times):
 class TestHamiltonian:
     def test_zero_couplings_zero_operator(self):
         H = fdyn.build_effective_hamiltonian((0.0, 0.0), ModeLayout((3, 3, 3)))
-        assert H.matrix.nnz == 0
+        assert csr(H).nnz == 0
 
     def test_pair_creation_element(self):
         c = couplings(2.0)
         lay = ModeLayout((4, 4, 4))
         H = fdyn.build_effective_hamiltonian(c, lay)
-        elem = H.matrix[lay.index((1, 0, 1)), lay.index((0, 0, 0))]
+        elem = csr(H)[lay.index((1, 0, 1)), lay.index((0, 0, 0))]
         assert elem == pytest.approx(1j * complex(c.xi1))
 
     def test_hermitian(self):
         c = EffectiveCouplings(0.3 + 0.4j, 0.9 - 0.2j)
-        H = fdyn.build_effective_hamiltonian(c, ModeLayout((4, 5, 3))).matrix
+        H = csr(fdyn.build_effective_hamiltonian(c, ModeLayout((4, 5, 3))))
         assert abs(H - H.conj().T).max() < 1e-14
 
     def test_commutes_with_conserved_number(self):
@@ -100,10 +83,16 @@ class TestHamiltonian:
         # commutator vanishes on the whole truncated space
         c = couplings(1.6)
         lay = ModeLayout((5, 5, 4))
-        H = fdyn.build_effective_hamiltonian(c, lay).matrix
-        N = fdyn.conserved_number_operator(lay)
+        H = csr(fdyn.build_effective_hamiltonian(c, lay))
+        N = conserved_number(lay)
         comm = H @ N - N @ H
         assert comm.nnz == 0 or abs(comm).max() < 1e-14
+
+    def test_entry_outside_the_layout_is_refused(self):
+        lay = ModeLayout((3, 3, 3))
+        for index in (-1, 27):
+            with pytest.raises(ValueError, match=r"outside \[0, 27\)"):
+                FockOperator([0, index], [index, 0], [1j, -1j], lay)
 
 
 class TestEvolution:
@@ -141,7 +130,7 @@ class TestEvolution:
         c = couplings(2.0)
         lay = ModeLayout((16, 16, 10))
         H = fdyn.build_effective_hamiltonian(c, lay)
-        N = fdyn.conserved_number_operator(lay)
+        N = conserved_number(lay)
         times = np.linspace(0.0, 2 * cf.t_pi(c), 21)
         traj = evolve_quiet(H, vacuum_state(lay), times)
         for psi in embedded(traj, lay):
@@ -166,10 +155,23 @@ class TestEvolution:
         psi0 /= np.linalg.norm(psi0)
         times = np.linspace(0.0, cf.t_pi(c), 5)
         traj = evolve_quiet(H, psi0, times)
-        dense = H.matrix.toarray()
-        for t, st in zip(traj.times, embedded(traj, lay)):
-            ref = scipy.linalg.expm(-1j * t * dense) @ psi0
+        # exp(-i H t) psi0 on the same grid, on the whole composite space
+        refs = expm_multiply(-1j * csr(H), psi0, start=times[0], stop=times[-1], num=len(times), endpoint=True)
+        for st, ref in zip(embedded(traj, lay), refs):
             assert np.max(np.abs(st - ref)) < 1e-9
+
+    @pytest.mark.parametrize("break_it", ["no-mirror", "not-conjugate"])
+    def test_non_hermitian_is_refused(self, break_it):
+        lay = ModeLayout((5, 5, 4))
+        H = fdyn.build_effective_hamiltonian(_COMPLEX, lay)
+        rows, cols, vals = H.rows, H.cols, H.vals.copy()
+        if break_it == "no-mirror":
+            # drop one element, so its mirror has no partner
+            rows, cols, vals = rows[1:], cols[1:], vals[1:]
+        else:
+            vals[0] = vals[0] * (1.0 + 1e-9)
+        with pytest.raises(ValueError, match="^Hamiltonian is not Hermitian$"):
+            fdyn.evolve_state(FockOperator(rows, cols, vals, lay), vacuum_state(lay), [0.0, 1.0])
 
     def test_diagonal_is_refused(self):
         # a spin-number diagonal joins every state to itself: not bipartite in spin parity
@@ -186,7 +188,7 @@ class TestEvolution:
         trajs = [
             (evolve_quiet(fdyn.build_effective_hamiltonian(c, lay), vacuum_state(lay), times), lay),
             (evolve_quiet_vacuum(c, lay, times), lay),
-            (evolve_quiet(FockOperator(fdyn._box_matrix(c, lay2, modes=(0, 0, 1)), lay2), vacuum_state(lay2), times), lay2),
+            (evolve_quiet(fdyn._box_matrix(c, lay2, modes=(0, 0, 1)), vacuum_state(lay2), times), lay2),
         ]
         for traj, layout in trajs:
             occ, top = layout.occupation_arrays(), top_level_mask(layout)
@@ -329,8 +331,8 @@ class TestDegenerateMode:
         c = couplings(2.0)
         lay = ModeLayout((14, 14))
         times = np.linspace(0.0, cf.t_pi(c), 7)
-        a, spin = (mode_annihilator(lay, m) for m in range(2))
-        traj = evolve_quiet(FockOperator(_ladder_hamiltonian(c, (a, a, spin)), lay), vacuum_state(lay), times)
+        a, spin = (csr_annihilator(lay, m) for m in range(2))
+        traj = evolve_quiet(fock_operator(ladder_hamiltonian(c, (a, a, spin)), lay), vacuum_state(lay), times)
         ref = [0.5 + n - abs(np.vdot(psi, a @ (a @ psi))) for n, psi in zip(traj.occupations[:, 0], embedded(traj, lay))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -347,9 +349,9 @@ class TestDegenerateMode:
         # with xi2 = 0 the block is the chain |n, n>, which holds no a^2 image
         lay = ModeLayout(dims)
         times = np.linspace(0.0, 3.0, 9)
-        traj = evolve_quiet(FockOperator(fdyn._box_matrix(c, lay, modes=(0, 0, 1)), lay), vacuum_state(lay), times)
+        traj = evolve_quiet(fdyn._box_matrix(c, lay, modes=(0, 0, 1)), vacuum_state(lay), times)
         block, amps = traj.block, traj.states
-        a = mode_annihilator(lay, 0)
+        a = csr_annihilator(lay, 0)
         aa = np.einsum("ij,ji->i", amps.conj(), (a @ a)[block][:, block] @ amps.T)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -377,24 +379,24 @@ class TestBoxBuilder:
     ], ids=["r4-default", "r3-default", "validate-r2", "complex-small", "complex", "raw-pair", "zero-rates"])
     def test_matches_ladder_products(self, dims, c):
         lay = ModeLayout(dims)
-        ref = _ladder_hamiltonian(c, [mode_annihilator(lay, m) for m in range(3)])
-        H = fdyn.build_effective_hamiltonian(c, lay).matrix
-        _assert_same_csr(H, ref)
+        ref = ladder_hamiltonian(c, [csr_annihilator(lay, m) for m in range(3)])
+        H = csr(fdyn.build_effective_hamiltonian(c, lay))
+        assert_same_csr(H, ref)
         if c == (0.0, 0.0):
             assert H.nnz == 0
 
     def test_corrupt_terms_match_ladder_products(self):
         c = couplings(2.0)
         lay = ModeLayout((16, 16, 10))
-        ref = _ladder_hamiltonian(c, [mode_annihilator(lay, m) for m in range(3)], _CORRUPT_TERMS)
-        _assert_same_csr(fdyn._box_matrix(c, lay, terms=_CORRUPT_TERMS), ref)
+        ref = ladder_hamiltonian(c, [csr_annihilator(lay, m) for m in range(3)], _CORRUPT_TERMS)
+        assert_same_csr(csr(fdyn._box_matrix(c, lay, terms=_CORRUPT_TERMS)), ref)
 
     @pytest.mark.parametrize("dims", [(12, 12), (56, 56)])
     def test_degenerate_map_matches_ladder_products(self, dims):
         c = couplings(2.0)
         lay = ModeLayout(dims)
-        a, spin = (mode_annihilator(lay, m) for m in range(2))
-        _assert_same_csr(fdyn._box_matrix(c, lay, modes=(0, 0, 1)), _ladder_hamiltonian(c, (a, a, spin)))
+        a, spin = (csr_annihilator(lay, m) for m in range(2))
+        assert_same_csr(csr(fdyn._box_matrix(c, lay, modes=(0, 0, 1))), ladder_hamiltonian(c, (a, a, spin)))
 
     def test_refuses_terms_that_leave_the_lattice(self):
         lay = ModeLayout((8, 8, 5))
@@ -441,7 +443,7 @@ class TestChargeLattice:
     def test_lattice_path_matches_the_walk(self, dims, c):
         lay = ModeLayout(dims)
         H = fdyn.build_effective_hamiltonian(c, lay)
-        walk_block = fdyn._reachable(H.matrix, vacuum_state(lay))
+        walk_block = fdyn._reachable(H.rows, H.cols, vacuum_state(lay))
         block, m, n = fdyn.charge_lattice(lay)
         odd = m % 2 == 1
         assert np.array_equal(block, walk_block)
@@ -451,7 +453,7 @@ class TestChargeLattice:
         on_lattice = np.zeros((len(block),) * 2, dtype=complex)
         on_lattice[rows, cols] = vals
         B = on_lattice[np.ix_(~odd, odd)]
-        ref_H = _ladder_hamiltonian(c, [mode_annihilator(lay, k) for k in range(3)])
+        ref_H = ladder_hamiltonian(c, [csr_annihilator(lay, k) for k in range(3)])
         assert np.array_equal(B, ref_H[block[~odd]][:, block[odd]].toarray())
 
         times = np.linspace(0.0, 2 * cf.t_pi(c), 41)
@@ -467,7 +469,7 @@ class TestChargeLattice:
         # those stay at rounding level and the observables agree to rounding
         lay = ModeLayout((12, 10, 6))
         H = fdyn.build_effective_hamiltonian(pair, lay)
-        walk_block = fdyn._reachable(H.matrix, vacuum_state(lay))
+        walk_block = fdyn._reachable(H.rows, H.cols, vacuum_state(lay))
         times = np.linspace(0.0, 3.0, 41)
         got = evolve_quiet_vacuum(pair, lay, times)
         ref = evolve_quiet(H, vacuum_state(lay), times)

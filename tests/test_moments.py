@@ -12,8 +12,10 @@ from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import moments as mom
 from mwsqueeze.errors import NumericalError, StabilityError, TruncationWarning
-from mwsqueeze.fock import ModeLayout, mode_annihilator, vacuum_state
+from mwsqueeze.fock import ModeLayout, vacuum_state
 from mwsqueeze.params import DecayRates, EffectiveCouplings
+
+from fock_csr import csr, csr_annihilator
 
 
 def couplings(r, theta=1.0):
@@ -59,11 +61,11 @@ class TestDrift:
         # -i [v_j, H] psi = sum_l M[j, l] v_l psi for v = (a1, a1', a2, a2', c, c'),
         # on a state with no weight within one level of any truncation top
         lay = ModeLayout((6, 6, 6))
-        H = fdyn.build_effective_hamiltonian(xi, lay).matrix
+        H = csr(fdyn.build_effective_hamiltonian(xi, lay))
         M = mom.drift_matrix(xi)
         v = []
         for m in range(3):
-            a = mode_annihilator(lay, m)
+            a = csr_annihilator(lay, m)
             v.extend([a, a.conj().T])
         rng = np.random.default_rng(5)
         low = np.all([o <= 3 for o in lay.occupation_arrays()], axis=0)
