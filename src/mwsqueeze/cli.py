@@ -303,7 +303,8 @@ def _couplings_from_config(cfg, rate_key: str, unit: float, raw=False):
 # ---------------------------------------------------------------------------
 # evolve
 
-def _evolve_times(cfg, couplings):
+def _evolve_times(cfg, theta: float):
+    """Sample times from 0 to the final time; ``theta`` is the oscillation rate, 0 when uncoupled."""
     n = cfg.get("num_samples", 401)
     if n < 2:
         raise ConfigError("num_samples must be at least 2")
@@ -313,10 +314,10 @@ def _evolve_times(cfg, couplings):
         t_end = cfg["t_final_s"]
     else:
         mult = cfg.get("t_final_over_t_pi", 2.0)
-        if couplings is None:
+        if not theta:
             raise ConfigError("t_final_over_t_pi needs nonzero couplings; give t_final_s")
-        t_end = mult * closed_form.t_pi(couplings)
-    if not (t_end > 0 and (couplings.theta if couplings else 0.0) * t_end < math.inf):
+        t_end = mult * (math.pi / theta)
+    if not (t_end > 0 and theta * t_end < math.inf):
         raise ConfigError(f"final time must be positive, with theta times it finite; got {t_end:g} s")
     times = _physical(np.linspace, 0.0, t_end, n)
     if np.any(np.diff(times) <= 0):
@@ -324,26 +325,15 @@ def _evolve_times(cfg, couplings):
     return times
 
 
-def _evolve_rows(times, theta, occupations, zeta12, *extra):
-    """Columns ``t, theta t, n1, n2, n3, zeta12`` (then ``extra``) of an evolve CSV."""
-    return np.column_stack([times, theta * times, occupations, zeta12, *extra])
-
-
+# each route returns its columns: the (n, 3) occupations, zeta12 and, on the fock route, leakage
 def _route_analytic(couplings, times):
-    if couplings is None:
-        n = len(times)
-        return _evolve_rows(times, 0.0, np.zeros((n, 3)), np.ones(n))
-    occ = closed_form.occupations_closed_form(couplings, times)
-    return _evolve_rows(times, couplings.theta, occ, closed_form.zeta12_closed_form_grid(occ))
+    occ = np.zeros((len(times), 3)) if couplings is None else closed_form.occupations_closed_form(couplings, times)
+    return occ, closed_form.zeta12_closed_form_grid(occ)
 
 
 def _route_gaussian(couplings, times):
-    M = moments.drift_matrix(couplings)
-    V = moments.evolve_moments(M, moments.vacuum_moments(), times)
-    theta = oscillation_rate(couplings) or 0.0
-    return _evolve_rows(
-        times, theta, moments.occupations_from_moments(V), moments.zeta12_from_moments(V)
-    )
+    V = moments.evolve_moments(moments.drift_matrix(couplings), moments.vacuum_moments(), times)
+    return moments.occupations_from_moments(V), moments.zeta12_from_moments(V)
 
 
 def _fock_layout(cfg, couplings):
@@ -378,17 +368,19 @@ def _route_fock(layout, couplings, times):
             f"dimension {layout.dim}, beyond a 64-bit basis index"
         )
     traj = fdyn.evolve_vacuum(couplings, layout, times)
-    return _evolve_rows(traj.times, oscillation_rate(couplings) or 0.0, traj.occupations, traj.zeta12, traj.leakage)
+    return traj.occupations, traj.zeta12, traj.leakage
 
 
 def _route_discrepancy(a, b):
-    """Largest occupation and zeta12 differences between two routes' rows."""
-    occ = np.abs(a[:, 2:5] - b[:, 2:5]).max()
+    """Largest occupation and zeta12 differences between two routes' columns."""
+    (occ_a, zeta_a, *_), (occ_b, zeta_b, *_) = a, b
+    occ = np.abs(occ_a - occ_b).max()
     # zeta12 is a 0/0 ratio at vacuum-return instants, where any
     # finite-truncation route reports a convention/residue value;
-    # such samples are excluded from the discrepancy and counted
-    near_vacuum = np.maximum(a[:, 2] + a[:, 3], b[:, 2] + b[:, 3]) < 1e-8
-    zeta = np.abs(a[~near_vacuum, 5] - b[~near_vacuum, 5]).max(initial=0.0)
+    # such samples are excluded from the discrepancy and counted.  This
+    # 1e-8 is a rule of its own, wider than zeta12's (closed_form.zeta12_ratio)
+    near_vacuum = np.maximum(occ_a[:, 0] + occ_a[:, 1], occ_b[:, 0] + occ_b[:, 1]) < 1e-8
+    zeta = np.abs(zeta_a[~near_vacuum] - zeta_b[~near_vacuum]).max(initial=0.0)
     return {
         "max_occupation_discrepancy": float(occ),
         "max_zeta12_discrepancy": float(zeta),
@@ -401,33 +393,34 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
     if route not in _ROUTES:
         raise ConfigError(f"route must be one of {_ROUTES}")
     couplings = _couplings_from_config(cfg, "theta_hz", TWO_PI)
-    times = _evolve_times(cfg, couplings)
+    theta = oscillation_rate(couplings) or 0.0
+    times = _evolve_times(cfg, theta)
     # a malformed dims is refused on every route, not only where the fock route uses it
     layout = _fock_layout(cfg, couplings) if "dims" in cfg or route in ("fock", "all") else None
     header = ["t_seconds", "theta_t", "n1", "n2", "n3", "zeta12"]
 
-    results = {}
+    columns = {}
     fock_skipped = False
     if route in ("analytic", "all"):
-        results["analytic"] = _route_analytic(couplings, times)
+        columns["analytic"] = _route_analytic(couplings, times)
     if route in ("gaussian", "all"):
-        results["gaussian"] = _route_gaussian(couplings, times)
+        columns["gaussian"] = _route_gaussian(couplings, times)
     if route in ("fock", "all"):
         try:
-            results["fock"] = _route_fock(layout, couplings, times)
+            columns["fock"] = _route_fock(layout, couplings, times)
         except ConfigError:
             if route == "fock":
                 raise
             fock_skipped = True
 
-    for name, rows in results.items():
-        cols = header + (["leakage"] if name == "fock" else [])
-        write_csv(outdir / f"evolve_{name}.csv", cols, rows)
+    for name, cols in columns.items():
+        rows = np.column_stack([times, theta * times, *cols])
+        write_csv(outdir / f"evolve_{name}.csv", header + (["leakage"] if name == "fock" else []), rows)
 
     if route == "all":
-        summary = {"routes": sorted(results)}
+        summary = {"routes": sorted(columns)}
         summary["discrepancies"] = {
-            f"{a}_vs_{b}": _route_discrepancy(results[a], results[b])
+            f"{a}_vs_{b}": _route_discrepancy(columns[a], columns[b])
             for a in summary["routes"] for b in summary["routes"] if a < b
         }
         if fock_skipped:
@@ -479,6 +472,8 @@ def run_spectrum(cfg: dict, outdir: Path) -> int:
 # feasibility
 
 def run_feasibility(cfg: dict, outdir: Path) -> int:
+    if "gamma_a_hz" in cfg and "temperature_k" not in cfg:
+        raise ConfigError("config key 'gamma_a_hz' needs 'temperature_k': it enters only the thermal block")
     preset = feasibility.rb_preset()
     payload = {
         "rb_preset": dataclasses.asdict(preset),
@@ -555,15 +550,14 @@ def _validate_checks(cfg):
     record("norm_preservation", max(abs(n - 1.0) for n in traj.norms), 1e-8)
 
     # fock vs closed form at r = 3 (tail < 1e-10 truncation), through the evolve
-    # command's fock route: vacuum on the charge lattice, with no composite build
+    # command's own fock and analytic routes
     c3 = EffectiveCouplings.from_theta_r(1.0, 3.0)
     lay3 = ModeLayout((24, 24, 11))
     t3 = np.linspace(0.0, 2.0 * closed_form.t_pi(c3), 41)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        tr3 = fdyn.evolve_vacuum(c3, lay3, t3)
-    dev = np.abs(tr3.occupations - closed_form.occupations_closed_form(c3, tr3.times)).max()
-    record("fock_vs_closed_form_occupations", dev, 1e-6)
+        occ3 = _route_fock(lay3, c3, t3)[0]
+    record("fock_vs_closed_form_occupations", np.abs(occ3 - _route_analytic(c3, t3)[0]).max(), 1e-6)
 
     # Wick expansion vs brute-force Fock moments on closed-form states at
     # tail < 1e-10 truncation; r = 3 keeps the space at 6 336 states here
@@ -703,6 +697,8 @@ def run_sweep(cfg: dict, outdir: Path) -> int:
     for o in outputs:
         if o not in table:
             raise ConfigError(f"unknown sweep output {o!r}; known: {tuple(table)}")
+        if outputs.count(o) > 1:
+            raise ConfigError(f"sweep output {o!r} is given more than once")
         for k in table[o][0]:
             if k not in cfg and k not in axes:
                 keys = " or ".join(repr(n) for n in (k, f"{k}_values") if n in _SCHEMAS["sweep"])

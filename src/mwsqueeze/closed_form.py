@@ -20,6 +20,7 @@ __all__ = [
     "occupations_closed_form",
     "zeta12_closed_form",
     "zeta12_closed_form_grid",
+    "zeta12_ratio",
     "propagator_amplitudes",
     "evolved_amplitudes",
     "tmss_amplitudes",
@@ -58,8 +59,19 @@ def occupations_closed_form(c: EffectiveCouplings, t) -> np.ndarray:
     return np.array(flat).reshape(phase.shape + (3,))
 
 
+def zeta12_ratio(var, total):
+    """``zeta12 = Var(n1 - n2) / (n1 + n2)`` as ``var / total`` per element, on every route.
+
+    Where ``total < 1e-14``, vacuum's 0/0, it is the independent-states value 1 (the t -> 0 limit).
+    """
+    total = np.asarray(total)
+    out = np.ones(total.shape)
+    np.divide(var, total, out=out, where=~(total < 1e-14))
+    return out[()]
+
+
 def zeta12_closed_form_grid(occupations: np.ndarray) -> np.ndarray:
-    """Closed-form ``zeta12`` from the ``(n, 3)`` array of :func:`occupations_closed_form`.
+    """Closed-form ``zeta12`` from the ``(n, 3)`` (or ``(3,)``) occupations of :func:`occupations_closed_form`.
 
     On the reachable subspace the conserved combination
     ``n2 - n1 + n3 = 0`` makes ``n1 - n2`` equal to the spin number operator,
@@ -68,21 +80,15 @@ def zeta12_closed_form_grid(occupations: np.ndarray) -> np.ndarray:
 
         zeta12 = n3 (1 + n3) / (n1 + n2)
 
-    Returns the independent-states reference value 1 where ``n1 + n2`` is
-    below 1e-14 (the t -> 0 limit).
+    by :func:`zeta12_ratio`, with its vacuum rule.
     """
     n1, n2, n3 = np.asarray(occupations).T
-    den = n1 + n2
-    out = np.ones(len(den))
-    keep = ~(den < 1e-14)
-    out[keep] = n3[keep] * (1.0 + n3[keep]) / den[keep]
-    return out
+    return zeta12_ratio(n3 * (1.0 + n3), n1 + n2)
 
 
 def zeta12_closed_form(c: EffectiveCouplings, t: float) -> float:
-    """``zeta12`` at one time, with the bits of :func:`zeta12_closed_form_grid`."""
-    n1, n2, n3 = occupations_closed_form(c, t).tolist()
-    return 1.0 if n1 + n2 < 1e-14 else n3 * (1.0 + n3) / (n1 + n2)
+    """``zeta12`` at one time: :func:`zeta12_closed_form_grid` of the occupations there."""
+    return float(zeta12_closed_form_grid(occupations_closed_form(c, t)))
 
 
 def propagator_amplitudes(c: EffectiveCouplings, t: float) -> tuple[float, float, float]:

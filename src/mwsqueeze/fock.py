@@ -13,7 +13,7 @@ travel as a :class:`FockOperator`: their nonzero entries and the layout they
 index.  A state is a plain dense complex vector of length ``layout.dim``.
 Truncation is silent: a ladder operator simply has no matrix element out of
 the top level.  The evolution routines report the population on the top
-levels (:func:`top_level_mask`) as their leakage.
+levels (:func:`at_top_level`) as their leakage.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "FockOperator",
     "mode_annihilator",
     "vacuum_state",
+    "at_top_level",
     "top_level_mask",
 ]
 
@@ -141,14 +142,15 @@ def vacuum_state(layout: ModeLayout) -> np.ndarray:
     return psi
 
 
-def top_level_mask(layout: ModeLayout) -> np.ndarray:
-    """Boolean mask of basis states with any mode at its top truncation level.
+def at_top_level(occupations, dims) -> np.ndarray:
+    """Whether any mode of each state is at its top truncation level, from the modes' occupation arrays.
 
     The probability mass on these states is the truncation-leakage diagnostic
     used by the evolution routines.
     """
-    occ = layout.occupation_arrays()
-    mask = np.zeros(layout.dim, dtype=bool)
-    for m, arr in enumerate(occ):
-        mask |= arr == layout.dims[m] - 1
-    return mask
+    return np.logical_or.reduce([o == d - 1 for o, d in zip(occupations, dims)])
+
+
+def top_level_mask(layout: ModeLayout) -> np.ndarray:
+    """:func:`at_top_level` of every basis state of ``layout``, a boolean mask of length ``layout.dim``."""
+    return at_top_level(layout.occupation_arrays(), layout.dims)

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import closed_form
 from .errors import IntegrationError, TruncationWarning
-from .fock import FockOperator, ModeLayout, vacuum_state
+from .fock import FockOperator, ModeLayout, at_top_level, vacuum_state
 from .params import COUPLING_TERMS, EffectiveCouplings, coupling_pair
 
 __all__ = [
@@ -224,15 +224,12 @@ def charge_lattice(layout: ModeLayout):
 def _zeta12(p: np.ndarray, occ) -> np.ndarray:
     """``Var(n1 - n2) / (n1 + n2)`` from basis populations ``p`` and their occupations.
 
-    ``p`` holds one sample per row (or is one sample); the independent-states
-    value 1 where the denominator is below 1e-14.
+    ``p`` holds one sample per row (or is one sample); the ratio, with its
+    vacuum rule, is :func:`~mwsqueeze.closed_form.zeta12_ratio`.
     """
-    den = p @ occ[0] + p @ occ[1]
     diff = (occ[0] - occ[1]).astype(float)
     mean = p @ diff
-    var = p @ diff**2 - mean**2
-    vacuum = den < 1e-14
-    return np.where(vacuum, 1.0, var / np.where(vacuum, 1.0, den))
+    return closed_form.zeta12_ratio(p @ diff**2 - mean**2, p @ occ[0] + p @ occ[1])
 
 
 def _sample_times(times) -> np.ndarray:
@@ -254,7 +251,6 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
     (:class:`TruncationWarning`) when the top-level population exceeds 1e-6.
     """
     occ = np.unravel_index(block, dims)
-    top = np.logical_or.reduce([o == d - 1 for o, d in zip(occ, dims)])
     p = np.abs(amps) ** 2
     norms = np.sqrt(p.sum(axis=1))
     drift = np.abs(np.diff(norms, prepend=norm0))
@@ -263,7 +259,7 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
         raise IntegrationError(
             f"norm drifted by {drift[first]:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
         )
-    leakage = p[:, top].sum(axis=1)
+    leakage = p[:, at_top_level(occ, dims)].sum(axis=1)
     traj = Trajectory(
         times,
         block,
@@ -379,8 +375,8 @@ def relative_number_squeezing(psi: np.ndarray, layout: ModeLayout) -> float:
     """``Var(n1 - n2) / (n1 + n2)`` for a three-mode state.
 
     Number operators are diagonal in the Fock basis, so this is a direct
-    fourth-moment computation with no Gaussian assumption.  Returns the
-    independent-states reference value 1 when the denominator is below 1e-14.
+    fourth-moment computation with no Gaussian assumption; the ratio, with
+    its vacuum rule, is :func:`~mwsqueeze.closed_form.zeta12_ratio`.
     """
     if layout.n_modes != 3:
         raise ValueError("relative number squeezing expects a three-mode layout")

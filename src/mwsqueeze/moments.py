@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .closed_form import zeta12_ratio
 from .errors import NumericalError, StabilityError
 from .fock import ModeLayout
 from .params import COUPLING_TERMS, CONSERVED_CHARGE, DecayRates, coupling_pair
@@ -317,7 +318,7 @@ def zeta12_from_moments(V) -> np.ndarray:
 
     so that ``zeta12 = (Var(n1) + Var(n2) - 2 Cov(n1, n2)) / (n1 + n2)``.
     This expansion is unit-tested against a brute-force Fock computation.
-    Returns 1 by convention where the denominator is below 1e-14.
+    The ratio, with its vacuum rule, is :func:`~mwsqueeze.closed_form.zeta12_ratio`.
     """
     V = np.asarray(V)
     n1 = V[..., 1, 1].real
@@ -327,10 +328,7 @@ def zeta12_from_moments(V) -> np.ndarray:
     c12 = _abs2(V[..., 0, 3])  # <a1 a2>
     d12 = _abs2(V[..., 1, 3])  # <a1^dag a2>
     num = n1 * (n1 + 1.0) + n2 * (n2 + 1.0) + m1 + m2 - 2.0 * c12 - 2.0 * d12
-    den = n1 + n2
-    out = np.ones(np.shape(den))
-    np.divide(num, den, out=out, where=~(den < 1e-14))
-    return out[()]  # a numpy scalar for one matrix
+    return zeta12_ratio(num, n1 + n2)  # a numpy scalar for one matrix
 
 
 def commutator_offsets(V) -> np.ndarray:

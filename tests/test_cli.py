@@ -181,6 +181,40 @@ class TestEvolve:
         assert "unit suffix" in capsys.readouterr().err
 
 
+# The route-envelope table of `evolve --route all` at theta / 2 pi = 10 kHz, the
+# default cutoffs and 401 samples: the fock route against the analytic one down to
+# r = 1.65, and the gaussian route against it down to r = 1.0001, where the fock
+# route is refused.  Each bound is ten times the discrepancy measured with numpy 2.4
+# and OpenBLAS on x86-64 (the row's comment), rounded up to one digit: a decade of
+# slack.  The fock cells' gap is the truncation's tail; the gaussian cells' grows with
+# the photon number, about 1 / (r - 1)^2 per mode.  r = 1.5, the smallest r the fock
+# route admits, takes 6-9 s and is left out.
+_ROUTE_ENVELOPE = [
+    # pair, r, bound on occupations, on zeta12   # measured
+    ("analytic_vs_fock", 4.0, 5e-10, 2e-5),      # 4.8e-11, 1.2e-6
+    ("analytic_vs_fock", 3.0, 3e-9, 6e-5),       # 2.1e-10, 5.2e-6
+    ("analytic_vs_fock", 2.0, 2e-8, 2e-4),       # 1.3e-9, 1.9e-5
+    ("analytic_vs_fock", 1.65, 5e-8, 3e-4),      # 4.5e-9, 2.8e-5
+    ("analytic_vs_gaussian", 1.1, 8e-13, 7e-13),  # 7.1e-14, 6.1e-14
+    ("analytic_vs_gaussian", 1.01, 4e-10, 7e-11),  # 3.0e-11, 6.6e-12
+    ("analytic_vs_gaussian", 1.001, 5e-7, 6e-9),  # 4.0e-8, 5.8e-10
+    ("analytic_vs_gaussian", 1.0001, 2e-4, 7e-7),  # 1.9e-5, 6.1e-8
+]
+
+
+@pytest.mark.parametrize("pair,r,occ_bound,zeta_bound", _ROUTE_ENVELOPE,
+                         ids=[f"{pair.split('_')[-1]}-r{r:g}" for pair, r, *_ in _ROUTE_ENVELOPE])
+def test_route_envelope(tmp_path, pair, r, occ_bound, zeta_bound):
+    code, out = run(tmp_path, "evolve", {"route": "all", "r": r, "theta_hz": 1e4})
+    assert code == 0
+    summary = json.loads((out / "evolve_summary.json").read_text())
+    fock = pair == "analytic_vs_fock"
+    assert summary["routes"] == (["analytic", "fock", "gaussian"] if fock else ["analytic", "gaussian"])
+    cell = summary["discrepancies"][pair]
+    assert cell["max_occupation_discrepancy"] <= occ_bound
+    assert cell["max_zeta12_discrepancy"] <= zeta_bound
+
+
 class TestSpectrum:
     def test_three_minima_regime(self, tmp_path):
         code, out = run(tmp_path, "spectrum", {
@@ -489,6 +523,9 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     # r beside a raw pair; t_pi_s beside a fixed ratio, which it follows, without kappa_hz
     ("spectrum", {"r": 1.1, "xi1_hz": 1e3, "xi2_hz": 3e3, "kappa_hz": 7e3, "num_points": 101}),
     ("sweep", {"outputs": ["t_pi_s"], "r_values": [1.2], "theta_over_kappa": 2.0, "theta_hz": 9e3}),
+    # an absorption rate with no temperature, whose thermal block it belongs to; a repeated output
+    ("feasibility", {"gamma_a_hz": 1e6}),
+    ("sweep", {"outputs": ["epsilon", "epsilon"], "r_values": [1.5]}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-gamma-s-overflow", "evolve-theta-t-overflow",
@@ -507,7 +544,8 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
         "evolve-fock-dims-1e9", "evolve-fock-index-overflow",
         "spectrum-r-without-ratio", "spectrum-ratio-without-r", "spectrum-ratio-and-xi",
         "evolve-r-without-theta", "sweep-t-pi-ratio-axis-no-kappa", "sweep-min-s-no-ratio",
-        "sweep-n-thermal-no-temperature", "spectrum-r-and-xi", "sweep-t-pi-fixed-ratio-no-kappa"])
+        "sweep-n-thermal-no-temperature", "spectrum-r-and-xi", "sweep-t-pi-fixed-ratio-no-kappa",
+        "feasibility-gamma-a-without-temperature", "sweep-repeated-output"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     err = capsys.readouterr().err
@@ -515,6 +553,18 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, co
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,config,names", [
+    ("feasibility", {"gamma_a_hz": 1e6}, ("'gamma_a_hz'", "'temperature_k'")),
+    ("sweep", {"outputs": ["epsilon", "epsilon"], "r_values": [1.5]}, ("'epsilon'",)),
+], ids=["feasibility-gamma-a-without-temperature", "sweep-repeated-output"])
+def test_refusal_names_its_keys_and_writes_nothing(tmp_path, capsys, command, config, names):
+    code, out = run(tmp_path, command, config)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert all(name in err for name in names)
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_oversized_r_is_named_in_the_message(tmp_path, capsys):

@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from mwsqueeze import closed_form as cf
+from mwsqueeze import fock_dynamics as fdyn
+from mwsqueeze import moments as mom
 from mwsqueeze.errors import CutoffError
+from mwsqueeze.fock import ModeLayout
 from mwsqueeze.params import EffectiveCouplings
 
 
@@ -196,6 +199,23 @@ class TestCutoffHelpers:
             m_max = cf.suggest_spin_cutoff(r, 1e-10)
             assert r ** (-2 * m_max) <= 1e-10
 
+    @pytest.mark.parametrize("helper", [cf.suggest_cavity_cutoff, cf.suggest_spin_cutoff])
+    @pytest.mark.parametrize("r,tail_mass,message", [
+        (1.0, 1e-10, "r must exceed 1"),
+        (0.5, 1e-10, "r must exceed 1"),
+        (2.0, 0.0, "tail_mass must lie in"),
+        (2.0, 1.0, "tail_mass must lie in"),
+        (2.0, -1e-10, "tail_mass must lie in"),
+    ])
+    def test_cutoff_helpers_refuse_out_of_range_inputs(self, helper, r, tail_mass, message):
+        with pytest.raises(ValueError, match=message):
+            helper(r, tail_mass)
+
+    @pytest.mark.parametrize("r", [1.0, 0.5])
+    def test_photons_per_mode_refuses_r_at_most_1(self, r):
+        with pytest.raises(ValueError, match="r must exceed 1"):
+            cf.photons_per_mode_at_t_pi(r)
+
     def test_zeta12_closed_form_limits(self):
         c = couplings(2.0)
         assert cf.zeta12_closed_form(c, 0.0) == 1.0
@@ -210,3 +230,32 @@ class TestCutoffHelpers:
         assert [cf.zeta12_closed_form(c, t) for t in times] == grid.tolist()
         assert cf.occupations_closed_form(c, np.reshape(times, (8, 13))).tobytes() == \
             cf.occupations_closed_form(c, times).tobytes()
+
+
+class TestZeta12Ratio:
+    """zeta12's vacuum rule, stated once in zeta12_ratio, at its 1e-14 boundary."""
+
+    def test_one_below_the_boundary_the_ratio_at_it(self):
+        var, total = np.array([3e-14, 3e-14, 2.0]), np.array([0.99e-14, 1e-14, 4.0])
+        assert cf.zeta12_ratio(var, total).tolist() == [1.0, 3e-14 / 1e-14, 0.5]
+        assert cf.zeta12_ratio(3e-14, 0.99e-14) == 1.0
+        assert cf.zeta12_ratio(3e-14, 1e-14) == 3e-14 / 1e-14
+        assert np.shape(cf.zeta12_ratio(3e-14, 1e-14)) == ()
+
+    @pytest.mark.parametrize("total", [0.99e-14, 1e-14])
+    def test_every_route_reader_switches_at_the_same_total(self, total):
+        # n1 = total and n2 = 0 on every route.  The closed form at n3 = total and a
+        # moment matrix holding only n1 share Var(n1 - n2) = total (1 + total); the
+        # fock populations put total / 2 on |2, 0, 0>, so Var(n1 - n2) = 2 total - total^2
+        vacuum = total < 1e-14
+        closed = cf.zeta12_closed_form_grid(np.array([[total, 0.0, total]]))[0]
+        V = np.zeros((6, 6), dtype=complex)
+        V[1, 1] = total
+        gaussian = mom.zeta12_from_moments(V)
+        layout = ModeLayout((3, 2, 2))
+        p = np.zeros(layout.dim)
+        p[0], p[layout.index((2, 0, 0))] = 1.0 - total / 2, total / 2
+        fock = fdyn._zeta12(p, layout.occupation_arrays())
+        assert closed == gaussian == (1.0 if vacuum else total * (1.0 + total) / total)
+        assert fock == (1.0 if vacuum else (2.0 * total - total * total) / total)
+        assert (closed == 1.0) == (gaussian == 1.0) == (fock == 1.0) == vacuum

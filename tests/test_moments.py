@@ -97,6 +97,10 @@ class TestEvolveMoments:
             )
             assert n1 == pytest.approx(n2 + n3, abs=1e-10)
 
+    def test_negative_time_is_refused(self):
+        with pytest.raises(ValueError, match="sample times must not be negative"):
+            mom.evolve_moments(mom.drift_matrix(couplings(2.0)), mom.vacuum_moments(), [0.0, -1e-3])
+
     def test_hermiticity_psd_and_commutators_along_trajectory(self):
         c = couplings(1.2)
         M = mom.drift_matrix(c)
@@ -318,6 +322,15 @@ class TestOccupationsAndZeta:
         V = mom.vacuum_moments()
         assert tuple(mom.occupations_from_moments(V)) == (0.0, 0.0, 0.0)
         assert mom.zeta12_from_moments(V) == 1.0
+
+    def test_negative_occupation_is_refused(self):
+        # -1e-10 is the rounding allowance; below it the matrix is not a state
+        V = mom.vacuum_moments()
+        V[3, 3] = -1e-10
+        assert mom.occupations_from_moments(V)[1] == -1e-10
+        V[3, 3] = -2e-10
+        with pytest.raises(NumericalError, match=r"negative occupation -2\.000e-10"):
+            mom.occupations_from_moments(V)
 
     def test_target_state_photon_number(self):
         V = tmss_moments(1.1)

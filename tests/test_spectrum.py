@@ -202,6 +202,15 @@ class TestClassifier:
         res = self._result(omega, s)
         assert spec.classify_regime(res, 2.0) == "narrow"
 
+    def test_close_dips_merge_into_the_deeper(self):
+        # smoothed minima at indices 5 and 7, closer than _MIN_SEPARATION; S reads 0.6 and 0.5
+        # there, so the later one replaces the first, and in the mirrored curve the first stays
+        s = np.array([1.0, 1.0, 1.0, 1.0, 0.2, 0.6, 0.3, 0.5, 0.1, 1.0, 1.0, 1.0])
+        omega = np.arange(12.0)
+        assert 7 - 5 < spec._MIN_SEPARATION
+        assert spec.find_local_minima(omega, s) == [(7.0, 0.5)]
+        assert spec.find_local_minima(omega, s[::-1].copy()) == [(4.0, 0.5)]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_minima_match_the_per_index_scan(self, seed):
         # steps of 1e-12 put many smoothed differences within rounding of _DIP_FLOOR
