@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, closed_form, feasibility, moments, spectrum
 from .errors import ConfigError, IntegrationError, NumericalError, StabilityError, TruncationWarning
-from .fock import ModeLayout, vacuum_state
+from .fock import FockOperator, ModeLayout, vacuum_state
 from .params import CONSERVED_CHARGE, COUPLING_TERMS, DecayRates, EffectiveCouplings, oscillation_rate
 
 TWO_PI = 2.0 * math.pi
@@ -216,7 +216,6 @@ _SCHEMAS = {
     },
     "validate": {
         "corrupt_hamiltonian_sign": bool,
-        "include_adiabatic": bool,
     },
     "sweep": {
         "outputs": [str],
@@ -392,11 +391,12 @@ def run_evolve(cfg: dict, outdir: Path) -> int:
     route = cfg.get("route", "gaussian")
     if route not in _ROUTES:
         raise ConfigError(f"route must be one of {_ROUTES}")
+    if "dims" in cfg and route not in ("fock", "all"):
+        raise ConfigError(f"config key 'dims' sets the fock truncation, which route {route!r} does not use")
     couplings = _couplings_from_config(cfg, "theta_hz", TWO_PI)
     theta = oscillation_rate(couplings) or 0.0
     times = _evolve_times(cfg, theta)
-    # a malformed dims is refused on every route, not only where the fock route uses it
-    layout = _fock_layout(cfg, couplings) if "dims" in cfg or route in ("fock", "all") else None
+    layout = _fock_layout(cfg, couplings) if route in ("fock", "all") else None
     header = ["t_seconds", "theta_t", "n1", "n2", "n3", "zeta12"]
 
     columns = {}
@@ -502,8 +502,8 @@ def run_feasibility(cfg: dict, outdir: Path) -> int:
 # validate
 
 def _validate_checks(cfg):
+    from . import fixtures, raman
     from . import fock_dynamics as fdyn
-    from . import raman
     from .fock import mode_annihilator
 
     corrupt = cfg.get("corrupt_hamiltonian_sign", False)
@@ -535,14 +535,14 @@ def _validate_checks(cfg):
     # test-harness hook: turn the exchange term into pair creation,
     # which stays Hermitian but breaks the conserved combination
     terms = (("pair", 0, 2), ("pair", 1, 2)) if corrupt else COUPLING_TERMS
-    H = fdyn._box_matrix(c2, small, terms=terms)
-    elem = H.vals[(H.rows == small.index((1, 0, 1))) & (H.cols == small.index((0, 0, 0)))].sum()
+    rows, cols, vals = fdyn._box_entries(c2, small, np.arange(small.dim), terms=terms)
+    elem = vals[(rows == small.index((1, 0, 1))) & (cols == small.index((0, 0, 0)))].sum()
     record("pair_creation_element", abs(elem - 1j * complex(c2.xi1)), 1e-12)
 
     times = np.linspace(0.0, 2.0 * closed_form.t_pi(c2), 41)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        traj = fdyn.evolve_state(H, vacuum_state(small), times)
+        traj = fdyn.evolve_state(FockOperator(c2, small, terms=terms), vacuum_state(small), times)
     # N is diagonal, so <N> and <N^2> of every sample are one reduction over the populations
     charge = np.dot(CONSERVED_CHARGE, np.unravel_index(traj.block, small.dims)).astype(float)
     n_moments = np.abs(traj.states) ** 2 @ np.column_stack([charge, charge**2])
@@ -608,23 +608,20 @@ def _validate_checks(cfg):
     record("bosonization_fixtures",
            max(r0, abs(r1 - 1.0), abs(r2 - 2.0)), 1e-12)
 
-    if cfg.get("include_adiabatic", True):
-        from . import fixtures
-
-        devs = {}
-        for ratio in (10, 20, 40):
-            rc = fixtures.adiabatic_fixture_config(ratio)
-            horizon = math.pi / fixtures.adiabatic_theta(rc)
-            devs[ratio], _ = raman.adiabatic_error(rc, horizon, 161, excitation_cap=2)
-        record("adiabatic_ratio20_regression", devs[20], fixtures.ADIABATIC_FROZEN_DEVIATION)
-        record("adiabatic_monotone", 0.0, 0.5,
-               passed=devs[10] > devs[20] > devs[40])
-        rc2 = fixtures.ADIABATIC_N2_CONFIG
-        horizon2 = math.pi / fixtures.adiabatic_theta(rc2)
-        dev2, _ = raman.adiabatic_error(
-            rc2, horizon2, 81, excitation_cap=fixtures.ADIABATIC_N2_EXCITATION_CAP
-        )
-        record("adiabatic_n2_regression", dev2, fixtures.ADIABATIC_N2_FROZEN_DEVIATION)
+    devs = {}
+    for ratio in (10, 20, 40):
+        rc = fixtures.adiabatic_fixture_config(ratio)
+        horizon = math.pi / fixtures.adiabatic_theta(rc)
+        devs[ratio], _ = raman.adiabatic_error(rc, horizon, 161, excitation_cap=2)
+    record("adiabatic_ratio20_regression", devs[20], fixtures.ADIABATIC_FROZEN_DEVIATION)
+    record("adiabatic_monotone", 0.0, 0.5,
+           passed=devs[10] > devs[20] > devs[40])
+    rc2 = fixtures.ADIABATIC_N2_CONFIG
+    horizon2 = math.pi / fixtures.adiabatic_theta(rc2)
+    dev2, _ = raman.adiabatic_error(
+        rc2, horizon2, 81, excitation_cap=fixtures.ADIABATIC_N2_EXCITATION_CAP
+    )
+    record("adiabatic_n2_regression", dev2, fixtures.ADIABATIC_N2_FROZEN_DEVIATION)
     return checks
 
 

@@ -7,10 +7,11 @@ amplitude dumps are comparable across computational routes.
 
 No operator matrix is built here.  A ladder operator acts on amplitudes by
 :func:`mode_annihilator`, a slice of the reshaped vector along one mode's
-axis, for observables and checks.  Hamiltonians are built by
-:mod:`fock_dynamics` by index arithmetic on these composite indices and
-travel as a :class:`FockOperator`: their nonzero entries and the layout they
-index.  A state is a plain dense complex vector of length ``layout.dim``.
+axis, for observables and checks.  A Hamiltonian travels as a
+:class:`FockOperator`, a term table with its rates on a layout, Hermitian by
+construction; :mod:`fock_dynamics` builds its entries where it evolves a
+state, by index arithmetic on these composite indices.  A state is a plain
+dense complex vector of length ``layout.dim``.
 Truncation is silent: a ladder operator simply has no matrix element out of
 the top level.  The evolution routines report the population on the top
 levels (:func:`at_top_level`) as their leakage.
@@ -23,13 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import COUPLING_TERMS
+
 __all__ = [
     "ModeLayout",
     "FockOperator",
     "mode_annihilator",
     "vacuum_state",
     "at_top_level",
-    "top_level_mask",
 ]
 
 
@@ -85,30 +87,22 @@ class ModeLayout:
         return [g.astype(np.int64) for g in grids]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FockOperator:
-    """A Hamiltonian on the composite space: its nonzero entries and the layout they index.
+    """A Hamiltonian on the composite space: ``sum i xi T - i xi* T^dag`` over a term table, on a layout.
 
-    Entry ``k`` is the element ``vals[k]`` at row ``rows[k]`` and column
-    ``cols[k]``, composite indices of ``layout``; each position is given at
-    most once.  Zero values are dropped on construction, and an index
-    outside ``[0, layout.dim)`` is refused with ``ValueError``.
+    The rates ``(xi1, xi2)`` come from ``c`` (see ``params.coupling_pair``)
+    and pair with ``terms`` in order; a term ``(kind, j, k)`` (see
+    ``params.COUPLING_TERMS``) acts on the layout modes ``modes[j]`` and
+    ``modes[k]``.  Each term enters with its conjugate, so the operator is
+    Hermitian by construction.  It holds no entries:
+    ``fock_dynamics.evolve_state`` builds them from this description.
     """
 
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
+    c: object
     layout: ModeLayout
-
-    def __init__(self, rows, cols, vals, layout: ModeLayout):
-        vals = np.asarray(vals)
-        nonzero = vals != 0
-        object.__setattr__(self, "rows", np.asarray(rows, dtype=np.int64)[nonzero])
-        object.__setattr__(self, "cols", np.asarray(cols, dtype=np.int64)[nonzero])
-        object.__setattr__(self, "vals", vals[nonzero])
-        object.__setattr__(self, "layout", layout)
-        if np.any((self.rows < 0) | (self.rows >= layout.dim) | (self.cols < 0) | (self.cols >= layout.dim)):
-            raise ValueError(f"an entry index is outside [0, {layout.dim}), the layout dimension")
+    modes: tuple = (0, 1, 2)
+    terms: tuple = COUPLING_TERMS
 
 
 def mode_annihilator(layout: ModeLayout, mode: int, psi: np.ndarray, dagger: bool = False) -> np.ndarray:
@@ -150,7 +144,3 @@ def at_top_level(occupations, dims) -> np.ndarray:
     """
     return np.logical_or.reduce([o == d - 1 for o, d in zip(occupations, dims)])
 
-
-def top_level_mask(layout: ModeLayout) -> np.ndarray:
-    """:func:`at_top_level` of every basis state of ``layout``, a boolean mask of length ``layout.dim``."""
-    return at_top_level(layout.occupation_arrays(), layout.dims)

@@ -5,10 +5,10 @@ i xi2* a2 c^dag`` is built from ``params.COUPLING_TERMS`` by index
 arithmetic on the composite indices of a (cavity1, cavity2, spin) layout:
 each term moves a state by a fixed step, found by its composite index, with
 the ladder factors ``sqrt(n)`` of its occupations (:func:`_box_entries`).
-That one builder gives the whole box's entries (:func:`_box_matrix`: the
-effective Hamiltonian, validate's corrupt hook with its own term table, and
-the degenerate variant, which maps both cavities to its one) and the charge
-lattice's elements.
+That one builder gives the elements of every generator: the whole box's for
+a :class:`~mwsqueeze.fock.FockOperator` (the effective Hamiltonian,
+validate's corrupt hook with its own term table, and the degenerate variant,
+which maps both cavities to its one) and the charge lattice's.
 Starting from vacuum, pair creation and exchange only ever reach a small
 invariant block of the truncated space (the ``n2 - n1 + n3 = 0`` lattice,
 or one ``n_a + n_c`` parity sector for the degenerate variant).  Every term
@@ -22,18 +22,19 @@ enumerates the charge lattice ``(m + n, n, m)`` inside the truncation box
 (:func:`charge_lattice`, whose size :func:`charge_lattice_size` gives in
 closed form before anything is allocated) and fills ``B`` from the
 builder's entries on that lattice, so no composite-space operator or vector
-is formed.  :func:`evolve_state` takes any Hermitian generator on the
-composite space as its nonzero entries (the validation suite's builds, the
-corrupt hook, the degenerate variant), finds the basis states those entries
-join to the initial state's support (:func:`_reachable`), and passes its
-entries on that block to the same propagator.  Nothing leaves the block, so
-the restriction is exact whether or not ``H`` conserves a charge; a
-generator with an element that does not move the spin is refused.  Both entries share one propagator
-and one observation tail.
+is formed.  :func:`evolve_state` takes a generator as its description, a
+:class:`~mwsqueeze.fock.FockOperator` (the validation suite's builds, the
+corrupt hook, the degenerate variant), builds its nonzero entries over the
+whole box, finds the basis states those entries join to the initial state's
+support (:func:`_reachable`), and passes its entries on that block to the
+same propagator.  Nothing leaves the block, so the restriction is exact
+whether or not ``H`` conserves a charge; a term table with an element that
+does not move the spin is refused.  Both entries share one propagator and
+one observation tail.
 
 A state is a plain complex vector of length ``layout.dim``, a trajectory
-its block and amplitude stack; a Hamiltonian on the whole box travels as a
-:class:`~mwsqueeze.fock.FockOperator`, its entries with its layout.
+its block and amplitude stack; a Hamiltonian travels as its term table with
+its rates and layout, Hermitian by construction.
 
 State comparisons across routes are gauged by the phase of the
 largest-magnitude amplitude, since the closed-form amplitude table fixes
@@ -111,23 +112,20 @@ def _box_entries(c, layout: ModeLayout, states: np.ndarray, modes=(0, 1, 2), ter
     return tuple(np.concatenate(a) for a in (rows, cols, vals))
 
 
-def _box_matrix(c, layout: ModeLayout, modes=(0, 1, 2), terms=COUPLING_TERMS) -> FockOperator:
-    """:func:`_box_entries` over the whole layout, its zero elements dropped."""
-    return FockOperator(*_box_entries(c, layout, np.arange(layout.dim), modes, terms), layout)
-
-
 def build_effective_hamiltonian(c, layout: ModeLayout) -> FockOperator:
-    """Hermitian three-oscillator Hamiltonian on the truncated space.
+    """Hermitian three-oscillator Hamiltonian on the truncated space, as its description.
 
-    ``<1,0,1| H |0,0,0> = i xi1`` (pair creation in cavity 1 and the spin),
-    and ``[H, a2^dag a2 - a1^dag a1 + c^dag c] = 0`` on the whole truncated
-    space: every nonzero matrix element conserves that combination, and
-    boundary elements are simply absent.  ``c`` may be an
+    The :class:`~mwsqueeze.fock.FockOperator` of ``params.COUPLING_TERMS``
+    with the rates of ``c`` on ``layout``.  Its entries, built where it is
+    evolved, hold ``<1,0,1| H |0,0,0> = i xi1`` (pair creation in cavity 1
+    and the spin) and ``[H, a2^dag a2 - a1^dag a1 + c^dag c] = 0`` on the
+    whole truncated space: every nonzero matrix element conserves that
+    combination, and boundary elements are simply absent.  ``c`` may be an
     :class:`EffectiveCouplings` or a raw ``(xi1, xi2)`` pair.
     """
     if layout.n_modes != 3:
         raise ValueError("effective Hamiltonian needs a three-mode layout")
-    return _box_matrix(c, layout)
+    return FockOperator(c, layout)
 
 
 @dataclass
@@ -147,7 +145,12 @@ class Trajectory:
 
 
 def _reachable(rows, cols, psi: np.ndarray) -> np.ndarray:
-    """The ascending basis states that the entries at ``(rows, cols)`` join, in any number of steps, to ``psi``'s support."""
+    """The ascending basis states that the entries at ``(rows, cols)`` join, in any number of steps, to ``psi``'s support.
+
+    Each step is one pass over every entry, here the whole box's nonzero
+    entries, so the cost follows the box and the closure's depth, not the
+    block.
+    """
     seen = psi != 0
     while True:
         count = np.count_nonzero(seen)
@@ -283,10 +286,11 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
 def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
-    Every sample comes from one stacked product: ``H``'s entries are
-    restricted to the basis states they join to the support of ``psi0``
-    (:func:`_reachable`) and factorised there once, by one thin SVD of its
-    half-block ``B`` between even and odd spin number
+    Every sample comes from one stacked product: ``H``'s nonzero entries
+    over the whole box (:func:`_box_entries`) are restricted to the basis
+    states they join to the support of ``psi0`` (:func:`_reachable`) and
+    factorised there once, by one thin SVD of its half-block ``B`` between
+    even and odd spin number
     (:func:`_half_block_propagate`); sample 0 is ``psi0`` itself.
     Occupations, zeta12, leakage and norms are array reductions over the
     block's populations.  From vacuum under the effective Hamiltonian,
@@ -295,7 +299,8 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     Parameters
     ----------
     H : FockOperator
-        Hermitian generator, as its nonzero entries, and the layout it acts on.
+        Generator, as its rates, term table and mode map on the layout it
+        acts on; Hermitian by construction.
     psi0 : ndarray
         Initial amplitudes, a vector of length ``H.layout.dim``.
     times : sequence of float
@@ -305,11 +310,10 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     ------
     ValueError
         If ``psi0`` is not a vector of length ``H.layout.dim``, the
-        times do not start at 0 and ascend strictly, ``H`` is not Hermitian
-        (an entry differs from the conjugate of its mirror, or from 0 where
-        it has none, by more than ``1e-12 max(1, max|H|)``), or a nonzero
-        element of ``H`` on the block joins two states of one spin parity
-        (a diagonal, say).
+        times do not start at 0 and ascend strictly, a term of ``H`` acts
+        twice on one layout mode, or a nonzero element of ``H`` on the block
+        joins two states of one spin parity (a term that does not move the
+        spin, say).
     IntegrationError
         If the norm drifts by more than 1e-8 between consecutive samples.
     """
@@ -317,21 +321,17 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     if psi0.shape != (H.layout.dim,):
         raise ValueError(f"state shape {psi0.shape} does not match layout dimension {H.layout.dim}")
     times = _sample_times(times)
-    # each entry against the conjugate of its mirror entry, or 0 where it has none
     dim = H.layout.dim
-    key, back = H.rows * dim + H.cols, H.cols * dim + H.rows
-    order = np.argsort(key)
-    mirror = order[np.minimum(np.searchsorted(key, back, sorter=order), len(key) - 1)]
-    conj = np.where(key[mirror] == back, H.vals[mirror].conj(), 0.0)
-    if np.max(np.abs(H.vals - conj), initial=0.0) > 1e-12 * np.max(np.abs(H.vals), initial=1.0):
-        raise ValueError("Hamiltonian is not Hermitian")
-
-    block = _reachable(H.rows, H.cols, psi0)
+    rows, cols, vals = _box_entries(H.c, H.layout, np.arange(dim), H.modes, H.terms)
+    # a zero rate's elements are no links of the closure
+    nonzero = vals != 0
+    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    block = _reachable(rows, cols, psi0)
     at = np.full(dim, -1)
     at[block] = np.arange(len(block))
-    rows, cols = at[H.rows], at[H.cols]
+    rows, cols = at[rows], at[cols]
     inside = (rows >= 0) & (cols >= 0)
-    amps = _half_block_propagate(block, rows[inside], cols[inside], H.vals[inside], H.layout.dims,
+    amps = _half_block_propagate(block, rows[inside], cols[inside], vals[inside], H.layout.dims,
                                  psi0[block], times)
     return _observe(block, amps, H.layout.dims, times, np.linalg.norm(psi0))
 
@@ -447,7 +447,7 @@ def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:
     if layout2.n_modes != 2:
         raise ValueError("degenerate evolution needs a two-mode (cavity, spin) layout")
     # both cavities of the model are the one layout cavity
-    traj = evolve_state(_box_matrix(c, layout2, modes=(0, 0, 1)), vacuum_state(layout2), times)
+    traj = evolve_state(FockOperator(c, layout2, modes=(0, 0, 1)), vacuum_state(layout2), times)
     # every state is zero off the block, so <a a> sums over the block states
     # whose a^2 image, 2 d_spin indices down, is in the block too (with one
     # rate 0 the block is a chain that misses some of them)

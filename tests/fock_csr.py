@@ -3,14 +3,15 @@
 The ladder operators are kron products of single-mode matrices, and every
 Hamiltonian built from them is a sum of their sparse products, so these
 oracles share no code with ``fock.mode_annihilator`` or
-``fock_dynamics._box_entries``.  scipy is a test-only dependency of the fock
-layer.
+``fock_dynamics._box_entries``.  :func:`entries` and :func:`csr` are the
+other side of such comparisons: the library's own entries of a
+``FockOperator``.  scipy is a test-only dependency of the fock layer.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
-from mwsqueeze.fock import FockOperator
+from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze.params import COUPLING_TERMS, CONSERVED_CHARGE, coupling_pair
 
 
@@ -46,15 +47,17 @@ def conserved_number(layout):
     return sp.diags(diag.astype(complex), 0, format="csr")
 
 
+def entries(H):
+    """The nonzero ``_box_entries`` of a ``FockOperator`` over its whole box, as ``(rows, cols, vals)``."""
+    rows, cols, vals = fdyn._box_entries(H.c, H.layout, np.arange(H.layout.dim), H.modes, H.terms)
+    nonzero = vals != 0
+    return rows[nonzero], cols[nonzero], vals[nonzero]
+
+
 def csr(H):
-    """The entries of a ``FockOperator`` as a canonical CSR matrix."""
-    return sp.csr_matrix((H.vals, (H.rows, H.cols)), shape=(H.layout.dim,) * 2)
-
-
-def fock_operator(A, layout):
-    """A sparse matrix's stored entries as a ``FockOperator`` on ``layout``."""
-    A = A.tocoo()
-    return FockOperator(A.row, A.col, A.data, layout)
+    """The nonzero entries of a ``FockOperator`` as a canonical CSR matrix."""
+    rows, cols, vals = entries(H)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(H.layout.dim,) * 2)
 
 
 def assert_same_csr(A, B):

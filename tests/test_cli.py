@@ -166,8 +166,7 @@ class TestEvolve:
         # fock_dynamics holds no name of the composite ladder operators or top-level mask
         assert not hasattr(fdyn, "mode_annihilator")
         assert not hasattr(fdyn, "top_level_mask")
-        for name in ("mode_annihilator", "top_level_mask"):
-            monkeypatch.setattr(fock, name, refuse)
+        monkeypatch.setattr(fock, "mode_annihilator", refuse)
         for name in ("build_effective_hamiltonian", "FockOperator", "ModeLayout", "vacuum_state"):
             monkeypatch.setattr(fdyn, name, refuse)
         monkeypatch.setattr(fock.ModeLayout, "occupation_arrays", refuse)
@@ -288,15 +287,13 @@ class TestSpectrum:
 
 class TestValidate:
     def test_default_suite_passes(self, tmp_path):
-        code, out = run(tmp_path, "validate", {"include_adiabatic": False})
+        code, out = run(tmp_path, "validate", {})
         assert code == 0
         report = json.loads((out / "validate_report.json").read_text())
         assert report["failures"] == 0
 
     def test_corrupted_sign_fails_conservation(self, tmp_path):
-        code, out = run(tmp_path, "validate", {
-            "include_adiabatic": False, "corrupt_hamiltonian_sign": True,
-        })
+        code, out = run(tmp_path, "validate", {"corrupt_hamiltonian_sign": True})
         assert code == 1
         report = json.loads((out / "validate_report.json").read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
@@ -526,6 +523,10 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
     # an absorption rate with no temperature, whose thermal block it belongs to; a repeated output
     ("feasibility", {"gamma_a_hz": 1e6}),
     ("sweep", {"outputs": ["epsilon", "epsilon"], "r_values": [1.5]}),
+    # a fock truncation on a route without one; a key validate no longer has
+    ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "dims": [4, 4, 4]}),
+    ("evolve", {"route": "analytic", "r": 1.1, "theta_hz": 1e4, "dims": [4, 4, 4]}),
+    ("validate", {"include_adiabatic": False}),
 ], ids=["evolve-r-below-1", "evolve-fock-bad-dims", "evolve-all-bad-dims",
         "evolve-gaussian-bad-dims", "evolve-analytic-bad-dims",
         "evolve-output-format", "spectrum-gamma-s-overflow", "evolve-theta-t-overflow",
@@ -545,7 +546,8 @@ _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_point
         "spectrum-r-without-ratio", "spectrum-ratio-without-r", "spectrum-ratio-and-xi",
         "evolve-r-without-theta", "sweep-t-pi-ratio-axis-no-kappa", "sweep-min-s-no-ratio",
         "sweep-n-thermal-no-temperature", "spectrum-r-and-xi", "sweep-t-pi-fixed-ratio-no-kappa",
-        "feasibility-gamma-a-without-temperature", "sweep-repeated-output"])
+        "feasibility-gamma-a-without-temperature", "sweep-repeated-output",
+        "evolve-gaussian-dims", "evolve-analytic-dims", "validate-include-adiabatic"])
 def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, config):
     code, _ = run(tmp_path, command, config)
     err = capsys.readouterr().err
@@ -558,7 +560,10 @@ def test_malformed_config_is_a_configuration_error(tmp_path, capsys, command, co
 @pytest.mark.parametrize("command,config,names", [
     ("feasibility", {"gamma_a_hz": 1e6}, ("'gamma_a_hz'", "'temperature_k'")),
     ("sweep", {"outputs": ["epsilon", "epsilon"], "r_values": [1.5]}, ("'epsilon'",)),
-], ids=["feasibility-gamma-a-without-temperature", "sweep-repeated-output"])
+    ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "dims": [4, 4, 4]}, ("'dims'", "'gaussian'")),
+    ("evolve", {"route": "analytic", "r": 1.1, "theta_hz": 1e4, "dims": [4, 4, 4]}, ("'dims'", "'analytic'")),
+], ids=["feasibility-gamma-a-without-temperature", "sweep-repeated-output",
+        "evolve-gaussian-dims", "evolve-analytic-dims"])
 def test_refusal_names_its_keys_and_writes_nothing(tmp_path, capsys, command, config, names):
     code, out = run(tmp_path, command, config)
     err = capsys.readouterr().err

@@ -147,6 +147,15 @@ class TestTargetState:
         with pytest.raises(ValueError):
             cf.tmss_amplitudes(0.5, 10)
 
+    @pytest.mark.parametrize("refused,message", [
+        (lambda: cf.tmss_amplitudes(2.0, -1), "n_max must be non-negative"),
+        (lambda: cf.evolved_amplitudes(couplings(2.0), 0.1, m_max=-1, n_max=3), "cutoffs must be non-negative"),
+        (lambda: cf.evolved_amplitudes(couplings(2.0), 0.1, m_max=3, n_max=-1), "cutoffs must be non-negative"),
+    ], ids=["tmss", "evolved-m", "evolved-n"])
+    def test_negative_cutoffs_rejected(self, refused, message):
+        with pytest.raises(ValueError, match=message):
+            refused()
+
 
 class TestSqueezingParameter:
     def test_value_at_1p1(self):

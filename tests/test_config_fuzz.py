@@ -5,12 +5,12 @@ whole suite, 24), half of them random key sets and half a runnable config
 with one to three keys mutated.  Numbers come from edge pools (signed zeros,
 1 + eps, subnormals, +-1e300, the largest double, 2**63) and a few ordinary
 values; sizes stay small (``num_samples`` <= 41, ``num_points`` <= 201,
-``dims`` <= 8 per mode, lists of at most three values, no adiabatic checks),
-so a config runs in milliseconds, a whole ``validate`` suite in a tenth of a
-second.  Every run must exit 0, 2 or 3 (or 1, a failed check, for
-``validate``), a refusal must print one stderr line with no traceback and
-raise no warning, which the CLI would print to stderr too, and only a run
-that gets through writes ``run_manifest.json``.
+``dims`` <= 8 per mode, lists of at most three values), so a config runs
+in milliseconds, a whole ``validate`` suite in a tenth of a second.  Every
+run must exit 0, 2 or 3 (or 1, a failed check, for ``validate``), a
+refusal must print one stderr line with no traceback and raise no warning,
+which the CLI would print to stderr too, and only a run that gets through
+writes ``run_manifest.json``.
 """
 
 import json
@@ -38,7 +38,7 @@ _RUNNABLE = {
         {"xi1_hz": 1e3, "xi2_hz": 3e3, "kappa_hz": 7e3, "gamma_s_hz": 7e3, "num_points": 101},
     ],
     "feasibility": [{"temperature_k": 0.1, "gamma_a_hz": 1e6}],
-    "validate": [{"include_adiabatic": False}, {"include_adiabatic": False, "corrupt_hamiltonian_sign": True}],
+    "validate": [{}, {"corrupt_hamiltonian_sign": True}],
     "sweep": [
         {"outputs": list(_SWEEP_OUTPUTS), "r_values": [1.1, 2.0], "temperature_k_values": [0.05],
          "theta_over_kappa": 3.0, "theta_hz": 1e4, "kappa_hz": 7e3, "frequency_hz": 6.83e9, "gamma_c_hz": 2e3},
@@ -83,9 +83,6 @@ def _draw(rng, command):
     # the fock route's truncation stays small: without dims it would follow r
     if command == "evolve" and cfg.get("route") in ("fock", "all") and "dims" not in cfg:
         cfg["dims"] = _value(rng, "dims", [int])
-    # the adiabatic checks alone take seconds
-    if command == "validate":
-        cfg["include_adiabatic"] = False
     return cfg
 
 

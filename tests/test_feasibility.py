@@ -73,6 +73,19 @@ class TestAbsorptionRate:
             fz.absorption_rate(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("refused,message", [
+    (lambda: fz.crossover_temperature(0.0), "frequency must be positive"),
+    (lambda: fz.crossover_temperature(-6.83e9), "frequency must be positive"),
+    (lambda: fz.absorption_rate(1.0, -1.0, 1.0), "n_atoms must be non-negative"),
+    (lambda: fz.heating_rate(-1.0, 0.1), "inputs must be non-negative"),
+    (lambda: fz.heating_rate(1.0, -0.1), "inputs must be non-negative"),
+], ids=["crossover-zero", "crossover-negative", "absorption-negative-atoms",
+        "heating-negative-kappa", "heating-negative-occupation"])
+def test_out_of_range_inputs_rejected(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
+
+
 class TestSuppression:
     def test_fixtures(self):
         assert fz.thermal_suppression(1.0, 0.0) == 1.0

@@ -1,9 +1,9 @@
-"""Truncated Fock space: layouts, ladder operators and the top-level mask."""
+"""Truncated Fock space: layouts, ladder operators and the top-level test."""
 
 import numpy as np
 import pytest
 
-from mwsqueeze.fock import ModeLayout, mode_annihilator, top_level_mask, vacuum_state
+from mwsqueeze.fock import ModeLayout, at_top_level, mode_annihilator, vacuum_state
 
 from fock_csr import csr_annihilator
 
@@ -15,6 +15,17 @@ def test_layout_validation():
     assert lay.dim == 60
     assert lay.index((2, 3, 4)) == 59
     assert lay.index((0, 0, 0)) == 0
+
+
+@pytest.mark.parametrize("refused,message", [
+    (lambda: ModeLayout(()), "at least one mode"),
+    (lambda: ModeLayout((3, 4)).index((1,)), "length does not match"),
+    (lambda: ModeLayout((3, 4)).index((1, 4)), r"occupation 4 outside \[0, 4\)"),
+    (lambda: ModeLayout((3, 4)).index((-1, 0)), r"occupation -1 outside \[0, 3\)"),
+], ids=["no-modes", "index-length", "index-above", "index-below"])
+def test_layout_refusals(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
 
 
 def _applied_to_basis(lay, mode, dagger=False):
@@ -84,6 +95,6 @@ def test_cross_mode_commutators_vanish():
 
 def test_top_level_mask():
     lay = ModeLayout((2, 2, 2))
-    mask = top_level_mask(lay)
+    mask = at_top_level(lay.occupation_arrays(), lay.dims)
     assert mask.sum() == 7  # everything except |0,0,0>
     assert not mask[lay.index((0, 0, 0))]

@@ -6,17 +6,17 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import fixtures
+from mwsqueeze import moments as mom
 from mwsqueeze.errors import TruncationWarning
-from mwsqueeze.fock import FockOperator, ModeLayout, top_level_mask, vacuum_state
+from mwsqueeze.fock import FockOperator, ModeLayout, at_top_level, vacuum_state
 from mwsqueeze.params import CONSERVED_CHARGE, EffectiveCouplings
 
-from fock_csr import assert_same_csr, conserved_number, csr, csr_annihilator, fock_operator, ladder_hamiltonian
+from fock_csr import assert_same_csr, conserved_number, csr, csr_annihilator, entries, ladder_hamiltonian
 from fock_embed import embedded
 
 
@@ -29,24 +29,21 @@ _COMPLEX = EffectiveCouplings(0.6 * np.exp(0.3j), 1.2 * np.exp(-1.1j))
 
 
 def _expm_case(model, c):
-    """Hamiltonian and layout of one ``test_matches_full_space_expm`` case."""
-    if model == "real":
-        lay = ModeLayout((10, 10, 8))
-        return fdyn.build_effective_hamiltonian(c, lay), lay
-    lay = ModeLayout((7, 7, 5))
-    if model == "real-small":
-        return fdyn.build_effective_hamiltonian(c, lay), lay
-    if model == "complex":
-        cc = EffectiveCouplings(0.6 * np.exp(0.3j), 1.2 * np.exp(-1.1j))
-        return fdyn.build_effective_hamiltonian(cc, lay), lay
+    """Hamiltonian, its full-space matrix and layout of one ``test_matches_full_space_expm`` case."""
     if model == "degenerate":
-        # both cavities of the model are the one layout cavity
+        # both cavities of the model are the one layout cavity; the matrix is
+        # the ladder products, independent of the library's entries
         lay = ModeLayout((12, 12))
         a, spin = (csr_annihilator(lay, m) for m in range(2))
-        return fock_operator(ladder_hamiltonian(c, (a, a, spin)), lay), lay
-    # a spin-number diagonal joins every state to itself
-    H = csr(fdyn.build_effective_hamiltonian(c, lay))
-    return fock_operator(H + sp.diags(0.7 * lay.occupation_arrays()[2]), lay), lay
+        return FockOperator(c, lay, modes=(0, 0, 1)), ladder_hamiltonian(c, (a, a, spin)), lay
+    if model == "real":
+        lay = ModeLayout((10, 10, 8))
+    else:
+        lay = ModeLayout((7, 7, 5))
+    if model == "complex":
+        c = EffectiveCouplings(0.6 * np.exp(0.3j), 1.2 * np.exp(-1.1j))
+    H = fdyn.build_effective_hamiltonian(c, lay)
+    return H, csr(H), lay
 
 
 def evolve_quiet(H, psi0, times, **kw):
@@ -87,12 +84,6 @@ class TestHamiltonian:
         N = conserved_number(lay)
         comm = H @ N - N @ H
         assert comm.nnz == 0 or abs(comm).max() < 1e-14
-
-    def test_entry_outside_the_layout_is_refused(self):
-        lay = ModeLayout((3, 3, 3))
-        for index in (-1, 27):
-            with pytest.raises(ValueError, match=r"outside \[0, 27\)"):
-                FockOperator([0, index], [index, 0], [1j, -1j], lay)
 
 
 class TestEvolution:
@@ -148,7 +139,7 @@ class TestEvolution:
     ])
     def test_matches_full_space_expm(self, model, occupied):
         c = couplings(1.8)
-        H, lay = _expm_case(model, c)
+        H, A, lay = _expm_case(model, c)
         psi0 = np.zeros(lay.dim, dtype=complex)
         for occ in occupied:
             psi0[lay.index(occ)] = 1.0
@@ -156,28 +147,27 @@ class TestEvolution:
         times = np.linspace(0.0, cf.t_pi(c), 5)
         traj = evolve_quiet(H, psi0, times)
         # exp(-i H t) psi0 on the same grid, on the whole composite space
-        refs = expm_multiply(-1j * csr(H), psi0, start=times[0], stop=times[-1], num=len(times), endpoint=True)
+        refs = expm_multiply(-1j * A, psi0, start=times[0], stop=times[-1], num=len(times), endpoint=True)
         for st, ref in zip(embedded(traj, lay), refs):
             assert np.max(np.abs(st - ref)) < 1e-9
 
-    @pytest.mark.parametrize("break_it", ["no-mirror", "not-conjugate"])
-    def test_non_hermitian_is_refused(self, break_it):
-        lay = ModeLayout((5, 5, 4))
-        H = fdyn.build_effective_hamiltonian(_COMPLEX, lay)
-        rows, cols, vals = H.rows, H.cols, H.vals.copy()
-        if break_it == "no-mirror":
-            # drop one element, so its mirror has no partner
-            rows, cols, vals = rows[1:], cols[1:], vals[1:]
-        else:
-            vals[0] = vals[0] * (1.0 + 1e-9)
-        with pytest.raises(ValueError, match="^Hamiltonian is not Hermitian$"):
-            fdyn.evolve_state(FockOperator(rows, cols, vals, lay), vacuum_state(lay), [0.0, 1.0])
-
     def test_diagonal_is_refused(self):
-        # a spin-number diagonal joins every state to itself: not bipartite in spin parity
-        H, lay = _expm_case("diagonal", couplings(1.8))
+        # an exchange between the cavities does not move the spin: it joins |1, 0, 0>
+        # to |0, 1, 0>, of one spin parity (from vacuum it reaches nothing)
+        lay = ModeLayout((7, 7, 5))
+        H = FockOperator(couplings(1.8), lay, terms=(("exchange", 0, 1),))
+        psi0 = np.zeros(lay.dim, dtype=complex)
+        psi0[lay.index((1, 0, 0))] = 1.0
         with pytest.raises(ValueError, match="spin"):
-            fdyn.evolve_state(H, vacuum_state(lay), [0.0, 1.0])
+            fdyn.evolve_state(H, psi0, [0.0, 1.0])
+
+    def test_a_zero_rate_adds_no_links(self):
+        # with xi1 = 0 the exchange term alone leaves vacuum isolated; the pair
+        # term's zero elements would join it to the whole charge lattice
+        lay = ModeLayout((12, 10, 6))
+        traj = fdyn.evolve_state(FockOperator((0.0, 1.3), lay), vacuum_state(lay), [0.0, 1.0])
+        assert np.array_equal(traj.block, [0])
+        assert np.array_equal(traj.states, [[1.0], [1.0]])
 
     def test_observables_match_the_full_layout_arrays(self):
         # occupations and leakage are read off the block's composite indices; the
@@ -188,10 +178,11 @@ class TestEvolution:
         trajs = [
             (evolve_quiet(fdyn.build_effective_hamiltonian(c, lay), vacuum_state(lay), times), lay),
             (evolve_quiet_vacuum(c, lay, times), lay),
-            (evolve_quiet(fdyn._box_matrix(c, lay2, modes=(0, 0, 1)), vacuum_state(lay2), times), lay2),
+            (evolve_quiet(FockOperator(c, lay2, modes=(0, 0, 1)), vacuum_state(lay2), times), lay2),
         ]
         for traj, layout in trajs:
-            occ, top = layout.occupation_arrays(), top_level_mask(layout)
+            occ = layout.occupation_arrays()
+            top = at_top_level(occ, layout.dims)
             p = np.abs(np.array(list(embedded(traj, layout)))) ** 2
             assert p[:, top].sum(axis=1).max() > 1e-3
             assert np.max(np.abs(traj.occupations - np.column_stack([p @ o for o in occ]))) < 1e-14
@@ -331,8 +322,8 @@ class TestDegenerateMode:
         c = couplings(2.0)
         lay = ModeLayout((14, 14))
         times = np.linspace(0.0, cf.t_pi(c), 7)
-        a, spin = (csr_annihilator(lay, m) for m in range(2))
-        traj = evolve_quiet(fock_operator(ladder_hamiltonian(c, (a, a, spin)), lay), vacuum_state(lay), times)
+        a = csr_annihilator(lay, 0)
+        traj = evolve_quiet(FockOperator(c, lay, modes=(0, 0, 1)), vacuum_state(lay), times)
         ref = [0.5 + n - abs(np.vdot(psi, a @ (a @ psi))) for n, psi in zip(traj.occupations[:, 0], embedded(traj, lay))]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
@@ -349,7 +340,7 @@ class TestDegenerateMode:
         # with xi2 = 0 the block is the chain |n, n>, which holds no a^2 image
         lay = ModeLayout(dims)
         times = np.linspace(0.0, 3.0, 9)
-        traj = evolve_quiet(fdyn._box_matrix(c, lay, modes=(0, 0, 1)), vacuum_state(lay), times)
+        traj = evolve_quiet(FockOperator(c, lay, modes=(0, 0, 1)), vacuum_state(lay), times)
         block, amps = traj.block, traj.states
         a = csr_annihilator(lay, 0)
         aa = np.einsum("ij,ji->i", amps.conj(), (a @ a)[block][:, block] @ amps.T)
@@ -389,14 +380,14 @@ class TestBoxBuilder:
         c = couplings(2.0)
         lay = ModeLayout((16, 16, 10))
         ref = ladder_hamiltonian(c, [csr_annihilator(lay, m) for m in range(3)], _CORRUPT_TERMS)
-        assert_same_csr(csr(fdyn._box_matrix(c, lay, terms=_CORRUPT_TERMS)), ref)
+        assert_same_csr(csr(FockOperator(c, lay, terms=_CORRUPT_TERMS)), ref)
 
     @pytest.mark.parametrize("dims", [(12, 12), (56, 56)])
     def test_degenerate_map_matches_ladder_products(self, dims):
         c = couplings(2.0)
         lay = ModeLayout(dims)
         a, spin = (csr_annihilator(lay, m) for m in range(2))
-        assert_same_csr(csr(fdyn._box_matrix(c, lay, modes=(0, 0, 1))), ladder_hamiltonian(c, (a, a, spin)))
+        assert_same_csr(csr(FockOperator(c, lay, modes=(0, 0, 1))), ladder_hamiltonian(c, (a, a, spin)))
 
     def test_refuses_terms_that_leave_the_lattice(self):
         lay = ModeLayout((8, 8, 5))
@@ -406,8 +397,9 @@ class TestBoxBuilder:
 
     def test_refuses_a_term_on_one_mode(self):
         # the exchange term (1, 2) lands on layout mode 1 twice
+        lay = ModeLayout((6, 6))
         with pytest.raises(ValueError, match="one mode"):
-            fdyn._box_matrix(couplings(2.0), ModeLayout((6, 6)), modes=(0, 1, 1))
+            fdyn._box_entries(couplings(2.0), lay, np.arange(lay.dim), modes=(0, 1, 1))
 
 
 class TestChargeLattice:
@@ -443,7 +435,7 @@ class TestChargeLattice:
     def test_lattice_path_matches_the_walk(self, dims, c):
         lay = ModeLayout(dims)
         H = fdyn.build_effective_hamiltonian(c, lay)
-        walk_block = fdyn._reachable(H.rows, H.cols, vacuum_state(lay))
+        walk_block = fdyn._reachable(*entries(H)[:2], vacuum_state(lay))
         block, m, n = fdyn.charge_lattice(lay)
         odd = m % 2 == 1
         assert np.array_equal(block, walk_block)
@@ -469,7 +461,7 @@ class TestChargeLattice:
         # those stay at rounding level and the observables agree to rounding
         lay = ModeLayout((12, 10, 6))
         H = fdyn.build_effective_hamiltonian(pair, lay)
-        walk_block = fdyn._reachable(H.rows, H.cols, vacuum_state(lay))
+        walk_block = fdyn._reachable(*entries(H)[:2], vacuum_state(lay))
         times = np.linspace(0.0, 3.0, 41)
         got = evolve_quiet_vacuum(pair, lay, times)
         ref = evolve_quiet(H, vacuum_state(lay), times)
@@ -534,3 +526,25 @@ class TestLatticeStates:
     def test_target_state_matches_loop(self, dims):
         lay = ModeLayout(dims)
         assert np.array_equal(fdyn.target_state(lay, 2.0), _target_state_loop(lay, 2.0))
+
+    def test_analytic_state_refuses_a_table_the_layout_drops(self, monkeypatch):
+        # a closed-form table always holds its vacuum entry 1 / sqrt(1 + n1) > 0, which
+        # every layout keeps, so a zero table stands in for one the layout drops whole
+        def zero_table(c, t, m_max, n_max, tail_tol):
+            return np.zeros((m_max + 1, n_max + 1), dtype=complex)
+
+        monkeypatch.setattr(cf, "evolved_amplitudes", zero_table)
+        with pytest.raises(ValueError, match="retains none"):
+            fdyn.analytic_state(couplings(2.0), 0.1, ModeLayout((4, 4, 4)))
+
+
+@pytest.mark.parametrize("refused", [
+    lambda lay: fdyn.build_effective_hamiltonian(couplings(2.0), lay),
+    lambda lay: fdyn.relative_number_squeezing(vacuum_state(lay), lay),
+    lambda lay: fdyn.target_state(lay, 2.0),
+    lambda lay: fdyn.analytic_state(couplings(2.0), 0.1, lay),
+    lambda lay: mom.moments_from_fock_state(vacuum_state(lay), lay),
+], ids=["hamiltonian", "squeezing", "target", "analytic", "moments"])
+def test_two_mode_layout_rejected(refused):
+    with pytest.raises(ValueError, match="three-mode layout"):
+        refused(ModeLayout((4, 4)))

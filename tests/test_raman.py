@@ -220,6 +220,16 @@ def test_basis_cap_guard():
         raman.AtomicBasis(1, 1)
 
 
+@pytest.mark.parametrize("refused,message", [
+    (lambda: preset_config(n_atoms=0), "n_atoms must be positive"),
+    (lambda: raman.adiabatic_error(preset_config(), 1.0, 1), "at least two samples"),
+    (lambda: raman.bosonization_residual(raman.AtomicBasis(2, 2), np.zeros(3)), "does not match basis"),
+], ids=["no-atoms", "one-sample", "state-size"])
+def test_malformed_inputs_rejected(refused, message):
+    with pytest.raises(ValueError, match=message):
+        refused()
+
+
 @pytest.mark.parametrize("mode", [0, 3])
 def test_photon_diagonal_refuses_other_modes(mode):
     basis = raman.AtomicBasis(1, 2)

@@ -99,6 +99,13 @@ class TestSanity:
         with pytest.raises(ValueError):
             spec.squeezing_spectrum(c, d, np.linspace(-1.0, 2.0, 101))
 
+    @pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.0, 9).reshape(3, 3), [-1.0, 1.0]],
+                             ids=["two-d", "two-points"])
+    def test_grid_shape_rejected(self, grid):
+        c, d = fig_params(1.0)
+        with pytest.raises(ValueError, match="1-d array with at least 3 points"):
+            spec.squeezing_spectrum(c, d, grid)
+
 
 class TestSpotFrequencyOracle:
     """Single frequencies of the stacked spectrum against a direct 6x6 solve."""
