@@ -535,14 +535,16 @@ def _validate_checks(cfg):
     # test-harness hook: turn the exchange term into pair creation,
     # which stays Hermitian but breaks the conserved combination
     terms = (("pair", 0, 2), ("pair", 1, 2)) if corrupt else COUPLING_TERMS
-    rows, cols, vals = fdyn._box_entries(c2, small, np.arange(small.dim), terms=terms)
-    elem = vals[(rows == small.index((1, 0, 1))) & (cols == small.index((0, 0, 0)))].sum()
-    record("pair_creation_element", abs(elem - 1j * complex(c2.xi1)), 1e-12)
-
+    H = FockOperator(c2, small, terms=terms)
     times = np.linspace(0.0, 2.0 * closed_form.t_pi(c2), 41)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
-        traj = fdyn.evolve_state(FockOperator(c2, small, terms=terms), vacuum_state(small), times)
+        traj = fdyn.evolve_state(H, vacuum_state(small), times)
+    # the reached block holds vacuum and its pair-creation image
+    rows, cols, vals = fdyn._box_entries(H, traj.block)
+    pair = (traj.block[rows] == small.index((1, 0, 1))) & (traj.block[cols] == small.index((0, 0, 0)))
+    record("pair_creation_element", abs(vals[pair].sum() - 1j * complex(c2.xi1)), 1e-12)
+
     # N is diagonal, so <N> and <N^2> of every sample are one reduction over the populations
     charge = np.dot(CONSERVED_CHARGE, np.unravel_index(traj.block, small.dims)).astype(float)
     n_moments = np.abs(traj.states) ** 2 @ np.column_stack([charge, charge**2])

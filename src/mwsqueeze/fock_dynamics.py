@@ -5,10 +5,10 @@ i xi2* a2 c^dag`` is built from ``params.COUPLING_TERMS`` by index
 arithmetic on the composite indices of a (cavity1, cavity2, spin) layout:
 each term moves a state by a fixed step, found by its composite index, with
 the ladder factors ``sqrt(n)`` of its occupations (:func:`_box_entries`).
-That one builder gives the elements of every generator: the whole box's for
-a :class:`~mwsqueeze.fock.FockOperator` (the effective Hamiltonian,
-validate's corrupt hook with its own term table, and the degenerate variant,
-which maps both cavities to its one) and the charge lattice's.
+That one builder reads a :class:`~mwsqueeze.fock.FockOperator` (the
+effective Hamiltonian, validate's corrupt hook with its own term table, and
+the degenerate variant, which maps both cavities to its one) and gives its
+elements on the whole box, a reached block or the charge lattice.
 Starting from vacuum, pair creation and exchange only ever reach a small
 invariant block of the truncated space (the ``n2 - n1 + n3 = 0`` lattice,
 or one ``n_a + n_c`` parity sector for the degenerate variant).  Every term
@@ -24,13 +24,12 @@ closed form before anything is allocated) and fills ``B`` from the
 builder's entries on that lattice, so no composite-space operator or vector
 is formed.  :func:`evolve_state` takes a generator as its description, a
 :class:`~mwsqueeze.fock.FockOperator` (the validation suite's builds, the
-corrupt hook, the degenerate variant), builds its nonzero entries over the
-whole box, finds the basis states those entries join to the initial state's
-support (:func:`_reachable`), and passes its entries on that block to the
-same propagator.  Nothing leaves the block, so the restriction is exact
-whether or not ``H`` conserves a charge; a term table with an element that
-does not move the spin is refused.  Both entries share one propagator and
-one observation tail.
+corrupt hook, the degenerate variant), builds its entries over the whole
+box only to find the basis states they join to the initial state's support
+(:func:`_reachable`), and hands that block to the same propagator.  Nothing
+leaves the block, so the restriction is exact whether or not ``H`` conserves
+a charge; a term table with an element that does not move the spin is
+refused.  Both entries share one propagator and one observation tail.
 
 A state is a plain complex vector of length ``layout.dim``, a trajectory
 its block and amplitude stack; a Hamiltonian travels as its term table with
@@ -53,7 +52,7 @@ import numpy as np
 from . import closed_form
 from .errors import IntegrationError, TruncationWarning
 from .fock import FockOperator, ModeLayout, at_top_level, vacuum_state
-from .params import COUPLING_TERMS, EffectiveCouplings, coupling_pair
+from .params import EffectiveCouplings, coupling_pair
 
 __all__ = [
     "build_effective_hamiltonian",
@@ -74,28 +73,30 @@ _NORM_DRIFT_PER_STEP = 1e-8
 _LEAKAGE_THRESHOLD = 1e-6
 
 
-def _box_entries(c, layout: ModeLayout, states: np.ndarray, modes=(0, 1, 2), terms=COUPLING_TERMS):
-    """Rows, columns and values of ``sum i xi T - i xi* T^dag`` on ``states``, by index arithmetic.
+def _box_entries(H: FockOperator, states: np.ndarray):
+    """Rows, columns and values of ``H = sum i xi T - i xi* T^dag`` on ``states``, by index arithmetic.
 
-    ``states`` are ascending composite indices of ``layout`` closed under the
-    terms, and rows and columns are positions in it.  A term ``(kind, j,
-    k)`` of ``terms`` (see ``COUPLING_TERMS``), rates from ``c``, acts on the
-    layout modes ``modes[j]`` and ``modes[k]``: ``T`` moves a state by ``e_j
-    + e_k`` (pair) or ``e_j - e_k`` (exchange), a move that leaves the box
-    has no element, and one that lands inside the box but outside
-    ``states`` raises.  A ladder step between ``n`` and ``n'`` carries
-    ``sqrt(max(n, n'))``, and the elements are formed as a sparse sum of
-    ladder-operator products forms them, ``0 + (i xi)(sqrt a sqrt b)`` and
-    ``0 - (i xi*)(sqrt a sqrt b)``, so they hold the same bits.
+    ``states`` are ascending composite indices of ``H.layout`` closed under
+    its terms, and rows and columns are positions in it.  A term ``(kind, j,
+    k)`` of ``H.terms`` (see ``COUPLING_TERMS``) acts on the layout modes
+    ``H.modes[j]`` and ``H.modes[k]``: ``T`` moves a state by ``e_j + e_k``
+    (pair) or ``e_j - e_k`` (exchange), a move that leaves the box has no
+    element, and one that lands inside the box but outside ``states``
+    raises.  A term of rate 0 adds no entries, so no element is zero.  A
+    ladder step between ``n`` and ``n'`` carries ``sqrt(max(n, n'))``, and an
+    element is formed as a sum of ladder-operator products forms it, ``0 + (i
+    xi)(sqrt a sqrt b)`` or ``0 - (i xi*)(sqrt a sqrt b)``: the same bits.
     """
-    dims = layout.dims
+    dims = H.layout.dims
     occ = np.unravel_index(states, dims)
     strides = [math.prod(dims[i + 1:]) for i in range(len(dims))]
-    rows, cols, vals = [], [], []
-    for (kind, j, k), xi in zip(terms, coupling_pair(c)):
-        j, k = modes[j], modes[k]
+    rows, cols, vals = [np.empty(0, int)], [np.empty(0, int)], [np.empty(0, complex)]
+    for (kind, j, k), xi in zip(H.terms, coupling_pair(H.c)):
+        j, k = H.modes[j], H.modes[k]
         if j == k:
             raise ValueError(f"coupling term {(kind, j, k)} acts twice on one mode")
+        if xi == 0:
+            continue
         step = [0] * len(dims)
         step[j] += 1
         step[k] += 1 if kind == "pair" else -1
@@ -147,9 +148,9 @@ class Trajectory:
 def _reachable(rows, cols, psi: np.ndarray) -> np.ndarray:
     """The ascending basis states that the entries at ``(rows, cols)`` join, in any number of steps, to ``psi``'s support.
 
-    Each step is one pass over every entry, here the whole box's nonzero
-    entries, so the cost follows the box and the closure's depth, not the
-    block.
+    Each step is one pass over every entry, in :func:`evolve_state` the
+    whole box's, so the cost follows the box and the closure's depth, not
+    the block.
     """
     seen = psi != 0
     while True:
@@ -159,19 +160,20 @@ def _reachable(rows, cols, psi: np.ndarray) -> np.ndarray:
             return np.flatnonzero(seen)
 
 
-def _half_block_propagate(block, rows, cols, vals, dims, psi0: np.ndarray, times: np.ndarray):
-    """``exp(-i H t) psi0`` at every time for ``H`` with elements ``vals`` at ``(rows, cols)`` on ``block``.
+def _half_block_propagate(H: FockOperator, block: np.ndarray, psi0: np.ndarray, times: np.ndarray):
+    """``exp(-i H t) psi0`` at every time, with ``H``'s :func:`_box_entries` on ``block``.
 
-    ``block`` holds ascending composite indices of the box ``dims``, rows and
-    columns are positions in it, and ``psi0`` holds its amplitudes.  Every
-    coupling term moves the spin, the last mode, once, so ``H = [[0, B],
-    [B^dag, 0]]`` between even and odd spin number (else ``ValueError``).
-    One thin SVD of the dense ``B = U S V^dag`` gives ``even(t) = psi_e + U
-    ((cos St - 1) U^dag psi_e - i sin St V^dag psi_o)`` and the mirrored odd
-    rows: the ``(len(times), |block|)`` amplitude stack, ``psi0`` at ``t = 0``.
+    ``block`` holds ascending composite indices of ``H.layout`` closed under
+    its terms, and ``psi0`` its amplitudes.  Every coupling term moves the
+    spin, the last mode, once, so ``H = [[0, B], [B^dag, 0]]`` between even
+    and odd spin number (else ``ValueError``).  One thin SVD of the dense ``B
+    = U S V^dag`` gives ``even(t) = psi_e + U ((cos St - 1) U^dag psi_e - i
+    sin St V^dag psi_o)`` and the mirrored odd rows: the ``(len(times),
+    |block|)`` amplitude stack, ``psi0`` at ``t = 0``.
     """
-    odd = block % dims[-1] % 2 == 1
-    if np.any((odd[rows] == odd[cols]) & (vals != 0)):
+    rows, cols, vals = _box_entries(H, block)
+    odd = block % H.layout.dims[-1] % 2 == 1
+    if np.any(odd[rows] == odd[cols]):
         raise ValueError("an element of the generator does not move the spin: not bipartite in spin parity")
     rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
     keep = ~odd[rows]
@@ -237,6 +239,8 @@ def _zeta12(p: np.ndarray, occ) -> np.ndarray:
 
 def _sample_times(times) -> np.ndarray:
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be a 1-D grid of finite values")
     if not times.size or times[0] != 0.0:
         raise ValueError("sample times must start at 0")
     if np.any(times[1:] <= times[:-1]):
@@ -250,15 +254,15 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
     Each mode's occupation of the block's states, and whether any mode is at
     its top level, are read off their composite indices in the box ``dims``;
     ``norm0`` is the initial state's norm.  Raises :class:`IntegrationError`
-    when the norm drifts by more than 1e-8 between consecutive samples, and warns
+    when the norm drifts by more than 1e-8 (or NaN) between consecutive samples, and warns
     (:class:`TruncationWarning`) when the top-level population exceeds 1e-6.
     """
     occ = np.unravel_index(block, dims)
     p = np.abs(amps) ** 2
     norms = np.sqrt(p.sum(axis=1))
     drift = np.abs(np.diff(norms, prepend=norm0))
-    first = np.argmax(drift > _NORM_DRIFT_PER_STEP)
-    if drift[first] > _NORM_DRIFT_PER_STEP:
+    first = np.argmax(~(drift <= _NORM_DRIFT_PER_STEP))
+    if not drift[first] <= _NORM_DRIFT_PER_STEP:
         raise IntegrationError(
             f"norm drifted by {drift[first]:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
         )
@@ -286,12 +290,12 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
 def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     """Evolve ``|psi(t)> = exp(-i H t) |psi0>`` and record diagnostics per sample.
 
-    Every sample comes from one stacked product: ``H``'s nonzero entries
-    over the whole box (:func:`_box_entries`) are restricted to the basis
-    states they join to the support of ``psi0`` (:func:`_reachable`) and
-    factorised there once, by one thin SVD of its half-block ``B`` between
-    even and odd spin number
-    (:func:`_half_block_propagate`); sample 0 is ``psi0`` itself.
+    Every sample comes from one stacked product: ``H``'s entries over the
+    whole box (:func:`_box_entries`) only find the basis states they join to
+    the support of ``psi0`` (:func:`_reachable`), and ``H`` on that block is
+    factorised once, by one thin SVD of its half-block ``B`` between even
+    and odd spin number (:func:`_half_block_propagate`); sample 0 is
+    ``psi0`` itself.
     Occupations, zeta12, leakage and norms are array reductions over the
     block's populations.  From vacuum under the effective Hamiltonian,
     :func:`evolve_vacuum` gives the same trajectory without building ``H``.
@@ -304,46 +308,37 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
     psi0 : ndarray
         Initial amplitudes, a vector of length ``H.layout.dim``.
     times : sequence of float
-        Sorted ascending, starting at 0.
+        A 1-D grid of finite values, sorted ascending, starting at 0.
 
     Raises
     ------
     ValueError
-        If ``psi0`` is not a vector of length ``H.layout.dim``, the
-        times do not start at 0 and ascend strictly, a term of ``H`` acts
-        twice on one layout mode, or a nonzero element of ``H`` on the block
-        joins two states of one spin parity (a term that does not move the
-        spin, say).
+        If ``psi0`` is not a vector of length ``H.layout.dim``, the times
+        are not a finite 1-D grid that starts at 0 and ascends strictly, a
+        term of ``H`` acts twice on one layout mode, or an element of ``H``
+        on the block joins two states of one spin parity (a term of nonzero
+        rate that does not move the spin, say).
     IntegrationError
-        If the norm drifts by more than 1e-8 between consecutive samples.
+        If the norm drifts by more than 1e-8, or by NaN, between consecutive samples.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     if psi0.shape != (H.layout.dim,):
         raise ValueError(f"state shape {psi0.shape} does not match layout dimension {H.layout.dim}")
     times = _sample_times(times)
-    dim = H.layout.dim
-    rows, cols, vals = _box_entries(H.c, H.layout, np.arange(dim), H.modes, H.terms)
-    # a zero rate's elements are no links of the closure
-    nonzero = vals != 0
-    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    rows, cols, _ = _box_entries(H, np.arange(H.layout.dim))
     block = _reachable(rows, cols, psi0)
-    at = np.full(dim, -1)
-    at[block] = np.arange(len(block))
-    rows, cols = at[rows], at[cols]
-    inside = (rows >= 0) & (cols >= 0)
-    amps = _half_block_propagate(block, rows[inside], cols[inside], vals[inside], H.layout.dims,
-                                 psi0[block], times)
+    amps = _half_block_propagate(H, block, psi0[block], times)
     return _observe(block, amps, H.layout.dims, times, np.linalg.norm(psi0))
 
 
 def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     """:func:`evolve_state` of vacuum under ``build_effective_hamiltonian(c, layout)``, on the charge lattice alone.
 
-    The block is the lattice of :func:`charge_lattice`, and the elements
-    are :func:`_box_entries` on it, which hold the same bits as the
-    composite build's; propagation and observation are :func:`evolve_state`'s.
-    No composite-space operator or vector is formed, so the cost follows
-    :func:`charge_lattice_size`, not ``layout.dim``.
+    The block is the lattice of :func:`charge_lattice`, handed to the
+    propagator with ``FockOperator(c, layout)``: propagation and observation
+    are :func:`evolve_state`'s, and the elements are built on the lattice
+    alone, so no composite-space operator or vector is formed and the cost
+    follows :func:`charge_lattice_size`, not ``layout.dim``.
 
     With both rates nonzero the lattice is the block :func:`_reachable`
     finds, with the same ``B``, so the trajectory holds the same bits as
@@ -358,16 +353,16 @@ def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     Raises
     ------
     ValueError
-        If the layout does not have three modes, or the times do not start
-        at 0 and ascend strictly.
+        If the layout does not have three modes, or the times are not a
+        finite 1-D grid that starts at 0 and ascends strictly.
     IntegrationError
-        If the norm drifts by more than 1e-8 between consecutive samples.
+        If the norm drifts by more than 1e-8, or by NaN, between consecutive samples.
     """
     block, _, _ = charge_lattice(layout)
     times = _sample_times(times)
     psi0 = np.zeros(len(block), dtype=complex)
     psi0[0] = 1.0  # vacuum, composite index 0, is the lattice's first state
-    amps = _half_block_propagate(block, *_box_entries(c, layout, block), layout.dims, psi0, times)
+    amps = _half_block_propagate(FockOperator(c, layout), block, psi0, times)
     return _observe(block, amps, layout.dims, times, 1.0)
 
 

@@ -48,10 +48,8 @@ def conserved_number(layout):
 
 
 def entries(H):
-    """The nonzero ``_box_entries`` of a ``FockOperator`` over its whole box, as ``(rows, cols, vals)``."""
-    rows, cols, vals = fdyn._box_entries(H.c, H.layout, np.arange(H.layout.dim), H.modes, H.terms)
-    nonzero = vals != 0
-    return rows[nonzero], cols[nonzero], vals[nonzero]
+    """The ``_box_entries`` of a ``FockOperator`` over its whole box, as ``(rows, cols, vals)``."""
+    return fdyn._box_entries(H, np.arange(H.layout.dim))
 
 
 def csr(H):

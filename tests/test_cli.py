@@ -163,16 +163,26 @@ class TestEvolve:
         def refuse(*args, **kwargs):
             raise AssertionError("composite-space build")
 
+        box_entries, sizes = fdyn._box_entries, []
+
+        def on_a_block(H, states):
+            # a FockOperator is a description; its entries are built on fewer states than the box
+            assert len(states) < H.layout.dim
+            sizes.append(len(states))
+            return box_entries(H, states)
+
         # fock_dynamics holds no name of the composite ladder operators or top-level mask
         assert not hasattr(fdyn, "mode_annihilator")
         assert not hasattr(fdyn, "top_level_mask")
         monkeypatch.setattr(fock, "mode_annihilator", refuse)
-        for name in ("build_effective_hamiltonian", "FockOperator", "ModeLayout", "vacuum_state"):
+        for name in ("build_effective_hamiltonian", "ModeLayout", "vacuum_state"):
             monkeypatch.setattr(fdyn, name, refuse)
+        monkeypatch.setattr(fdyn, "_box_entries", on_a_block)
         monkeypatch.setattr(fock.ModeLayout, "occupation_arrays", refuse)
         code, out = run(tmp_path, "evolve", {"route": "fock", "r": 3.0, "theta_hz": 10e3, "num_samples": 41})
         assert code == 0
         assert len(read_csv(out / "evolve_fock.csv")[1]["n1"]) == 41
+        assert sizes
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         code, _ = run(tmp_path, "evolve", {"route": "gaussian", "kappa": 7000.0})
@@ -298,6 +308,19 @@ class TestValidate:
         report = json.loads((out / "validate_report.json").read_text())
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert "conserved_number" in failed
+
+    def test_builds_no_effective_hamiltonian(self, tmp_path, monkeypatch):
+        # validate builds its generators as FockOperators: the benchmark's traced hook on
+        # build_effective_hamiltonian reads an operator matrix a FockOperator does not hold
+        from mwsqueeze import fock_dynamics as fdyn
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_effective_hamiltonian called")
+
+        monkeypatch.setattr(fdyn, "build_effective_hamiltonian", refuse)
+        code, out = run(tmp_path, "validate", {})
+        assert code == 0
+        assert len(json.loads((out / "validate_report.json").read_text())["checks"]) == 16
 
     def test_unknown_key_refused_without_a_manifest(self, tmp_path, capsys):
         code, out = run(tmp_path, "validate", {"dimension_cap": 100})

@@ -12,7 +12,7 @@ from mwsqueeze import closed_form as cf
 from mwsqueeze import fock_dynamics as fdyn
 from mwsqueeze import fixtures
 from mwsqueeze import moments as mom
-from mwsqueeze.errors import TruncationWarning
+from mwsqueeze.errors import IntegrationError, TruncationWarning
 from mwsqueeze.fock import FockOperator, ModeLayout, at_top_level, vacuum_state
 from mwsqueeze.params import CONSERVED_CHARGE, EffectiveCouplings
 
@@ -26,6 +26,8 @@ def couplings(r, theta=1.0):
 
 _CORRUPT_TERMS = (("pair", 0, 2), ("pair", 1, 2))
 _COMPLEX = EffectiveCouplings(0.6 * np.exp(0.3j), 1.2 * np.exp(-1.1j))
+# sample-time grids every fock entry refuses: not 1-D, or not finite
+_BAD_GRIDS = [0.0, [[0.0, 1.0]], [0.0, np.nan], [0.0, np.inf]]
 
 
 def _expm_case(model, c):
@@ -203,6 +205,9 @@ class TestEvolution:
             fdyn.evolve_state(H, vacuum_state(lay), [0.5, 1.0])
         with pytest.raises(ValueError):
             fdyn.evolve_state(H, vacuum_state(lay), [0.0, 1.0, 1.0])
+        for times in _BAD_GRIDS:
+            with pytest.raises(ValueError, match="1-D grid of finite values"):
+                fdyn.evolve_state(H, vacuum_state(lay), times)
 
     def test_state_length_must_match_layout(self):
         H = fdyn.build_effective_hamiltonian(couplings(2.0), ModeLayout((4, 4, 4)))
@@ -352,6 +357,9 @@ class TestDegenerateMode:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             fdyn.degenerate_mode_evolve(couplings(2.0), ModeLayout((8, 8)), [0.0, -1.0])
+        for times in _BAD_GRIDS:
+            with pytest.raises(ValueError, match="1-D grid of finite values"):
+                fdyn.degenerate_mode_evolve(couplings(2.0), ModeLayout((6, 6)), times)
 
     def test_three_mode_layout_rejected(self):
         with pytest.raises(ValueError, match="two-mode"):
@@ -371,7 +379,10 @@ class TestBoxBuilder:
     def test_matches_ladder_products(self, dims, c):
         lay = ModeLayout(dims)
         ref = ladder_hamiltonian(c, [csr_annihilator(lay, m) for m in range(3)])
-        H = csr(fdyn.build_effective_hamiltonian(c, lay))
+        op = fdyn.build_effective_hamiltonian(c, lay)
+        # a zero rate adds no entries, so no element is an explicit zero
+        assert np.all(entries(op)[2] != 0)
+        H = csr(op)
         assert_same_csr(H, ref)
         if c == (0.0, 0.0):
             assert H.nnz == 0
@@ -393,13 +404,13 @@ class TestBoxBuilder:
         lay = ModeLayout((8, 8, 5))
         block = fdyn.charge_lattice(lay)[0]
         with pytest.raises(ValueError, match="leaves the given states"):
-            fdyn._box_entries(couplings(2.0), lay, block, terms=_CORRUPT_TERMS)
+            fdyn._box_entries(FockOperator(couplings(2.0), lay, terms=_CORRUPT_TERMS), block)
 
     def test_refuses_a_term_on_one_mode(self):
         # the exchange term (1, 2) lands on layout mode 1 twice
         lay = ModeLayout((6, 6))
         with pytest.raises(ValueError, match="one mode"):
-            fdyn._box_entries(couplings(2.0), lay, np.arange(lay.dim), modes=(0, 1, 1))
+            fdyn._box_entries(FockOperator(couplings(2.0), lay, modes=(0, 1, 1)), np.arange(lay.dim))
 
 
 class TestChargeLattice:
@@ -441,7 +452,7 @@ class TestChargeLattice:
         assert np.array_equal(block, walk_block)
         assert np.array_equal(odd, walk_block % dims[-1] % 2 == 1)
         # the builder's elements on the lattice, against the ladder products' restriction
-        rows, cols, vals = fdyn._box_entries(c, lay, block)
+        rows, cols, vals = fdyn._box_entries(H, block)
         on_lattice = np.zeros((len(block),) * 2, dtype=complex)
         on_lattice[rows, cols] = vals
         B = on_lattice[np.ix_(~odd, odd)]
@@ -481,6 +492,16 @@ class TestChargeLattice:
         assert not traj.occupations.any() and not traj.leakage.any()
         assert np.all(traj.zeta12 == 1.0) and np.all(traj.norms == 1.0)
 
+    def test_both_rates_zero_stay_in_vacuum_exactly_on_the_walk(self):
+        # no entries at all: the block is vacuum alone
+        lay = ModeLayout((4, 4, 4))
+        H = fdyn.build_effective_hamiltonian(None, lay)
+        traj = fdyn.evolve_state(H, vacuum_state(lay), np.linspace(0.0, 1e-4, 21))
+        assert np.array_equal(traj.block, [0])
+        assert np.array_equal(traj.states, np.ones((21, 1)))
+        assert not traj.occupations.any() and not traj.leakage.any()
+        assert np.all(traj.zeta12 == 1.0) and np.all(traj.norms == 1.0)
+
     def test_leakage_warning_and_time_grid(self):
         c = couplings(2.0)
         with pytest.warns(TruncationWarning):
@@ -489,6 +510,15 @@ class TestChargeLattice:
             fdyn.evolve_vacuum(c, ModeLayout((4, 4, 4)), [0.5, 1.0])
         with pytest.raises(ValueError, match="three-mode"):
             fdyn.evolve_vacuum(c, ModeLayout((4, 4)), [0.0, 1.0])
+        for times in _BAD_GRIDS:
+            with pytest.raises(ValueError, match="1-D grid of finite values"):
+                fdyn.evolve_vacuum(c, ModeLayout((4, 4, 4)), times)
+
+    def test_overflowing_phase_fails_the_norm_budget(self):
+        # t s overflows to inf, so cos and sin give NaN amplitudes and a NaN drift
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="norm drifted by nan"):
+                fdyn.evolve_vacuum((1e150, 1.2e150), ModeLayout((4, 4, 4)), [0.0, 1e300])
 
 
 def _analytic_state_loop(c, t, lay, tail_tol):
