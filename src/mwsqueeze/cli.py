@@ -7,8 +7,8 @@ files are byte-deterministic: CSV with 17-significant-digit floats, LF line
 endings, and no timestamps; provenance (config echo plus library version)
 goes to a sidecar ``run_manifest.json``.
 
-Exit codes: 0 success, 1 validation failure, 2 configuration error,
-3 numerical or stability error.
+Exit codes: 0 success, 1 validation failure, 2 configuration error (a
+``ConfigError``, or a path that cannot be read or written), 3 ``NumericalError``.
 
 Only numpy is imported up front: the fock route and the validation suite
 import their modules when they run, and no command loads scipy.
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, closed_form, feasibility, moments, spectrum
-from .errors import ConfigError, IntegrationError, NumericalError, StabilityError, TruncationWarning
+from .errors import ConfigError, NumericalError, TruncationWarning
 from .fock import FockOperator, ModeLayout, vacuum_state
 from .params import CONSERVED_CHARGE, COUPLING_TERMS, DecayRates, EffectiveCouplings, oscillation_rate
 
@@ -259,13 +259,12 @@ def validate_config(command: str, config: dict) -> dict:
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    """The parsed config file: unparsable text (not UTF-8, say, or nested too deep) is a ``ConfigError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}")
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"config is not valid JSON: {exc}")
 
 
 def _physical(build, *args, **kwargs):
@@ -741,11 +740,11 @@ def main(argv=None) -> int:
         code = _COMMANDS[args.command](config, outdir)
         write_manifest(outdir, args.command, config)
         return code
-    except (ConfigError, MemoryError) as exc:
-        # a MemoryError is a grid the config sizes beyond what numpy can allocate, wherever it is raised
+    except (ConfigError, MemoryError, OSError) as exc:
+        # a grid the config sizes beyond what numpy can allocate, or a path that cannot be read or written
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (StabilityError, NumericalError, IntegrationError) as exc:
+    except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

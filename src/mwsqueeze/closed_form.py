@@ -44,6 +44,7 @@ def occupations_closed_form(c: EffectiveCouplings, t) -> np.ndarray:
     Returns shape ``np.shape(t) + (3,)``.  The trigonometric factors are
     taken per element with :mod:`math`, so a sample's bits do not depend on
     the grid it is evaluated on, and a scalar ``t`` takes the same path.
+    A phase ``theta t`` that is not finite is refused with ``ValueError``.
     """
     x1 = abs(complex(c.xi1))
     x2 = abs(complex(c.xi2))
@@ -53,6 +54,8 @@ def occupations_closed_form(c: EffectiveCouplings, t) -> np.ndarray:
     phase = th * np.asarray(t, dtype=float)
     flat = []
     for q in phase.ravel().tolist():
+        if not math.isfinite(q):
+            raise ValueError(f"the phase theta * t must be finite, got {q}")
         n2 = a2 * (math.cos(q) - 1.0) ** 2
         n3 = a3 * math.sin(q) ** 2
         flat += (n2 + n3, n2, n3)

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_form
-from .errors import IntegrationError, TruncationWarning
+from .errors import NumericalError, TruncationWarning
 from .fock import FockOperator, ModeLayout, at_top_level, vacuum_state
 from .params import EffectiveCouplings, coupling_pair
 
@@ -182,8 +182,9 @@ def _half_block_propagate(H: FockOperator, block: np.ndarray, psi0: np.ndarray, 
     U, s, Vh = np.linalg.svd(B, full_matrices=False)
     psi_e, psi_o = psi0[~odd], psi0[odd]
     ce, co = U.conj().T @ psi_e, Vh @ psi_o
-    ts = np.outer(times, s)
-    cos1, msin = np.cos(ts) - 1.0, -1j * np.sin(ts)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase gives NaN, refused by _observe
+        ts = np.outer(times, s)
+        cos1, msin = np.cos(ts) - 1.0, -1j * np.sin(ts)
     amps = np.empty((len(times), len(psi0)), dtype=complex)
     amps[:, ~odd] = psi_e + (cos1 * ce + msin * co) @ U.T
     amps[:, odd] = psi_o + (cos1 * co + msin * ce) @ Vh.conj()
@@ -253,7 +254,7 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
 
     Each mode's occupation of the block's states, and whether any mode is at
     its top level, are read off their composite indices in the box ``dims``;
-    ``norm0`` is the initial state's norm.  Raises :class:`IntegrationError`
+    ``norm0`` is the initial state's norm.  Raises :class:`NumericalError`
     when the norm drifts by more than 1e-8 (or NaN) between consecutive samples, and warns
     (:class:`TruncationWarning`) when the top-level population exceeds 1e-6.
     """
@@ -263,7 +264,7 @@ def _observe(block: np.ndarray, amps: np.ndarray, dims, times: np.ndarray, norm0
     drift = np.abs(np.diff(norms, prepend=norm0))
     first = np.argmax(~(drift <= _NORM_DRIFT_PER_STEP))
     if not drift[first] <= _NORM_DRIFT_PER_STEP:
-        raise IntegrationError(
+        raise NumericalError(
             f"norm drifted by {drift[first]:.3e} over one step (limit {_NORM_DRIFT_PER_STEP:g})"
         )
     leakage = p[:, at_top_level(occ, dims)].sum(axis=1)
@@ -318,7 +319,7 @@ def evolve_state(H: FockOperator, psi0: np.ndarray, times) -> Trajectory:
         term of ``H`` acts twice on one layout mode, or an element of ``H``
         on the block joins two states of one spin parity (a term of nonzero
         rate that does not move the spin, say).
-    IntegrationError
+    NumericalError
         If the norm drifts by more than 1e-8, or by NaN, between consecutive samples.
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -355,7 +356,7 @@ def evolve_vacuum(c, layout: ModeLayout, times) -> Trajectory:
     ValueError
         If the layout does not have three modes, or the times are not a
         finite 1-D grid that starts at 0 and ascends strictly.
-    IntegrationError
+    NumericalError
         If the norm drifts by more than 1e-8, or by NaN, between consecutive samples.
     """
     block, _, _ = charge_lattice(layout)
@@ -405,7 +406,8 @@ def analytic_state(
 
     The amplitude table entry (m, n) populates the basis state
     ``(m + n, n, m)``; entries outside the layout are dropped, so the result
-    is truncated the same way as the dynamical route and renormalized there.
+    is truncated as the dynamical route is, and renormalized: its vacuum
+    entry ``1 / sqrt(1 + n1) > 0`` is on every layout.
     """
     if layout.n_modes != 3:
         raise ValueError("analytic state expects a three-mode layout")
@@ -414,10 +416,7 @@ def analytic_state(
     index, m, n = charge_lattice(layout)
     psi = np.zeros(layout.dim, dtype=complex)
     psi[index] = table[m, n]
-    nrm = np.linalg.norm(psi)
-    if nrm == 0:
-        raise ValueError("layout retains none of the analytic state")
-    return psi / nrm
+    return psi / np.linalg.norm(psi)
 
 
 def gauge_phase(psi: np.ndarray) -> np.ndarray:

@@ -274,6 +274,8 @@ def adiabatic_error(
         raise ValueError("adiabatic validation is desk-scale: excitation cap <= 3")
     if samples < 2:
         raise ValueError("need at least two samples")
+    if not math.isfinite(horizon):
+        raise ValueError(f"the horizon must be finite, got {horizon}")
     basis = AtomicBasis(r.n_atoms, excitation_cap)
     times = np.linspace(0.0, horizon, samples)
     psi0 = np.zeros(basis.dim, dtype=complex)

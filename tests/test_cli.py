@@ -473,6 +473,29 @@ def test_missing_config_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("prepare", [
+    lambda cfg, out: cfg.write_bytes(b"\xff\xfe{}"),
+    lambda cfg, out: cfg.mkdir(),
+    lambda cfg, out: cfg.write_bytes(b"[" * 100_000),
+    lambda cfg, out: cfg.write_bytes(b'{"num_samples": ' + b"1" * 5000 + b"}"),
+    lambda cfg, out: (cfg.write_text(json.dumps({"r": 1.1, "theta_hz": 1e4, "num_samples": 41})), out.touch()),
+    lambda cfg, out: cfg.write_bytes(b"[1, 2]"),
+    lambda cfg, out: cfg.write_bytes(b'{"route": '),
+    lambda cfg, out: None,
+], ids=["not-utf8", "config-is-a-directory", "nested-too-deep", "integer-over-digit-limit",
+        "output-dir-is-a-file", "array-root", "truncated-json", "missing-file"])
+def test_unreadable_config_or_output_path_is_a_configuration_error(tmp_path, capsys, prepare):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+    prepare(cfg, out)
+    code = main(["evolve", str(cfg), "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob("run_manifest.json"))
+
+
 _SPECTRUM_BASE = {"r": 1.1, "theta_over_kappa": 1.0, "kappa_hz": 7e3, "num_points": 101}
 
 

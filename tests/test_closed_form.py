@@ -54,6 +54,17 @@ class TestOccupations:
             assert row.shape == (3,)
             assert row.tobytes() == grid[i].tobytes()
 
+    @pytest.mark.parametrize("refused", [
+        lambda: cf.occupations_closed_form(couplings(2.0), math.nan),
+        lambda: cf.occupations_closed_form(couplings(2.0), math.inf),
+        lambda: cf.occupations_closed_form(couplings(2.0), [0.0, 1.0, -math.inf]),
+        lambda: cf.evolved_amplitudes(couplings(2.0), math.nan, 3, 3),
+        lambda: fdyn.analytic_state(couplings(2.0), math.nan, ModeLayout((4, 4, 4))),
+    ], ids=["nan", "inf", "grid-minus-inf", "amplitudes-nan", "analytic-state-nan"])
+    def test_non_finite_phase_refused(self, refused):
+        with pytest.raises(ValueError, match=r"the phase theta \* t must be finite"):
+            refused()
+
 
 class TestEvolvedAmplitudes:
     def test_initial_state_is_vacuum(self):

@@ -223,8 +223,10 @@ def test_basis_cap_guard():
 @pytest.mark.parametrize("refused,message", [
     (lambda: preset_config(n_atoms=0), "n_atoms must be positive"),
     (lambda: raman.adiabatic_error(preset_config(), 1.0, 1), "at least two samples"),
+    (lambda: raman.adiabatic_error(preset_config(), math.nan, 5), "horizon must be finite"),
+    (lambda: raman.adiabatic_error(preset_config(), math.inf, 5), "horizon must be finite"),
     (lambda: raman.bosonization_residual(raman.AtomicBasis(2, 2), np.zeros(3)), "does not match basis"),
-], ids=["no-atoms", "one-sample", "state-size"])
+], ids=["no-atoms", "one-sample", "nan-horizon", "inf-horizon", "state-size"])
 def test_malformed_inputs_rejected(refused, message):
     with pytest.raises(ValueError, match=message):
         refused()
