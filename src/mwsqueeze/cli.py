@@ -46,7 +46,10 @@ _FOCK_BLOCK_CAP = 4_000
 # ---------------------------------------------------------------------------
 # CSV output: the bytes of format(x, ".17g"), a block of rows at a time
 
-_CSV_BLOCK_ROWS = 2048
+# 512 rows keep a block's buffers near 140 kB, which malloc reuses; at 2 048
+# rows (550 kB) it mapped and faulted them afresh per block unless a larger
+# array freed earlier had raised its mmap threshold
+_CSV_BLOCK_ROWS = 512
 
 
 def _veltkamp(a):
@@ -330,8 +333,11 @@ def _route_analytic(couplings, times):
 
 
 def _route_gaussian(couplings, times):
-    V = moments.evolve_moments(moments.drift_matrix(couplings), moments.vacuum_moments(), times)
-    return moments.occupations_from_moments(V), moments.zeta12_from_moments(V)
+    occ, zeta12 = np.empty((len(times), 3)), np.empty(len(times))
+    for lo, V in moments.moment_blocks(moments.drift_matrix(couplings), moments.vacuum_moments(), times):
+        occ[lo:lo + len(V)] = moments.occupations_from_moments(V)
+        zeta12[lo:lo + len(V)] = moments.zeta12_from_moments(V)
+    return occ, zeta12
 
 
 def _fock_layout(cfg, couplings):

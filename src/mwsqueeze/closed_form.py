@@ -51,15 +51,16 @@ def occupations_closed_form(c: EffectiveCouplings, t) -> np.ndarray:
     th = c.theta
     a2 = (x1 * x2 / th**2) ** 2
     a3 = (x1 / th) ** 2
-    phase = th * np.asarray(t, dtype=float)
+    t = np.asarray(t, dtype=float)
     flat = []
-    for q in phase.ravel().tolist():
+    for x in t.ravel().tolist():
+        q = th * x  # a Python float: an overflow gives inf, refused here, and no numpy warning
         if not math.isfinite(q):
             raise ValueError(f"the phase theta * t must be finite, got {q}")
         n2 = a2 * (math.cos(q) - 1.0) ** 2
         n3 = a3 * math.sin(q) ** 2
         flat += (n2 + n3, n2, n3)
-    return np.array(flat).reshape(phase.shape + (3,))
+    return np.array(flat).reshape(t.shape + (3,))
 
 
 def zeta12_ratio(var, total):

@@ -17,9 +17,11 @@ damped one) relaxes toward the fixed point ``X`` of ``M X + X M^dag + D = 0``,
 the steady state: ``V(t) = X + E (V0 - X) E^dag`` with ``E = exp(M t)`` from
 one batched matrix exponential per stack of samples.
 
-A moment matrix is a plain complex ``(6, 6)`` array, and a trajectory is the
-``(n, 6, 6)`` stack of its samples.  Each observable is one function that takes
-one matrix or any stack ``(..., 6, 6)`` and returns ``(...)`` or ``(..., 3)``.
+A moment matrix is a plain complex ``(6, 6)`` array.  :func:`moment_blocks`
+yields a trajectory as ``(<= _BLOCK, 6, 6)`` stacks of samples for a caller to
+reduce as they come, and :func:`evolve_moments` stacks them all.  Each
+observable is one function that takes one matrix or any stack ``(..., 6, 6)``
+and returns ``(...)`` or ``(..., 3)``.
 Closed propagation, observables and ``|z|^2`` (a libm ufunc pair) are per-element
 arithmetic, which gives a sample the same bits in every stack; the PSD check
 is an LDL^dag factorisation vectorised over the samples, with no eigensolver
@@ -40,6 +42,7 @@ __all__ = [
     "vacuum_moments",
     "drift_matrix",
     "diffusion_matrix",
+    "moment_blocks",
     "evolve_moments",
     "steady_state_moments",
     "occupations_from_moments",
@@ -245,21 +248,17 @@ def _relaxation(M, D, V0):
     return *_WHOLE, propagate
 
 
-def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.ndarray:
-    """Propagate ``dV/dt = M V + V M^dag + D`` from ``V0`` at ``t = 0`` to each sample time.
+def moment_blocks(M: np.ndarray, V0: np.ndarray, times, diffusion=None):
+    """Propagate ``dV/dt = M V + V M^dag + D`` from ``V0`` at ``t = 0``, yielding ``(lo, V)`` per ``_BLOCK`` samples.
 
+    ``V`` holds the ``(<= _BLOCK, 6, 6)`` moments of samples ``lo, lo + 1, ...``
+    and is one buffer reused by every block: consume it before advancing.
     The closed case (no diffusion, and ``M^3 = -theta^2 M`` as for every
-    undamped drift) is ``V(t) = E V0 E^dag`` with the exact quadratic
-    ``E = exp(M t) = I + a M + b M^2`` of :func:`_putzer`, evaluated as a
-    quadratic in the two real coefficients ``(a, b)`` over six constant
-    matrices, from vacuum on the upper triangles of the two charge sectors
-    alone.  Any other drift relaxes toward its fixed point ``X``,
-    ``V(t) = X + E (V0 - X) E^dag`` (:func:`_relaxation`), with one batched
-    exponential per stack; a nonzero ``D`` whose touched block is not
-    strictly stable has no fixed point and raises ``StabilityError``.
-    Samples are propagated and validated (:func:`_validate_blocks`: finite,
-    Hermitian and PSD within ``1e-8 max(1, max|V|)``) in blocks of ``_BLOCK``
-    into the returned ``(n, 6, 6)`` array, 0 at the entries outside every block.
+    undamped drift) is the exact quadratic of :func:`_putzer`; any other drift
+    relaxes toward its fixed point (:func:`_relaxation`), and a nonzero ``D``
+    whose touched block is not strictly stable raises ``StabilityError``.
+    Each block is validated (:func:`_validate_blocks`: finite, Hermitian and
+    PSD within ``1e-8 max(1, max|V|)``); ``V`` is 0 outside every block.
     """
     M = np.asarray(M, dtype=complex)
     V0 = np.asarray(V0, dtype=complex)
@@ -270,11 +269,20 @@ def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.n
     D = np.zeros_like(M) if diffusion is None else np.asarray(diffusion, dtype=complex)
     closed = None if D.any() else _putzer(M, V0)
     sectors, checked, propagate = closed or _relaxation(M, D, V0)
-    out = np.zeros((len(times), 6, 6), dtype=complex)
+    buf = np.zeros((min(len(times), _BLOCK), 6, 6), dtype=complex)
     for lo in range(0, len(times), _BLOCK):
         B = propagate(times[lo:lo + _BLOCK])
         _validate_blocks(B, 1e-8 * np.maximum(1.0, np.abs(B).max(axis=(0, 1, 2))), *checked)
-        out[lo:lo + _BLOCK, sectors[:, None], sectors[None]] = np.moveaxis(B, -1, 0)
+        V = buf[:B.shape[-1]]
+        V[:, sectors[:, None], sectors[None]] = np.moveaxis(B, -1, 0)
+        yield lo, V
+
+
+def evolve_moments(M: np.ndarray, V0: np.ndarray, times, diffusion=None) -> np.ndarray:
+    """The ``(n, 6, 6)`` moments at each sample time: the blocks of :func:`moment_blocks`, stacked."""
+    out = np.zeros((len(times), 6, 6), dtype=complex)
+    for lo, V in moment_blocks(M, V0, times, diffusion):
+        out[lo:lo + len(V)] = V
     return out
 
 

@@ -18,7 +18,7 @@ from mwsqueeze import closed_form as cf
 from mwsqueeze import feasibility as feas
 from mwsqueeze import moments as mom
 from mwsqueeze import spectrum as spec
-from mwsqueeze.cli import main, write_csv
+from mwsqueeze.cli import _route_gaussian, main, write_csv
 from mwsqueeze.errors import NumericalError, TruncationWarning
 from mwsqueeze.params import DecayRates, EffectiveCouplings
 
@@ -468,11 +468,6 @@ class TestDeterminism:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_missing_config_file(tmp_path, capsys):
-    code = main(["evolve", str(tmp_path / "absent.json"), "--output-dir", str(tmp_path)])
-    assert code == 2
-
-
 @pytest.mark.parametrize("prepare", [
     lambda cfg, out: cfg.write_bytes(b"\xff\xfe{}"),
     lambda cfg, out: cfg.mkdir(),
@@ -626,14 +621,15 @@ def test_oversized_r_is_named_in_the_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,config,module,name", [
-    ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "num_samples": 41}, mom, "evolve_moments"),
+    ("evolve", {"route": "gaussian", "r": 1.1, "theta_hz": 1e4, "num_samples": 41}, mom, "moment_blocks"),
     ("spectrum", _SPECTRUM_BASE, spec, "squeezing_spectrum"),
 ], ids=["evolve-moments", "spectrum-densities"])
 def test_grid_too_large_to_propagate_is_a_configuration_error(tmp_path, capsys, monkeypatch,
                                                               command, config, module, name):
-    # numpy samples 20 000 001 times or 40 000 001 frequencies, then cannot allocate
-    # their propagation (10.7 and 14.3 GiB); raised here without allocating, since a
-    # machine that overcommits could grant the memory lazily and then kill the run
+    # 20 000 001 samples need about 0.64 GB of output columns and 40 000 001 frequencies
+    # 14.3 GiB of propagation, which may not be allocatable (10^15 samples already fail in
+    # np.linspace); raised here without allocating, since a machine that overcommits could
+    # grant the memory lazily and then kill the run
     message = "Unable to allocate 10.7 GiB for an array with shape (20000001, 6, 6) and data type complex128"
 
     def refuse(*args, **kwargs):
@@ -747,8 +743,8 @@ class TestCsvWriter:
         self._assert_per_value_bytes(tmp_path, np.arange(100_001.0).reshape(-1, 1))
 
     def test_blocks_and_one_by_one_cells(self, tmp_path):
-        # 5 000 rows cross two block boundaries; zeros and subnormals sit at a
-        # block's last and next block's first cell and at row ends
+        # 5 000 rows cross nine 512-row block boundaries; zeros and subnormals sit
+        # at a block's last and next block's first cell and at row ends
         rows = np.random.default_rng(5).standard_normal((5000, 6)) * 10.0 ** np.arange(-8, 10, 3)
         rows[2047, -1], rows[2048, 0], rows[4095, 5], rows[4999, -1] = 0.0, -0.0, 1e-310, 1e-7
         rows[0, :] = 0.0
@@ -840,3 +836,32 @@ class TestArrayRowsKeepPerSampleBits:
                 "max_zeta12_discrepancy": zeta,
                 "zeta12_samples_excluded_near_vacuum": excluded,
             }
+
+
+class TestGaussianRouteReducesEachBlock:
+    """The gaussian route's columns are reduced from each block of samples as it is propagated."""
+
+    @staticmethod
+    def grid(n):
+        c = EffectiveCouplings.from_theta_r(2.0 * math.pi * 1e4, 1.001)
+        return c, np.linspace(0.0, 2.0 * cf.t_pi(c), n)
+
+    @pytest.mark.parametrize("n", [2, mom._BLOCK, mom._BLOCK + 1, 2 * mom._BLOCK + 3])
+    def test_columns_are_those_of_the_whole_stack(self, n):
+        c, times = self.grid(n)
+        occ, zeta12 = _route_gaussian(c, times)
+        Vs = mom.evolve_moments(mom.drift_matrix(c), mom.vacuum_moments(), times)
+        assert occ.shape == (n, 3) and zeta12.shape == (n,)
+        assert occ.tobytes() == mom.occupations_from_moments(Vs).tobytes()
+        assert zeta12.tobytes() == mom.zeta12_from_moments(Vs).tobytes()
+
+    def test_route_holds_no_moment_stack(self):
+        # the (n, 6, 6) complex stack of 20 001 samples is 11.5 MB; the columns are 0.64 MB
+        c, times = self.grid(20_001)
+        tracemalloc.start()
+        try:
+            _route_gaussian(c, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

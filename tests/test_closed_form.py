@@ -1,6 +1,7 @@
 """Closed-form occupations, amplitude tables, target state and derived scalars."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,13 @@ class TestOccupations:
     def test_non_finite_phase_refused(self, refused):
         with pytest.raises(ValueError, match=r"the phase theta \* t must be finite"):
             refused()
+
+    def test_overflowing_phase_refused_without_a_warning(self):
+        # theta and t are finite, but theta * t overflows to inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"the phase theta \* t must be finite, got inf"):
+                cf.occupations_closed_form(EffectiveCouplings.from_theta_r(1e10, 2.0), 1e300)
 
 
 class TestEvolvedAmplitudes:

@@ -171,6 +171,24 @@ class TestEvolveMoments:
         shifted = mom.evolve_moments(M, V0, times[3:])
         assert shifted.tobytes() == stack[3:].tobytes()
 
+    @pytest.mark.parametrize("case", ["sector-split", "whole-matrix", "damped"])
+    def test_stack_is_the_blocks_copied_in_order(self, case):
+        # the yielded buffer is reused, so each block is copied before the next one is drawn
+        M, V0, D = mom.drift_matrix(couplings(1.5)), mom.vacuum_moments(), None
+        if case == "whole-matrix":  # a cross-sector V0 takes the whole 6 x 6 matrix
+            V0[0, 0], V0[1, 1], V0[0, 1], V0[1, 0] = 2.0, 1.0, 0.5, 0.5
+        if case == "damped":
+            d = DecayRates(kappa1=0.8, kappa2=1.2, gamma_s=0.3)
+            M, D = mom.drift_matrix(couplings(1.5), d), mom.diffusion_matrix(d)
+        if case != "damped":
+            assert mom._putzer(M, V0)[0].shape == ((6, 1) if case == "whole-matrix" else (3, 2))
+        times = np.linspace(0.0, 20.0, 2 * mom._BLOCK + 3)
+        blocks = [(lo, V.copy()) for lo, V in mom.moment_blocks(M, V0, times, D)]
+        assert [(lo, len(V)) for lo, V in blocks] == [(0, mom._BLOCK), (mom._BLOCK, mom._BLOCK),
+                                                       (2 * mom._BLOCK, 3)]
+        stack = mom.evolve_moments(M, V0, times, D)
+        assert np.concatenate([V for _, V in blocks]).tobytes() == stack.tobytes()
+
     def test_non_finite_initial_moments_fail(self):
         V0 = mom.vacuum_moments()
         V0[1, 1] = np.nan
