@@ -468,6 +468,11 @@ class TestDeterminism:
                 assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_missing_config_file(tmp_path, capsys):
+    code = main(["evolve", str(tmp_path / "absent.json"), "--output-dir", str(tmp_path)])
+    assert code == 2
+
+
 @pytest.mark.parametrize("prepare", [
     lambda cfg, out: cfg.write_bytes(b"\xff\xfe{}"),
     lambda cfg, out: cfg.mkdir(),
