@@ -2,9 +2,8 @@
 
 Everything here is evaluated directly from formulas, with no time stepping:
 mode occupations, the factorized-propagator amplitude table of the evolved
-state, the two-mode squeezed target state, the squeezing degree, and the
-preparation time.  These serve as the reference values for the state-vector
-and second-moment routes.
+state, the squeezing degree, and the preparation time.  These serve as the
+reference values for the state-vector and second-moment routes.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import math
 
 import numpy as np
 
-from .errors import CutoffError
 from .params import EffectiveCouplings
 
 __all__ = [
@@ -23,7 +21,6 @@ __all__ = [
     "zeta12_ratio",
     "propagator_amplitudes",
     "evolved_amplitudes",
-    "tmss_amplitudes",
     "squeezing_parameter",
     "t_pi",
     "photons_per_mode_at_t_pi",
@@ -132,7 +129,7 @@ def evolved_amplitudes(
 
     Raises
     ------
-    CutoffError
+    ValueError
         If the retained probability falls below ``1 - tail_tol``.
     """
     if m_max < 0 or n_max < 0:
@@ -144,27 +141,10 @@ def evolved_amplitudes(
     amps = exp_alpha4 * alpha2**n * np.cumprod(steps, axis=0)
     retained = float(np.sum(amps**2))
     if retained < 1.0 - tail_tol:
-        raise CutoffError(
+        raise ValueError(
             f"cutoffs (m_max={m_max}, n_max={n_max}) retain {retained:.12f} "
             f"of the norm; tail exceeds {tail_tol:g}"
         )
-    return amps.astype(complex)
-
-
-def tmss_amplitudes(r: float, n_max: int) -> np.ndarray:
-    """Amplitudes of the two-mode squeezed target over ``|n, n>``.
-
-    ``amp_n`` is proportional to ``(2r/(1+r^2))^n`` and the vector is
-    magnitude-normalized over the truncation; the untruncated prefactor
-    magnitude is ``(r^2-1)/(1+r^2)``.
-    """
-    if r <= 1:
-        raise ValueError("r must exceed 1")
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    q = 2.0 * r / (1.0 + r * r)
-    amps = q ** np.arange(n_max + 1)
-    amps /= np.linalg.norm(amps)
     return amps.astype(complex)
 
 

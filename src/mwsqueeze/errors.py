@@ -1,10 +1,6 @@
 """Exception and warning types shared across the package; the CLI exits 2 on a ``ConfigError``, 3 on a ``NumericalError``."""
 
 
-class CutoffError(ValueError):
-    """A requested truncation cannot meet the requested tail tolerance."""
-
-
 class NumericalError(RuntimeError):
     """A computed quantity violated a guaranteed numerical property (a norm budget, say)."""
 

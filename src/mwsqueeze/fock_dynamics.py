@@ -34,11 +34,6 @@ refused.  Both entries share one propagator and one observation tail.
 A state is a plain complex vector of length ``layout.dim``, a trajectory
 its block and amplitude stack; a Hamiltonian travels as its term table with
 its rates and layout, Hermitian by construction.
-
-State comparisons across routes are gauged by the phase of the
-largest-magnitude amplitude, since the closed-form amplitude table fixes
-phases only up to convention (its alphas are real non-negative); exact
-phase-faithful agreement therefore holds for real non-negative couplings.
 """
 
 from __future__ import annotations
@@ -62,10 +57,7 @@ __all__ = [
     "Trajectory",
     "evolve_state",
     "relative_number_squeezing",
-    "fidelity_with_target",
-    "target_state",
     "analytic_state",
-    "gauge_phase",
     "degenerate_mode_evolve",
 ]
 
@@ -379,26 +371,6 @@ def relative_number_squeezing(psi: np.ndarray, layout: ModeLayout) -> float:
     return float(_zeta12(np.abs(psi) ** 2, layout.occupation_arrays()))
 
 
-def target_state(layout: ModeLayout, r: float) -> np.ndarray:
-    """The two-mode squeezed target over ``|n, n>`` tensored with spin vacuum."""
-    if layout.n_modes != 3:
-        raise ValueError("target state expects a three-mode layout")
-    n_max = min(layout.dims[0], layout.dims[1]) - 1
-    amps = closed_form.tmss_amplitudes(r, n_max)
-    index, m, n = charge_lattice(layout)
-    psi = np.zeros(layout.dim, dtype=complex)
-    # the spin-vacuum row of the lattice is |n, n, 0> for n <= n_max
-    psi[index[m == 0]] = amps[n[m == 0]]
-    return psi
-
-
-def fidelity_with_target(psi: np.ndarray, layout: ModeLayout, r: float) -> float:
-    """Overlap ``|<target|psi>|^2`` with the magnitude-normalized target."""
-    if r <= 1:
-        raise ValueError("r must exceed 1")
-    return float(abs(np.vdot(target_state(layout, r), psi)) ** 2)
-
-
 def analytic_state(
     c: EffectiveCouplings, t: float, layout: ModeLayout, tail_tol=1e-6
 ) -> np.ndarray:
@@ -417,13 +389,6 @@ def analytic_state(
     psi = np.zeros(layout.dim, dtype=complex)
     psi[index] = table[m, n]
     return psi / np.linalg.norm(psi)
-
-
-def gauge_phase(psi: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the largest-magnitude amplitude is real positive."""
-    k = int(np.argmax(np.abs(psi)))
-    ph = psi[k] / abs(psi[k]) if psi[k] != 0 else 1.0
-    return psi / ph
 
 
 def degenerate_mode_evolve(c, layout2: ModeLayout, times) -> np.ndarray:

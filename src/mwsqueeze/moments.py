@@ -107,11 +107,6 @@ def _validate_blocks(B, tol, i, j):
         raise NumericalError(f"moment matrix not PSD: min eigenvalue {lo:.3e}")
 
 
-def _validate_stack(V, tol):
-    """:func:`_validate_blocks` on each whole matrix of a ``(n, 6, 6)`` stack, Hermiticity at every entry."""
-    _validate_blocks(np.moveaxis(np.asarray(V), 0, -1)[:, :, None], tol, *_WHOLE[1])
-
-
 def vacuum_moments() -> np.ndarray:
     """Moment matrix of the three-mode vacuum: ``<a a^dag> = 1``, all else 0."""
     V = np.zeros((6, 6), dtype=complex)

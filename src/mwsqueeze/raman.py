@@ -32,7 +32,6 @@ from .params import COUPLING_TERMS, coupling_pair
 __all__ = [
     "RamanConfig",
     "AtomicBasis",
-    "build_full_hamiltonian",
     "static_frame_hamiltonian",
     "effective_couplings",
     "effective_few_atom_hamiltonian",
@@ -59,13 +58,6 @@ class RamanConfig:
     def __post_init__(self):
         if self.n_atoms < 1:
             raise ValueError("n_atoms must be positive")
-
-    @property
-    def dispersive_ratio(self) -> float:
-        """min(|D1|, |D2|, |D1 - D2|) over the largest drive/coupling magnitude."""
-        num = min(abs(self.delta1), abs(self.delta2), abs(self.delta1 - self.delta2))
-        den = max(abs(self.omega1_rabi), abs(self.omega2_rabi), abs(self.g1), abs(self.g2))
-        return num / den if den > 0 else math.inf
 
 
 class AtomicBasis:
@@ -137,42 +129,17 @@ class AtomicBasis:
         """The bosonized lowering operator ``c = (1/sqrt N) sum_j |g_j><h_j|``."""
         return self._flip_sum(_H, _G) / math.sqrt(self.n_atoms)
 
-    def conserved_combination_diagonal(self) -> np.ndarray:
-        """Diagonal of ``n2 - n1 + N_h + N_e2``, conserved by every drive term.
-
-        The microscopic counterpart of the effective model's constant of
-        motion; useful as a truncation diagnostic along full-model runs.
-        """
-        return (
-            self.photon_diagonal(2)
-            - self.photon_diagonal(1)
-            + self.level_population_diagonal(_H)
-            + self.level_population_diagonal(_E2)
-        )
-
 
 def _coupling_blocks(r: RamanConfig, basis: AtomicBasis):
-    """The four non-Hermitian blocks of the interaction Hamiltonian and their phases."""
+    """The four non-Hermitian blocks of the interaction Hamiltonian."""
     a1 = basis.annihilator(1)
     a2 = basis.annihilator(2)
-    blocks = [
+    return [
         complex(r.omega1_rabi) * basis._flip_sum(_G, _E1),
         complex(r.omega2_rabi) * basis._flip_sum(_H, _E2),
         complex(r.g1) * (basis._flip_sum(_H, _E1) @ a1),
         complex(r.g2) * (basis._flip_sum(_G, _E2) @ a2),
     ]
-    phases = [r.delta1, r.delta2, r.delta1, r.delta2 - r.delta_two_photon]
-    return blocks, phases
-
-
-def build_full_hamiltonian(r: RamanConfig, basis: AtomicBasis, t: float) -> np.ndarray:
-    """Interaction-picture Hamiltonian at time ``t`` (Hermitian-completed)."""
-    blocks, phases = _coupling_blocks(r, basis)
-    H = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for B, ph in zip(blocks, phases):
-        e = np.exp(1j * ph * t)
-        H = H + e * B + np.conj(e) * B.conj().T
-    return H
 
 
 def static_frame_hamiltonian(r: RamanConfig, basis: AtomicBasis) -> np.ndarray:
@@ -184,13 +151,12 @@ def static_frame_hamiltonian(r: RamanConfig, basis: AtomicBasis) -> np.ndarray:
     commuting with ``A`` (all occupations here) can be evaluated in the
     static frame directly.
     """
-    blocks, _ = _coupling_blocks(r, basis)
     pe1 = basis.level_population_diagonal(_E1)
     pe2 = basis.level_population_diagonal(_E2)
     n2 = basis.photon_diagonal(2)
     a_diag = r.delta1 * pe1 + r.delta2 * pe2 + r.delta_two_photon * n2
     H = np.diag(a_diag.astype(complex))
-    for B in blocks:
+    for B in _coupling_blocks(r, basis):
         H = H + B + B.conj().T
     return H
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, StabilityError
-from .moments import _SECTORS, _SWAP, _rates, _require_stable, drift_matrix
+from .moments import _SECTORS, _rates, _require_stable, drift_matrix
 from .params import DecayRates, coupling_pair
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "stability_check",
     "classify_regime",
     "default_omega_grid",
-    "spectral_moment_integral",
 ]
 
 # quadrature weights, one row each: difference of amplitude quadratures (S+),
@@ -223,23 +222,3 @@ def classify_regime(result: SpectrumResult, kappa: float) -> str:
             return "single-broad"
     return "narrow"
 
-
-def spectral_moment_integral(c, d: DecayRates, omega_max: float, points: int = 20001):
-    """Frequency-side steady-state moment matrix (Parseval counterpart).
-
-    Integrates ``T(w) C T(-w)^T P / (2 pi)`` over ``[-omega_max, omega_max]``
-    by the trapezoid rule, where ``T(w) = (-i w I - M)^{-1} N``.  For a
-    stable drift this converges to the steady-state ``<v v^dag>`` as the
-    window grows.
-    """
-    M = drift_matrix(coupling_pair(c), d)
-    _require_stable(M)
-    grid = np.linspace(-omega_max, omega_max, points)
-    z = -1j * np.concatenate([grid, -grid])
-    N = _input_coupling(d)
-    T = np.zeros((6, 6, len(z)), dtype=complex)
-    for s, B, p in _sectors(M, range(6)):
-        T[np.ix_(s, s)] = _horner(B * N[s], z) / _horner(p, z)
-    val = np.einsum("ajn,bjn->nab", T[:, 0::2, :points], T[:, 1::2, points:])[..., list(_SWAP)]
-    acc = (0.5 * (val[1:] + val[:-1]) * np.diff(grid)[:, None, None]).sum(axis=0)
-    return acc / (2.0 * np.pi)

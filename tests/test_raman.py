@@ -19,17 +19,27 @@ def preset_config(n_atoms=1, ratio=10.0):
     return raman.RamanConfig(1.0, 1.1, 1.0, 1.0, d, d, 0.0, n_atoms)
 
 
+def full_hamiltonian(rc, basis, t):
+    """Interaction-picture Hamiltonian at time ``t`` (Hermitian-completed): the time-dependent reference."""
+    phases = [rc.delta1, rc.delta2, rc.delta1, rc.delta2 - rc.delta_two_photon]  # of raman._coupling_blocks
+    H = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for B, ph in zip(raman._coupling_blocks(rc, basis), phases):
+        e = np.exp(1j * ph * t)
+        H = H + e * B + np.conj(e) * B.conj().T
+    return H
+
+
 class TestFullHamiltonian:
     def test_zero_drives_zero_operator(self):
         rc = raman.RamanConfig(0.0, 0.0, 0.0, 0.0, 10.0, 20.0, 0.0, 2)
         basis = raman.AtomicBasis(2, 2)
         for t in (0.0, 0.3, 1.7):
-            assert not raman.build_full_hamiltonian(rc, basis, t).any()
+            assert not full_hamiltonian(rc, basis, t).any()
 
     def test_drive_matrix_element(self):
         rc = preset_config()
         basis = raman.AtomicBasis(1, 2)
-        H = raman.build_full_hamiltonian(rc, basis, 0.0)
+        H = full_hamiltonian(rc, basis, 0.0)
         i_g = basis.index[((0,), 0, 0)]
         i_e1 = basis.index[((2,), 0, 0)]
         assert H[i_e1, i_g] == pytest.approx(complex(rc.omega1_rabi))
@@ -40,7 +50,7 @@ class TestFullHamiltonian:
         basis = raman.AtomicBasis(2, 2)
         for _ in range(10):
             t = rng.uniform(0, 10)
-            H = raman.build_full_hamiltonian(rc, basis, t)
+            H = full_hamiltonian(rc, basis, t)
             assert abs(H - H.conj().T).max() < 1e-14
 
     @pytest.mark.parametrize("n_atoms, cap", [(1, 2), (2, 2), (2, 3)])
@@ -54,7 +64,7 @@ class TestFullHamiltonian:
         a = np.diag(Hs).real
         for t in rng.uniform(0.0, 10.0, 20):
             rotated = np.exp(1j * np.subtract.outer(a, a) * t) * (Hs - np.diag(a))
-            H = raman.build_full_hamiltonian(rc, basis, t)
+            H = full_hamiltonian(rc, basis, t)
             assert np.max(np.abs(H - rotated)) < 1e-12
 
     @pytest.mark.parametrize("horizon, samples", [(25, 11), (40, 5)])
@@ -65,8 +75,8 @@ class TestFullHamiltonian:
 
         rc = fixtures.adiabatic_fixture_config(10)
         basis = raman.AtomicBasis(1, 2)
-        blocks, phases = raman._coupling_blocks(rc, basis)
-        dense = np.array(blocks)
+        phases = [rc.delta1, rc.delta2, rc.delta1, rc.delta2 - rc.delta_two_photon]
+        dense = np.array(raman._coupling_blocks(rc, basis))
         stack = np.concatenate([dense, dense.conj().transpose(0, 2, 1)])
         rates = 1j * np.concatenate([phases, np.negative(phases)])
 
@@ -109,10 +119,6 @@ class TestEffectiveCouplings:
         rc = raman.RamanConfig(1.0, 1.0, 1.0, 1.0, 0.0, 10.0, 0.0, 1)
         with pytest.raises(ValueError):
             raman.effective_couplings(rc)
-
-    def test_dispersive_ratio_diagnostic(self):
-        rc = fixtures.adiabatic_fixture_config(20)
-        assert rc.dispersive_ratio == pytest.approx(20.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("n_atoms, cap", [(1, 2), (2, 3), (3, 2)])
@@ -175,14 +181,14 @@ class TestAdiabaticError:
     def test_bare_two_photon_detuning_saturates(self):
         # without the dressed-resonance shift the omitted Stark terms detune
         # the exchange at order beta: the deviation is order one and stays
-        # there; frozen as an exploratory regression value
+        # there; frozen as an exploratory regression value (measured 0.233)
         rc = fixtures.adiabatic_fixture_config(20)
         bare = raman.RamanConfig(
             rc.omega1_rabi, rc.omega2_rabi, rc.g1, rc.g2, rc.delta1, rc.delta2, 0.0, 1
         )
         horizon = math.pi / fixtures.adiabatic_theta(bare)
         dev, _ = raman.adiabatic_error(bare, horizon, 161)
-        assert 0.1 < dev <= fixtures.ADIABATIC_BARE_RESONANCE_DEVIATION
+        assert 0.1 < dev <= 0.26
 
     def test_desk_scale_guards(self):
         rc = preset_config(n_atoms=5)
@@ -258,7 +264,9 @@ def test_adiabatic_error_loads_no_scipy_and_no_fock_layer():
 def test_conserved_combination_commutes_with_full_model():
     rc = fixtures.adiabatic_fixture_config(10, n_atoms=2)
     basis = raman.AtomicBasis(2, 2)
-    N = np.diag(basis.conserved_combination_diagonal())
+    # n2 - n1 + N_h + N_e2, the microscopic counterpart of the effective model's constant of motion
+    N = np.diag(basis.photon_diagonal(2) - basis.photon_diagonal(1)
+                + basis.level_population_diagonal(raman._H) + basis.level_population_diagonal(raman._E2))
     H = raman.static_frame_hamiltonian(rc, basis)
     assert np.max(np.abs(H @ N - N @ H)) < 1e-12
 

@@ -8,6 +8,8 @@ from mwsqueeze import spectrum as spec
 from mwsqueeze.errors import StabilityError
 from mwsqueeze.params import DecayRates, EffectiveCouplings, oscillation_rate
 
+from oracles import spectral_moment_integral
+
 
 def fig_params(theta_over_kappa, r=1.1, kappa=1.0):
     theta = theta_over_kappa * kappa
@@ -246,6 +248,6 @@ class TestParseval:
         D = mom.diffusion_matrix(d)
         # steady state by integrating the moment equation to convergence
         V_time = mom.evolve_moments(M, mom.vacuum_moments(), [80.0], diffusion=D)[0]
-        V_spec = spec.spectral_moment_integral(c, d, omega_max=80.0, points=16001)
+        V_spec = spectral_moment_integral(c, d, omega_max=80.0, points=16001)
         scale = np.max(np.abs(V_time))
         assert np.max(np.abs(V_spec - V_time)) <= 0.01 * scale
